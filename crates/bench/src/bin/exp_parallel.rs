@@ -19,7 +19,10 @@
 //!
 //! Environment: `NELA_RESULTS_DIR` (optional extra JSON dump location).
 
-use nela::{auto_shard_axis, BoundingAlgo, CloakingEngine, ClusteringAlgo, Params, System};
+use nela::{
+    auto_shard_axis, BoundingAlgo, CloakingEngine, CloakingResult, ClusteringAlgo, Params,
+    RequestError, System,
+};
 use nela_bench::{fmt, print_table, ExpConfig};
 use nela_geo::{DatasetSpec, GridIndex, Point};
 use nela_wpg::connectivity::{components_under, components_under_threads, nothing_removed};
@@ -47,27 +50,11 @@ struct Cell {
     identical: bool,
 }
 
-/// One before/after batch-serving measurement: the same 1,000-host batch
-/// through the global-mutex baseline (`request_many_locked`) and the
-/// sharded registry (`request_many_sharded`).
-#[derive(Debug, Clone, Serialize)]
-struct BatchCell {
-    n: usize,
-    threads: usize,
-    shards: usize,
-    locked_ms: f64,
-    sharded_ms: f64,
-    /// locked_ms / sharded_ms at the same thread count.
-    speedup: f64,
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     /// Logical CPUs available to this run (speedups need > 1).
     cores: usize,
     rows: Vec<Cell>,
-    /// Locked-vs-sharded batch serving at the largest n.
-    batch: Vec<BatchCell>,
 }
 
 fn edges_of(g: &Wpg) -> Vec<Edge> {
@@ -137,55 +124,6 @@ fn measure(
     )
 }
 
-/// Times the same 1,000-host batch through the locked baseline and the
-/// sharded path at one thread count.
-fn batch_bench(system: &System, threads: usize) -> BatchCell {
-    let hosts = system.host_sequence(1_000, 7);
-    let t0 = Instant::now();
-    let mut locked = CloakingEngine::new(
-        system,
-        ClusteringAlgo::TConnDistributed,
-        BoundingAlgo::Secure,
-    );
-    let served_locked = locked
-        .request_many_locked(&hosts, threads)
-        .iter()
-        .filter(|o| o.is_ok())
-        .count();
-    let locked_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let axis = auto_shard_axis(threads);
-    let t1 = Instant::now();
-    let mut sharded = CloakingEngine::new(
-        system,
-        ClusteringAlgo::TConnDistributed,
-        BoundingAlgo::Secure,
-    );
-    let served_sharded = sharded
-        .request_many_sharded(&hosts, threads, axis)
-        .iter()
-        .filter(|o| o.is_ok())
-        .count();
-    let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        served_locked > 0 && served_sharded > 0,
-        "batch served nothing"
-    );
-    assert!(
-        locked.registry().reciprocity_violation().is_none()
-            && sharded.registry().reciprocity_violation().is_none(),
-        "batch corrupted a registry at {threads} threads"
-    );
-    BatchCell {
-        n: system.points.len(),
-        threads,
-        shards: axis * axis,
-        locked_ms,
-        sharded_ms,
-        speedup: locked_ms / sharded_ms,
-    }
-}
-
 fn population(n: usize) -> (Vec<Point>, Params) {
     let params = Params::scaled(n);
     let points = DatasetSpec {
@@ -223,57 +161,42 @@ fn smoke() -> i32 {
     // the 2-thread batch must keep the registry consistent.
     let system = System::with_parts(params.clone(), points, par_grid, par_wpg);
     let hosts = system.host_sequence(100, 7);
-    let mut loop_engine = CloakingEngine::new(
-        &system,
-        ClusteringAlgo::TConnDistributed,
-        BoundingAlgo::Secure,
-    );
-    let looped: Vec<_> = hosts.iter().map(|&h| loop_engine.request(h)).collect();
-    let mut batch_engine = CloakingEngine::new(
-        &system,
-        ClusteringAlgo::TConnDistributed,
-        BoundingAlgo::Secure,
-    );
-    let batched = batch_engine.request_many(&hosts, 1);
-    for (a, b) in looped.iter().zip(&batched) {
-        let same = match (a, b) {
-            (Ok(x), Ok(y)) => x.region == y.region && x.reused == y.reused,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        if !same {
-            eprintln!("[smoke] FAIL: single-thread request_many diverged from request loop");
-            return 1;
-        }
-    }
-    // The sharded machinery at one worker must also equal the loop, for
-    // more than one shard layout.
-    for axis in [1usize, 3] {
-        let mut sharded_engine = CloakingEngine::new(
+    let engine = || {
+        CloakingEngine::new(
             &system,
             ClusteringAlgo::TConnDistributed,
             BoundingAlgo::Secure,
-        );
-        let sharded = sharded_engine.request_many_sharded(&hosts, 1, axis);
-        for (a, b) in looped.iter().zip(&sharded) {
-            let same = match (a, b) {
-                (Ok(x), Ok(y)) => x.region == y.region && x.reused == y.reused,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            };
-            if !same {
-                eprintln!(
-                    "[smoke] FAIL: 1-worker sharded batch (axis {axis}) diverged from request loop"
-                );
-                return 1;
-            }
+        )
+    };
+    let same = |a: &Result<CloakingResult, RequestError>,
+                b: &Result<CloakingResult, RequestError>| {
+        match (a, b) {
+            (Ok(x), Ok(y)) => x.region == y.region && x.reused == y.reused,
+            (Err(_), Err(_)) => true,
+            _ => false,
+        }
+    };
+    let mut loop_engine = engine();
+    let looped: Vec<_> = hosts.iter().map(|&h| loop_engine.request(h)).collect();
+    let batched = engine().request_many(&hosts, 1);
+    if !looped.iter().zip(&batched).all(|(a, b)| same(a, b)) {
+        eprintln!("[smoke] FAIL: single-thread request_many diverged from request loop");
+        return 1;
+    }
+    // A one-worker session must also equal the loop, for more than one
+    // shard layout.
+    for axis in [1usize, 3] {
+        let session = engine().into_session(axis);
+        if !hosts
+            .iter()
+            .zip(&looped)
+            .all(|(&h, a)| same(a, &session.request(h)))
+        {
+            eprintln!("[smoke] FAIL: 1-worker session (axis {axis}) diverged from request loop");
+            return 1;
         }
     }
-    let mut par_engine = CloakingEngine::new(
-        &system,
-        ClusteringAlgo::TConnDistributed,
-        BoundingAlgo::Secure,
-    );
+    let mut par_engine = engine();
     let outcomes = par_engine.request_many(&hosts, 2);
     if outcomes.iter().filter(|o| o.is_ok()).count() == 0 {
         eprintln!("[smoke] FAIL: 2-thread batch served nothing");
@@ -327,7 +250,6 @@ fn main() {
     let cfg = ExpConfig::from_env();
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut rows = Vec::new();
-    let mut batch = Vec::new();
     for n in [10_000usize, 50_000, 100_000] {
         let (points, params) = population(n);
         eprintln!("[parallel] n = {n}, sweeping {THREADS:?} threads");
@@ -345,18 +267,6 @@ fn main() {
                 "parallel output diverged from serial at n = {n}, {threads} threads"
             );
             rows.push(cell);
-        }
-        // Locked-vs-sharded batch serving at the largest population: the
-        // before/after for the sharded-registry change.
-        if n == 100_000 {
-            eprintln!("[parallel] n = {n}, locked vs sharded batch serving");
-            let grid = GridIndex::build_threads(&points, params.delta, cores);
-            let wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
-                .build_with_index_threads(&points, &grid, cores);
-            let system = System::with_parts(params.clone(), points.clone(), grid, wpg);
-            for threads in THREADS {
-                batch.push(batch_bench(&system, threads));
-            }
         }
     }
 
@@ -394,33 +304,7 @@ fn main() {
         &table,
     );
 
-    let batch_table: Vec<Vec<String>> = batch
-        .iter()
-        .map(|c| {
-            vec![
-                c.n.to_string(),
-                c.threads.to_string(),
-                c.shards.to_string(),
-                fmt(c.locked_ms),
-                fmt(c.sharded_ms),
-                format!("{}x", fmt(c.speedup)),
-            ]
-        })
-        .collect();
-    print_table(
-        "Batch serving: global mutex vs sharded registry (1,000 hosts)",
-        &[
-            "n",
-            "threads",
-            "shards",
-            "locked ms",
-            "sharded ms",
-            "speedup",
-        ],
-        &batch_table,
-    );
-
-    let report = Report { cores, rows, batch };
+    let report = Report { cores, rows };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

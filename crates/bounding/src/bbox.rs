@@ -7,9 +7,87 @@
 //! directional run starts from the host's own coordinate — the region must
 //! cover the host anyway, so this anchor reveals nothing beyond the final
 //! region itself.
+//!
+//! The assembly is written once, over a [`DirectionalTransport`] that hands
+//! out one [`VerifyTransport`] per run: [`LocalDirections`] asks in-memory
+//! values, and `nela-netsim`'s `SimDirections` asks peers over the simulated
+//! radio.
 
-use crate::protocol::{progressive_upper_bound, BoundingError, BoundingRun, IncrementPolicy};
+use crate::protocol::{
+    progressive_upper_bound_with, BoundingError, BoundingRun, IncrementPolicy, LocalValues,
+    VerifyTransport,
+};
 use nela_geo::{Point, Rect};
+
+/// One of the four directional runs of a box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Upper bound on `x`.
+    XHigh,
+    /// Upper bound on `-x` (the region's lower `x` edge).
+    XLow,
+    /// Upper bound on `y`.
+    YHigh,
+    /// Upper bound on `-y` (the region's lower `y` edge).
+    YLow,
+}
+
+impl Direction {
+    /// The scalar this run bounds from above: a coordinate of `p`, negated
+    /// for the low runs.
+    pub fn value(self, p: &Point) -> f64 {
+        match self {
+            Direction::XHigh => p.x,
+            Direction::XLow => -p.x,
+            Direction::YHigh => p.y,
+            Direction::YLow => -p.y,
+        }
+    }
+}
+
+/// Carries the verification questions of the four directional runs: one
+/// [`VerifyTransport`] per run, whose participant `i` answers about
+/// member `i`'s [`Direction::value`].
+pub trait DirectionalTransport {
+    /// The transport of one run; it may borrow the carrier mutably (a
+    /// network), so runs are handed out one at a time.
+    type Run<'r>: VerifyTransport
+    where
+        Self: 'r;
+
+    /// The transport asking every member about `dir`'s value.
+    fn run(&mut self, dir: Direction) -> Self::Run<'_>;
+}
+
+/// In-memory [`DirectionalTransport`]: each run is a [`LocalValues`] over
+/// the members' coordinates (one reused value buffer for all four runs).
+pub struct LocalDirections<'a> {
+    points: &'a [Point],
+    values: Vec<f64>,
+}
+
+impl<'a> LocalDirections<'a> {
+    /// Wraps the members' positions.
+    pub fn new(points: &'a [Point]) -> Self {
+        LocalDirections {
+            points,
+            values: Vec::with_capacity(points.len()),
+        }
+    }
+}
+
+impl DirectionalTransport for LocalDirections<'_> {
+    type Run<'r>
+        = LocalValues<'r>
+    where
+        Self: 'r;
+
+    fn run(&mut self, dir: Direction) -> LocalValues<'_> {
+        self.values.clear();
+        self.values.extend(self.points.iter().map(|p| dir.value(p)));
+        LocalValues::new(&self.values)
+    }
+}
 
 /// The four directional runs and the assembled region.
 #[derive(Debug, Clone)]
@@ -31,27 +109,50 @@ pub struct BboxOutcome {
 /// (policies may carry per-run state).
 ///
 /// # Errors
-/// [`BoundingError::EmptyCluster`] on an empty member list, plus any failure
-/// of the four directional runs — a malformed cluster degrades the single
-/// request instead of aborting the process.
+/// As [`bounding_box`].
 pub fn secure_bounding_box(
     points: &[Point],
     host: Point,
     domain: Rect,
+    policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
+) -> Result<BboxOutcome, BoundingError> {
+    bounding_box(
+        &mut LocalDirections::new(points),
+        host,
+        domain,
+        policy_factory,
+    )
+}
+
+/// Four directional progressive bounding runs over `transports`, each
+/// anchored at the host's own coordinate, assembled into the cloaked
+/// rectangle clipped to `domain`. The assembly is transport-independent,
+/// so any two transports whose participants answer identically (a lossless
+/// network and local values) yield bit-identical boxes.
+///
+/// # Errors
+/// [`BoundingError::EmptyCluster`] on an empty member list, plus any failure
+/// of the four directional runs (an unreachable participant included) — a
+/// malformed cluster degrades the single request instead of aborting the
+/// process.
+pub fn bounding_box<D: DirectionalTransport>(
+    transports: &mut D,
+    host: Point,
+    domain: Rect,
     mut policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
 ) -> Result<BboxOutcome, BoundingError> {
-    if points.is_empty() {
-        return Err(BoundingError::EmptyCluster);
-    }
-    let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-    let neg_xs: Vec<f64> = xs.iter().map(|v| -v).collect();
-    let neg_ys: Vec<f64> = ys.iter().map(|v| -v).collect();
-
-    let x_hi = progressive_upper_bound(&xs, host.x, domain.min_x, &mut *policy_factory())?;
-    let x_lo = progressive_upper_bound(&neg_xs, -host.x, -domain.max_x, &mut *policy_factory())?;
-    let y_hi = progressive_upper_bound(&ys, host.y, domain.min_y, &mut *policy_factory())?;
-    let y_lo = progressive_upper_bound(&neg_ys, -host.y, -domain.max_y, &mut *policy_factory())?;
+    let mut run = |dir: Direction, domain_min: f64| {
+        progressive_upper_bound_with(
+            &mut transports.run(dir),
+            dir.value(&host),
+            domain_min,
+            &mut *policy_factory(),
+        )
+    };
+    let x_hi = run(Direction::XHigh, domain.min_x)?;
+    let x_lo = run(Direction::XLow, -domain.max_x)?;
+    let y_hi = run(Direction::YHigh, domain.min_y)?;
+    let y_lo = run(Direction::YLow, -domain.max_y)?;
 
     let rect = Rect::new(
         (-x_lo.bound).clamp(domain.min_x, domain.max_x),

@@ -198,11 +198,105 @@ impl ClusterRegistry {
     }
 }
 
+/// The registry operations one cloaking request needs: membership probes,
+/// lookup, an atomic validate-and-register claim, and region publication.
+/// Two implementations: a plain [`ClusterRegistry`] (serial requests — with
+/// no rival writer, a clustering computed against it never conflicts) and a
+/// shared [`ShardedRegistry`] (lock-free probes, shard-locked claims that
+/// conflict when a rival won a member first).
+pub trait ClaimSurface {
+    /// True when `u` currently belongs to a cluster.
+    fn is_clustered(&self, u: UserId) -> bool;
+
+    /// The cluster of `u` — id and published region — with its members
+    /// copied into `members_out` (cleared first), so a warm buffer absorbs
+    /// the copy and the region-reuse path never allocates.
+    fn lookup_into(
+        &self,
+        u: UserId,
+        members_out: &mut Vec<UserId>,
+    ) -> Option<(ClusterId, Option<Rect>)>;
+
+    /// Validates that the host and every member of every produced cluster
+    /// are unassigned, then registers all produced clusters in order.
+    fn try_claim(&mut self, host: UserId, produced: Vec<Cluster>) -> ClaimOutcome;
+
+    /// Publishes cluster `id`'s phase-2 region.
+    fn set_region(&mut self, id: ClusterId, region: Rect);
+}
+
+impl ClaimSurface for ClusterRegistry {
+    fn is_clustered(&self, u: UserId) -> bool {
+        ClusterRegistry::is_clustered(self, u)
+    }
+
+    fn lookup_into(
+        &self,
+        u: UserId,
+        members_out: &mut Vec<UserId>,
+    ) -> Option<(ClusterId, Option<Rect>)> {
+        let id = self.assignment[u as usize]?;
+        let rc = &self.clusters[id as usize];
+        members_out.clear();
+        members_out.extend_from_slice(&rc.cluster.members);
+        Some((id, rc.region))
+    }
+
+    fn try_claim(&mut self, host: UserId, produced: Vec<Cluster>) -> ClaimOutcome {
+        let Some(host_idx) = produced.iter().position(|c| c.contains(host)) else {
+            return ClaimOutcome::HostMissing;
+        };
+        if self.is_clustered(host)
+            || produced
+                .iter()
+                .flat_map(|c| &c.members)
+                .any(|&m| self.is_clustered(m))
+        {
+            return ClaimOutcome::Conflict;
+        }
+        let first = self.clusters.len() as ClusterId;
+        let members = produced[host_idx].members.clone();
+        for c in produced {
+            self.register(c);
+        }
+        ClaimOutcome::Claimed {
+            id: first + host_idx as ClusterId,
+            members,
+        }
+    }
+
+    fn set_region(&mut self, id: ClusterId, region: Rect) {
+        ClusterRegistry::set_region(self, id, region)
+    }
+}
+
+impl ClaimSurface for &ShardedRegistry {
+    fn is_clustered(&self, u: UserId) -> bool {
+        ShardedRegistry::is_clustered(self, u)
+    }
+
+    fn lookup_into(
+        &self,
+        u: UserId,
+        members_out: &mut Vec<UserId>,
+    ) -> Option<(ClusterId, Option<Rect>)> {
+        ShardedRegistry::lookup_into(self, u, members_out)
+    }
+
+    fn try_claim(&mut self, host: UserId, produced: Vec<Cluster>) -> ClaimOutcome {
+        ShardedRegistry::try_claim(self, host, produced)
+    }
+
+    fn set_region(&mut self, id: ClusterId, region: Rect) {
+        ShardedRegistry::set_region(self, id, region)
+    }
+}
+
 /// Sentinel for "no cluster" in [`ShardedRegistry`]'s atomic assignment
 /// table.
 const UNASSIGNED: u32 = u32::MAX;
 
-/// Outcome of [`ShardedRegistry::try_claim`].
+/// Outcome of [`ClaimSurface::try_claim`].
 #[derive(Debug)]
 pub enum ClaimOutcome {
     /// Every produced cluster was registered atomically; the host's cluster
@@ -221,9 +315,8 @@ pub enum ClaimOutcome {
 /// A region-sharded concurrent view of a [`ClusterRegistry`] for batch
 /// serving.
 ///
-/// The single-`Mutex` batch path serializes every request on one lock and
-/// copies an O(n) membership snapshot per attempt. This type removes both
-/// walls:
+/// A single lock around the registry would serialize every request and
+/// force an O(n) membership snapshot per attempt. This type avoids both:
 ///
 /// - **Membership reads are lock-free.** A flat `AtomicU32` table holds
 ///   every user's current cluster id; the clustering algorithms' `removed`
@@ -356,8 +449,8 @@ impl ShardedRegistry {
     }
 
     /// Lock-free: true when `u` currently belongs to a cluster. The
-    /// predicate the clustering algorithms probe — replaces the per-attempt
-    /// O(n) snapshot copy of the single-lock path.
+    /// predicate the clustering algorithms probe — one atomic load instead
+    /// of a per-attempt O(n) snapshot copy.
     #[inline]
     pub fn is_clustered(&self, u: UserId) -> bool {
         self.assignment[u as usize].load(Ordering::Acquire) != UNASSIGNED
@@ -649,6 +742,40 @@ mod tests {
         assert_eq!(reg.invalidate_containing(3), 2);
         assert_eq!(reg.invalidate_containing(3), 0);
         assert_eq!(reg.invalidate_containing(5), 0);
+    }
+
+    #[test]
+    fn plain_claim_registers_in_order_and_looks_up() {
+        let mut reg = ClusterRegistry::new(8);
+        match reg.try_claim(5, vec![cluster(&[0, 1]), cluster(&[4, 5, 6])]) {
+            ClaimOutcome::Claimed { id, members } => {
+                assert_eq!((id, members), (1, vec![4, 5, 6]));
+            }
+            other => panic!("claim failed: {other:?}"),
+        }
+        assert_eq!(reg.cluster_id_of(0), Some(0));
+        let mut members = vec![99];
+        assert_eq!(reg.lookup_into(6, &mut members), Some((1, None)));
+        assert_eq!(members, vec![4, 5, 6]);
+        ClaimSurface::set_region(&mut reg, 1, Rect::new(0.0, 0.0, 0.5, 0.5));
+        assert!(reg.lookup_into(4, &mut members).unwrap().1.is_some());
+        assert_eq!(reg.lookup_into(7, &mut members), None);
+        assert_eq!(reg.reciprocity_violation(), None);
+    }
+
+    #[test]
+    fn plain_claim_rejects_taken_members_and_missing_hosts() {
+        let mut reg = ClusterRegistry::new(8);
+        reg.register(cluster(&[1, 2]));
+        assert!(matches!(
+            reg.try_claim(3, vec![cluster(&[2, 3])]),
+            ClaimOutcome::Conflict
+        ));
+        assert!(matches!(
+            reg.try_claim(7, vec![cluster(&[5, 6])]),
+            ClaimOutcome::HostMissing
+        ));
+        assert_eq!(reg.cluster_count(), 1, "rejected claims register nothing");
     }
 
     /// Users 0..4 in the lower-left region, 4..8 in the upper-right — two

@@ -18,7 +18,6 @@
 //! experiment in the repository is exactly reproducible.
 
 pub mod dataset;
-pub mod dynamic;
 pub mod grid;
 pub mod point;
 pub mod rect;
@@ -26,11 +25,10 @@ pub mod sharded;
 pub mod soa;
 
 pub use dataset::{DatasetSpec, SpatialDistribution};
-pub use dynamic::{DynamicGrid, GridError};
 pub use grid::GridIndex;
 pub use point::Point;
 pub use rect::Rect;
-pub use sharded::ShardedDynamicGrid;
+pub use sharded::{GridError, ShardedDynamicGrid};
 pub use soa::PointsSoA;
 
 /// Identifier of a user (vertex) in the system. Users are dense indices into

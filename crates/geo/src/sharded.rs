@@ -1,10 +1,9 @@
 //! Region-sharded mutable grid with per-shard dirty queues.
 //!
-//! [`crate::DynamicGrid`] absorbs single relocations in O(bucket), but its
-//! per-cell `Vec` buckets scatter every δ-range scan across the heap, and a
-//! mobility tick that moves half the population touches every bucket anyway.
-//! [`ShardedDynamicGrid`] is the batch-oriented replacement behind
-//! `nela_wpg::IncrementalWpg`:
+//! Under mobility a full O(n) grid rebuild per tick wastes work when only
+//! some users move. [`ShardedDynamicGrid`] is the maintained grid behind
+//! `nela_wpg::IncrementalWpg`, built for batches of moves (one shard covers
+//! the unsharded case):
 //!
 //! - The cell geometry is identical to [`GridIndex`] (cell side ≥ δ, per-axis
 //!   count clamped to 1..4096), and the grid is split into **shards**: bands
@@ -35,11 +34,39 @@
 //! **bit-identical** to `GridIndex::build` over the same positions — pinned
 //! by the tests below.
 
-use crate::dynamic::GridError;
 use crate::grid::GridIndex;
 use crate::point::Point;
 use crate::soa::{dist_sq_block, PointsSoA, KERNEL_BLOCK};
 use crate::UserId;
+
+/// Typed rejection of an out-of-range user id. Ids are dense indices fixed
+/// at build time, so an id `>= population` is a caller bug or untrusted
+/// input — the fallible `try_*` APIs surface it as this typed error instead
+/// of an index panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GridError {
+    /// `id` is not part of the indexed population of `population` points.
+    UnknownId { id: UserId, population: usize },
+}
+
+impl GridError {
+    #[inline]
+    pub(crate) fn unknown(id: UserId, population: usize) -> Self {
+        GridError::UnknownId { id, population }
+    }
+}
+
+impl std::fmt::Display for GridError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GridError::UnknownId { id, population } => {
+                write!(f, "user id {id} outside indexed population of {population}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GridError {}
 
 /// Default number of row-band shards (clamped to the number of cell rows).
 pub const DEFAULT_SHARDS: usize = 16;

@@ -8,10 +8,10 @@
 //! - [`model`] — seeded mobility models (random waypoint, Gauss–Markov, and
 //!   a stationary share) stepping the population tick by tick, reproducible
 //!   per seed exactly like `nela_geo::dataset`;
-//! - [`world`] — [`MobileWorld`], which folds each tick's moves into a
-//!   [`nela_geo::DynamicGrid`] and an incrementally maintained
-//!   [`nela_wpg::IncrementalWpg`] with an exact-equivalence guarantee
-//!   against a from-scratch build;
+//! - [`world`] — [`MobileWorld`], which folds each tick's moves into an
+//!   incrementally maintained [`nela_wpg::IncrementalWpg`] (over its
+//!   region-sharded [`nela_geo::ShardedDynamicGrid`]) with an
+//!   exact-equivalence guarantee against a from-scratch build;
 //! - [`lifetime`] — cluster lifetime management: registered clusters whose
 //!   t-connectivity certificate no longer holds in the current WPG (a
 //!   member drifted out of δ-range, or an internal edge's weight rose above

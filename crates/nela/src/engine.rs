@@ -13,25 +13,33 @@
 //!    registered.
 //! 3. Phase 2 (secure bounding, workflow arrow ­) computes the cloaked
 //!    rectangle under the configured [`BoundingAlgo`].
+//!
+//! Every distributed-algorithm request — serial, batched, in a concurrent
+//! [`EngineSession`], in-process or over the simulated radio — runs the one
+//! loop in `CloakingEngine::serve`: lookup/reuse → phase 1 → claim (retry
+//! on conflict) → phase 2 → publish. The loop is generic over the registry's
+//! claim surface (`ClusterRegistry` serially, `ShardedRegistry` in a
+//! session) and over the transport carrying the protocol phases (in-process
+//! or a per-request simulated network).
 
 use crate::params::Params;
 use crate::system::System;
 use nela_bounding::baselines::{ExponentialPolicy, LinearPolicy};
-use nela_bounding::bbox::{secure_bounding_box, BboxOutcome};
+use nela_bounding::bbox::{bounding_box, BboxOutcome, LocalDirections};
 use nela_bounding::cost::AreaCost;
 use nela_bounding::distribution::Uniform;
 use nela_bounding::nbound::SecurePolicy;
 use nela_bounding::protocol::{BoundingError, IncrementPolicy};
 use nela_cluster::centralized::centralized_k_clustering;
-use nela_cluster::distributed::{
-    distributed_k_clustering_policy, distributed_k_clustering_with_policy,
-};
+use nela_cluster::distributed::{distributed_k_clustering_with_policy, DistributedOutcome};
 use nela_cluster::knn::{knn_cluster, TieBreak};
-use nela_cluster::registry::{ClaimOutcome, ClusterId, ClusterRegistry, ShardedRegistry};
-use nela_cluster::{ClusterError, KPolicy};
+use nela_cluster::registry::{
+    ClaimOutcome, ClaimSurface, ClusterId, ClusterRegistry, ShardedRegistry,
+};
+use nela_cluster::{ClusterError, KPolicy, LocalFetch};
 use nela_geo::{Point, Rect, UserId};
-use nela_netsim::{sim_bounding_box, ConfigError, Network, NetworkConfig, NetworkStats, SimFetch};
-use parking_lot::Mutex;
+use nela_netsim::{ConfigError, Network, NetworkConfig, NetworkStats, SimDirections, SimFetch};
+use nela_wpg::Wpg;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -58,9 +66,6 @@ pub enum RequestError {
     /// graph). The request fails; nothing is registered, so the engine
     /// stays usable.
     HostNotClustered,
-    /// Batch serving only: a worker died before filling this host's result
-    /// slot. Reported per-request instead of panicking the whole batch.
-    SlotUnfilled,
 }
 
 impl From<ClusterError> for RequestError {
@@ -86,9 +91,6 @@ impl std::fmt::Display for RequestError {
             RequestError::HostNotClustered => {
                 write!(f, "clustering returned a partition that misses the host")
             }
-            RequestError::SlotUnfilled => {
-                write!(f, "batch worker never filled this request's result slot")
-            }
         }
     }
 }
@@ -98,16 +100,14 @@ impl std::error::Error for RequestError {
         match self {
             RequestError::Cluster(e) => Some(e),
             RequestError::Bounding(e) => Some(e),
-            RequestError::Contention { .. }
-            | RequestError::HostNotClustered
-            | RequestError::SlotUnfilled => None,
+            RequestError::Contention { .. } | RequestError::HostNotClustered => None,
         }
     }
 }
 
-/// Attempts per host before [`CloakingEngine::request_many`] reports
-/// [`RequestError::Contention`]; mirrors the retry budget of
-/// `nela-netsim`'s `ConcurrentWorkload`.
+/// Claim attempts per request before it reports
+/// [`RequestError::Contention`]. Only rival claims make an attempt fail, so
+/// a serial engine always succeeds or fails on its first attempt.
 const MAX_CONCURRENT_ATTEMPTS: u32 = 16;
 
 /// Phase-1 algorithm selection.
@@ -196,17 +196,13 @@ pub struct CloakingEngine<'a> {
     /// Personalized per-user anonymity levels (`k_of[u]` is user u's
     /// `k_i`); `None` serves everyone at the uniform `Params::k`.
     k_of: Option<Vec<usize>>,
-    /// Reused buffer for member coordinates on the serial bounding path —
-    /// once warm, a cold (non-reuse) request gathers points without
-    /// touching the heap.
-    bound_scratch: Vec<Point>,
 }
 
-/// Per-worker scratch reused across requests on the sharded serving path:
-/// the reuse fast path fills `members` in place instead of cloning the
-/// member list, and the bounding path gathers `member_points` into a reused
-/// buffer — so a warmed worker serves region-reuse requests with zero heap
-/// allocations (the alloc-guard test pins this).
+/// Per-thread scratch reused across requests: the lookup fills `members`
+/// in place instead of cloning the member list, and phase 2 gathers
+/// `member_points` into a reused buffer — so a warmed thread serves
+/// region-reuse requests with zero heap allocations (the alloc-guard test
+/// pins this).
 #[derive(Default)]
 struct RequestScratch {
     members: Vec<UserId>,
@@ -222,20 +218,165 @@ thread_local! {
         std::cell::RefCell::new(RequestScratch::default());
 }
 
+/// How one request's protocol phases reach its peers. Two
+/// implementations: [`Local`] (in-memory adjacency and values) and
+/// [`Radio`] (RPCs over a simulated network).
+trait Transport {
+    /// Phase 1: Algorithm 2 for `host` over the remaining WPG.
+    fn cluster(
+        &mut self,
+        wpg: &Wpg,
+        host: UserId,
+        kp: KPolicy<'_>,
+        removed: &dyn Fn(UserId) -> bool,
+    ) -> Result<DistributedOutcome, ClusterError>;
+
+    /// Phase 2: the four directional bounding runs over the members
+    /// (`members[i]` sits at `points[i]`), anchored at the host.
+    fn bound_box(
+        &mut self,
+        host: UserId,
+        host_point: Point,
+        members: &[UserId],
+        points: &[Point],
+        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+    ) -> Result<BboxOutcome, BoundingError>;
+
+    /// Ends one claim attempt; the next attempt's phases start afresh.
+    fn end_attempt(&mut self) {}
+}
+
+/// The in-process transport: `LocalFetch` adjacency and `LocalValues`
+/// verifications.
+struct Local;
+
+impl Transport for Local {
+    fn cluster(
+        &mut self,
+        wpg: &Wpg,
+        host: UserId,
+        kp: KPolicy<'_>,
+        removed: &dyn Fn(UserId) -> bool,
+    ) -> Result<DistributedOutcome, ClusterError> {
+        distributed_k_clustering_with_policy(&mut LocalFetch::new(wpg), host, kp, removed)
+    }
+
+    fn bound_box(
+        &mut self,
+        _host: UserId,
+        host_point: Point,
+        _members: &[UserId],
+        points: &[Point],
+        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+    ) -> Result<BboxOutcome, BoundingError> {
+        bounding_box(
+            &mut LocalDirections::new(points),
+            host_point,
+            Rect::UNIT,
+            policy,
+        )
+    }
+}
+
+/// The netsim transport of one request: `SimFetch` adjacency and
+/// `SimVerify` verifications on a fresh [`Network`] per attempt, seeded
+/// with `mix_seed(session seed, host)` so every outcome is a pure function
+/// of the request — independent of worker count and interleaving. Phase 2
+/// runs on the same network as its attempt's phase 1. The network comes up
+/// on first use, so a request served from a stored region never touches
+/// the radio.
+struct Radio<'s> {
+    state: &'s NetState,
+    host: UserId,
+    /// The current attempt's network, once a phase has used it.
+    net: Option<Network>,
+    /// Traffic and virtual seconds of the request's finished attempts;
+    /// `None` until an attempt used the radio.
+    tally: Option<(NetworkStats, f64)>,
+}
+
+impl<'s> Radio<'s> {
+    fn new(state: &'s NetState, host: UserId) -> Self {
+        Radio {
+            state,
+            host,
+            net: None,
+            tally: None,
+        }
+    }
+
+    fn net(&mut self) -> &mut Network {
+        let (state, host) = (self.state, self.host);
+        self.net
+            .get_or_insert_with(|| state.template.with_seed(mix_seed(state.seed, host)))
+    }
+
+    /// Drains the request's tally into the session accumulator and the
+    /// per-request `net.request.*` stages, once per request.
+    fn settle(mut self) {
+        self.end_attempt();
+        let Some((tally, virtual_secs)) = self.tally else {
+            return;
+        };
+        self.state.acc.absorb(&tally, virtual_secs);
+        nela_obs::observe(nela_obs::stage::NET_RETRANS_PER_REQ, tally.retransmits);
+        nela_obs::observe(nela_obs::stage::NET_TIMEOUTS_PER_REQ, tally.timeouts);
+        nela_obs::observe(
+            nela_obs::stage::NET_VIRTUAL_TIME,
+            (virtual_secs * 1e9) as u64,
+        );
+    }
+}
+
+impl Transport for Radio<'_> {
+    fn cluster(
+        &mut self,
+        wpg: &Wpg,
+        host: UserId,
+        kp: KPolicy<'_>,
+        removed: &dyn Fn(UserId) -> bool,
+    ) -> Result<DistributedOutcome, ClusterError> {
+        let mut fetch = SimFetch::new(self.net(), wpg, host);
+        distributed_k_clustering_with_policy(&mut fetch, host, kp, removed)
+    }
+
+    fn bound_box(
+        &mut self,
+        host: UserId,
+        host_point: Point,
+        members: &[UserId],
+        points: &[Point],
+        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+    ) -> Result<BboxOutcome, BoundingError> {
+        let mut dirs = SimDirections::new(self.net(), host, members, points);
+        bounding_box(&mut dirs, host_point, Rect::UNIT, policy)
+    }
+
+    fn end_attempt(&mut self) {
+        let Some(net) = self.net.take() else {
+            return;
+        };
+        let (tally, virtual_secs) = self.tally.get_or_insert_with(Default::default);
+        let s = net.stats();
+        tally.transmissions += s.transmissions;
+        tally.rpcs_ok += s.rpcs_ok;
+        tally.rpcs_failed += s.rpcs_failed;
+        tally.lost += s.lost;
+        tally.retransmits += s.retransmits;
+        tally.timeouts += s.timeouts;
+        *virtual_secs += net.now();
+    }
+}
+
 impl<'a> CloakingEngine<'a> {
     /// Creates an engine with empty shared state.
     pub fn new(system: &'a System, clustering: ClusteringAlgo, bounding: BoundingAlgo) -> Self {
-        CloakingEngine {
+        Self::with_registry(
             system,
             clustering,
             bounding,
-            registry: ClusterRegistry::new(system.points.len()),
-            centralized_built: false,
-            carried_messages: 0,
-            knn_taken: vec![false; system.points.len()],
-            k_of: None,
-            bound_scratch: Vec::new(),
-        }
+            ClusterRegistry::new(system.points.len()),
+        )
     }
 
     /// Creates an engine that continues serving over an existing registry —
@@ -267,7 +408,6 @@ impl<'a> CloakingEngine<'a> {
             carried_messages: 0,
             knn_taken: vec![false; system.points.len()],
             k_of: None,
-            bound_scratch: Vec::new(),
         }
     }
 
@@ -306,11 +446,6 @@ impl<'a> CloakingEngine<'a> {
         }
     }
 
-    /// The requirement a cluster with these members had to meet.
-    fn required_k_of(&self, members: &[UserId]) -> usize {
-        self.kp().required(members.iter().copied())
-    }
-
     /// Read access to the shared registry (audits, tests).
     pub fn registry(&self) -> &ClusterRegistry {
         &self.registry
@@ -335,75 +470,14 @@ impl<'a> CloakingEngine<'a> {
     /// remaining WPG (paper Fig. 5's disconnected problem);
     /// [`RequestError::Bounding`] when phase 2 fails on a malformed cluster.
     pub fn request(&mut self, host: UserId) -> Result<CloakingResult, RequestError> {
-        let result = self.request_inner(host);
+        let result = match self.clustering {
+            ClusteringAlgo::TConnDistributed => self.serve_serial(host),
+            ClusteringAlgo::TConnCentralized | ClusteringAlgo::HilbAsr => self.request_global(host),
+            // The kNN baseline forms a fresh group per request (no reuse).
+            ClusteringAlgo::Knn(tie) => self.request_knn(host, tie),
+        };
         record_outcome(&result);
         result
-    }
-
-    fn request_inner(&mut self, host: UserId) -> Result<CloakingResult, RequestError> {
-        // The kNN baseline forms a fresh group per request (no reuse).
-        if let ClusteringAlgo::Knn(tie) = self.clustering {
-            return self.request_knn(host, tie);
-        }
-        // Reuse path: cluster (and possibly region) already known.
-        if let Some(id) = self.registry.cluster_id_of(host) {
-            return self.serve_registered(host, id, 0);
-        }
-
-        // Phase 1.
-        let (host_cluster_id, clustering_messages) = match self.clustering {
-            ClusteringAlgo::TConnDistributed => {
-                let removed = |u: UserId| self.registry.is_clustered(u);
-                let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-                let outcome =
-                    distributed_k_clustering_policy(&self.system.wpg, host, self.kp(), &removed);
-                drop(cluster_span);
-                let out = outcome?;
-                // Check coverage before registering anything: a partition
-                // that misses the host must fail the request, not poison
-                // the registry (and must never panic the engine).
-                if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                    return Err(RequestError::HostNotClustered);
-                }
-                let mut host_id = None;
-                for c in out.all_clusters {
-                    let contains_host = c.contains(host);
-                    let id = self.registry.register(c);
-                    if contains_host {
-                        host_id = Some(id);
-                    }
-                }
-                let host_id = host_id.ok_or(RequestError::HostNotClustered)?;
-                (host_id, out.involved_users as u64)
-            }
-            ClusteringAlgo::TConnCentralized => {
-                let setup = self.ensure_centralized_built() + self.carried_messages;
-                self.carried_messages = 0;
-                let Some(id) = self.registry.cluster_id_of(host) else {
-                    // Host sits in an underfilled component; carry the setup
-                    // cost (if any) to the next served request.
-                    self.carried_messages = setup;
-                    return Err(ClusterError::ComponentTooSmall { reachable: 0 }.into());
-                };
-                (id, setup)
-            }
-            ClusteringAlgo::HilbAsr => {
-                let setup = self.ensure_hilb_asr_built() + self.carried_messages;
-                self.carried_messages = 0;
-                let Some(id) = self.registry.cluster_id_of(host) else {
-                    // Only possible when the population is below k.
-                    self.carried_messages = setup;
-                    return Err(ClusterError::ComponentTooSmall { reachable: 0 }.into());
-                };
-                (id, setup)
-            }
-            // Already dispatched at the top of `request`; keep the arm
-            // functional (not `unreachable!`) so no panic path survives on
-            // the request surface.
-            ClusteringAlgo::Knn(tie) => return self.request_knn(host, tie),
-        };
-
-        self.serve_registered(host, host_cluster_id, clustering_messages)
     }
 
     /// Serves a batch of cloaking requests, returning one result per host in
@@ -413,12 +487,12 @@ impl<'a> CloakingEngine<'a> {
     /// distributed one, whose setup is inherently global — this is exactly
     /// the serial `for h in hosts { engine.request(h) }` loop, result for
     /// result. With more threads and [`ClusteringAlgo::TConnDistributed`],
-    /// the batch runs on the sharded registry path
-    /// ([`CloakingEngine::request_many_sharded`]) with
-    /// [`auto_shard_axis`]-many shards per axis (or the count pinned by
-    /// [`Params::shards`]): requests lock only the grid shards their cluster
-    /// touches, conflicts trigger a bounded recompute, and a starved request
-    /// reports [`RequestError::Contention`] instead of deadlocking.
+    /// the batch runs as an [`EngineSession`] with [`auto_shard_axis`]-many
+    /// shards per axis (or the count pinned by [`Params::shards`]), one
+    /// scoped worker per contiguous chunk of hosts: requests lock only the
+    /// grid shards their cluster touches, conflicts trigger a bounded
+    /// recompute, and a starved request reports
+    /// [`RequestError::Contention`] instead of deadlocking.
     pub fn request_many(
         &mut self,
         hosts: &[UserId],
@@ -432,201 +506,126 @@ impl<'a> CloakingEngine<'a> {
             0 => auto_shard_axis(threads),
             shards => shard_axis_for_total(shards),
         };
-        self.request_many_sharded(hosts, threads, axis)
-    }
-
-    /// The pre-sharding batch path, kept as the measured baseline: one
-    /// global mutex around the whole registry, every attempt snapshotting
-    /// the O(n) membership table under the lock. Semantically equivalent to
-    /// [`CloakingEngine::request_many`]; only its scaling differs (the
-    /// snapshot copy serializes workers on large populations). Exercised by
-    /// the differential tests in `tests/parallel.rs` and benchmarked
-    /// against the sharded path by `exp_parallel`.
-    pub fn request_many_locked(
-        &mut self,
-        hosts: &[UserId],
-        threads: usize,
-    ) -> Vec<Result<CloakingResult, RequestError>> {
-        let threads = nela_par::effective_threads(threads, hosts.len());
-        if threads <= 1 || self.clustering != ClusteringAlgo::TConnDistributed {
-            return hosts.iter().map(|&h| self.request(h)).collect();
-        }
-        // Move the registry behind a lock for the scope of the batch; the
-        // placeholder is never observed (workers only use the mutex).
-        let registry = Mutex::new(std::mem::replace(
-            &mut self.registry,
-            ClusterRegistry::new(0),
-        ));
-        let this: &CloakingEngine<'a> = self;
-        let results: Vec<Option<Result<CloakingResult, RequestError>>> = {
-            let mut slots: Vec<Option<Result<CloakingResult, RequestError>>> =
-                vec![None; hosts.len()];
-            std::thread::scope(|scope| {
-                let registry = &registry;
-                let ranges = nela_par::chunk_ranges(hosts.len(), threads);
-                let mut rest = slots.as_mut_slice();
-                for range in ranges {
-                    let (chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    scope.spawn(move || {
-                        for (&host, slot) in hosts[range].iter().zip(chunk.iter_mut()) {
-                            let r = this.serve_concurrent(registry, host);
-                            record_outcome(&r);
-                            *slot = Some(r);
-                        }
-                    });
-                }
-            });
-            slots
+        // Move the engine into the session for the batch; the placeholder
+        // left behind is overwritten by `finish` before anyone can see it.
+        let placeholder = CloakingEngine {
+            registry: ClusterRegistry::new(0),
+            knn_taken: Vec::new(),
+            k_of: None,
+            ..*self
         };
-        self.registry = registry.into_inner();
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(RequestError::SlotUnfilled)))
-            .collect()
-    }
-
-    /// Serves a batch over a [`ShardedRegistry`] with `shards_per_axis`²
-    /// grid shards: membership checks are lock-free atomic reads, and a
-    /// claim locks only the shards hosting the produced clusters' members
-    /// (in ascending shard order, so rival claims cannot deadlock). With
-    /// one worker the machinery still runs but is deterministic — the
-    /// results equal the serial `request` loop for any shard count, which
-    /// the equivalence tests pin. Falls back to the serial loop for
-    /// non-distributed algorithms, whose setup is inherently global.
-    pub fn request_many_sharded(
-        &mut self,
-        hosts: &[UserId],
-        threads: usize,
-        shards_per_axis: usize,
-    ) -> Vec<Result<CloakingResult, RequestError>> {
-        if self.clustering != ClusteringAlgo::TConnDistributed {
-            return hosts.iter().map(|&h| self.request(h)).collect();
-        }
-        let workers = nela_par::effective_threads(threads.max(1), hosts.len()).max(1);
-        let base = std::mem::replace(&mut self.registry, ClusterRegistry::new(0));
-        let sharded = ShardedRegistry::new(base, &self.system.points, shards_per_axis);
-        let this: &CloakingEngine<'a> = self;
-        let mut slots: Vec<Option<Result<CloakingResult, RequestError>>> = vec![None; hosts.len()];
-        if workers <= 1 {
-            for (&host, slot) in hosts.iter().zip(slots.iter_mut()) {
-                let r = this.serve_sharded(&sharded, host);
-                record_outcome(&r);
-                *slot = Some(r);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let sharded = &sharded;
-                let ranges = nela_par::chunk_ranges(hosts.len(), workers);
-                let mut rest = slots.as_mut_slice();
-                for range in ranges {
-                    let (chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
+        let session = std::mem::replace(self, placeholder).into_session(axis);
+        let results = std::thread::scope(|scope| {
+            let session = &session;
+            let workers: Vec<_> = nela_par::chunk_ranges(hosts.len(), threads)
+                .into_iter()
+                .map(|range| {
                     scope.spawn(move || {
-                        for (&host, slot) in hosts[range].iter().zip(chunk.iter_mut()) {
-                            let r = this.serve_sharded(sharded, host);
-                            record_outcome(&r);
-                            *slot = Some(r);
-                        }
-                    });
-                }
-            });
-        }
-        self.registry = sharded.into_registry();
-        slots
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(RequestError::SlotUnfilled)))
-            .collect()
+                        hosts[range]
+                            .iter()
+                            .map(|&h| session.request(h))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        *self = session.finish();
+        results
     }
 
-    /// One optimistic request against the sharded registry. Reuse and
-    /// removed-membership checks are lock-free atomic reads; clustering and
-    /// bounding run with no locks held; only the claim itself takes the
-    /// (few) shard locks the produced clusters touch.
-    fn serve_sharded(
+    /// The one request loop behind every distributed-algorithm request:
+    /// lookup/reuse → phase 1 → claim (retry on conflict, up to
+    /// [`MAX_CONCURRENT_ATTEMPTS`]) → phase 2 → publish.
+    fn serve<R: ClaimSurface, T: Transport>(
         &self,
-        sharded: &ShardedRegistry,
+        reg: &mut R,
+        transport: &mut T,
         host: UserId,
     ) -> Result<CloakingResult, RequestError> {
         REQUEST_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            self.serve_sharded_with(sharded, host, &mut scratch)
+            let RequestScratch {
+                members,
+                member_points,
+            } = &mut *scratch.borrow_mut();
+            for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
+                let step = self.attempt(reg, transport, host, members, member_points);
+                transport.end_attempt();
+                match step {
+                    Some(result) => return result,
+                    None => nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1),
+                }
+            }
+            Err(RequestError::Contention {
+                attempts: MAX_CONCURRENT_ATTEMPTS,
+            })
         })
     }
 
-    /// [`CloakingEngine::serve_sharded`] with the worker's scratch threaded
-    /// in explicitly, so the steady-state paths never allocate.
-    fn serve_sharded_with(
+    /// One attempt of [`CloakingEngine::serve`]; `None` when a rival won a
+    /// member of the computed clusters and the request must recompute.
+    ///
+    /// Membership probes during phase 1 may go stale (a rival can claim a
+    /// probed user mid-computation); safety never rests on them, because
+    /// the claim re-validates every member and reports a conflict. The host
+    /// is force-read as present: a rival may claim it between the lookup and
+    /// the first probe, and the algorithm (correctly) asserts its host is
+    /// never removed — the claim-time check catches that rival too.
+    fn attempt<R: ClaimSurface, T: Transport>(
         &self,
-        sharded: &ShardedRegistry,
+        reg: &mut R,
+        transport: &mut T,
         host: UserId,
-        scratch: &mut RequestScratch,
-    ) -> Result<CloakingResult, RequestError> {
-        let RequestScratch {
-            members,
-            member_points,
-        } = scratch;
-        for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
-            // Reuse path: the host is already in a cluster (possibly
-            // claimed by a rival since the last attempt). `lookup_into`
-            // fills the reused scratch instead of cloning the member list.
-            if let Some((id, region)) = sharded.lookup_into(host, members) {
-                return self.finish_sharded(sharded, host, id, members, region, 0, member_points);
-            }
-            // Membership probes read the assignment atomics directly — one
-            // plain load each, against the locked path's O(n) snapshot copy
-            // per attempt. The view can go stale mid-computation, exactly
-            // like a snapshot can; safety never rests on it, because
-            // `try_claim` re-validates every member under the shard locks
-            // and reports a conflict. The host is force-read as present: a
-            // rival may claim it between the `lookup` above and the first
-            // probe, and the algorithm (correctly) asserts its host is
-            // never removed — the claim-time check catches that rival too.
-            let removed = |u: UserId| u != host && sharded.is_clustered(u);
-            let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-            let outcome =
-                distributed_k_clustering_policy(&self.system.wpg, host, self.kp(), &removed);
-            drop(cluster_span);
-            let out = outcome?;
-            if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                return Err(RequestError::HostNotClustered);
-            }
-            let claim_span = nela_obs::span(nela_obs::stage::REGISTRY_CLAIM);
-            let claim = sharded.try_claim(host, out.all_clusters);
-            drop(claim_span);
-            match claim {
-                ClaimOutcome::Claimed { id, members } => {
-                    return self.finish_sharded(
-                        sharded,
-                        host,
-                        id,
-                        &members,
-                        None,
-                        out.involved_users as u64,
-                        member_points,
-                    );
-                }
-                ClaimOutcome::Conflict => {
-                    // Rival won a member: recompute on the next attempt.
-                    nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1);
-                    continue;
-                }
-                ClaimOutcome::HostMissing => return Err(RequestError::HostNotClustered),
-            }
+        members: &mut Vec<UserId>,
+        points_scratch: &mut Vec<Point>,
+    ) -> Option<Result<CloakingResult, RequestError>> {
+        // Reuse path: the host is already in a cluster (possibly claimed by
+        // a rival since the last attempt).
+        if let Some((id, region)) = reg.lookup_into(host, members) {
+            return Some(self.finish(reg, transport, host, id, members, region, 0, points_scratch));
         }
-        Err(RequestError::Contention {
-            attempts: MAX_CONCURRENT_ATTEMPTS,
-        })
+        let removed = |u: UserId| u != host && reg.is_clustered(u);
+        let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
+        let outcome = transport.cluster(&self.system.wpg, host, self.kp(), &removed);
+        drop(cluster_span);
+        let out = match outcome {
+            Ok(out) => out,
+            Err(e) => return Some(Err(e.into())),
+        };
+        let claim_span = nela_obs::span(nela_obs::stage::REGISTRY_CLAIM);
+        let claim = reg.try_claim(host, out.all_clusters);
+        drop(claim_span);
+        match claim {
+            ClaimOutcome::Claimed { id, members } => {
+                let messages = out.involved_users as u64;
+                Some(self.finish(
+                    reg,
+                    transport,
+                    host,
+                    id,
+                    &members,
+                    None,
+                    messages,
+                    points_scratch,
+                ))
+            }
+            ClaimOutcome::Conflict => None,
+            ClaimOutcome::HostMissing => Some(Err(RequestError::HostNotClustered)),
+        }
     }
 
-    /// Phase 2 for a sharded-path host whose cluster id is claimed: reuses
-    /// the stored region or bounds with no locks held, then publishes the
-    /// region (first writer wins — bounding is deterministic per cluster,
-    /// so rivals compute the identical rectangle).
+    /// Completes a request whose cluster id is known: reuses the stored
+    /// region, or runs phase 2 (no locks held) and publishes the region —
+    /// first writer wins, and bounding is deterministic per cluster, so
+    /// rivals compute the identical rectangle.
     #[allow(clippy::too_many_arguments)]
-    fn finish_sharded(
+    fn finish<R: ClaimSurface, T: Transport>(
         &self,
-        sharded: &ShardedRegistry,
+        reg: &mut R,
+        transport: &mut T,
         host: UserId,
         id: ClusterId,
         members: &[UserId],
@@ -635,7 +634,7 @@ impl<'a> CloakingEngine<'a> {
         points_scratch: &mut Vec<Point>,
     ) -> Result<CloakingResult, RequestError> {
         let cluster_size = members.len();
-        let required_k = self.required_k_of(members);
+        let required_k = self.kp().required(members.iter().copied());
         if let Some(region) = region {
             return Ok(CloakingResult {
                 host,
@@ -651,12 +650,11 @@ impl<'a> CloakingEngine<'a> {
         }
         points_scratch.clear();
         points_scratch.extend(members.iter().map(|&m| self.system.points[m as usize]));
-        let host_point = self.system.points[host as usize];
         let started = Instant::now();
-        let bbox = self.bound(points_scratch, host_point, cluster_size)?;
+        let bbox = self.bound(transport, host, members, points_scratch)?;
         let bounding_cpu = started.elapsed();
         nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        sharded.set_region(id, bbox.rect);
+        reg.set_region(id, bbox.rect);
         Ok(CloakingResult {
             host,
             region: bbox.rect,
@@ -670,142 +668,45 @@ impl<'a> CloakingEngine<'a> {
         })
     }
 
-    /// One optimistic concurrent request against the locked registry
-    /// (distributed algorithm only). Never holds the lock across clustering
-    /// or bounding.
-    fn serve_concurrent(
+    /// Runs phase 2 under the configured algorithm over `transport`.
+    ///
+    /// [`BoundingAlgo::Optimal`] has no per-round protocol (its single exact
+    /// message is an analytic fiction), so it never touches the transport.
+    fn bound<T: Transport>(
         &self,
-        registry: &Mutex<ClusterRegistry>,
+        transport: &mut T,
         host: UserId,
-    ) -> Result<CloakingResult, RequestError> {
-        let n = self.system.points.len();
-        for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
-            // Snapshot the membership table (reuse path included).
-            type KnownCluster = Option<(ClusterId, Vec<UserId>, Option<Rect>)>;
-            let (known, snapshot): (KnownCluster, Vec<bool>) = {
-                let reg = registry.lock();
-                match reg.cluster_id_of(host) {
-                    Some(id) => {
-                        let rc = reg.get(id);
-                        (
-                            Some((id, rc.cluster.members.clone(), rc.region)),
-                            Vec::new(),
-                        )
-                    }
-                    None => (
-                        None,
-                        (0..n as UserId).map(|u| reg.is_clustered(u)).collect(),
-                    ),
-                }
-            };
-            if let Some((id, members, region)) = known {
-                return self.finish_concurrent(registry, host, id, &members, region, 0);
-            }
-            // Phase 1 outside the lock.
-            let removed = |u: UserId| snapshot[u as usize];
-            let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-            let outcome =
-                distributed_k_clustering_policy(&self.system.wpg, host, self.kp(), &removed);
-            drop(cluster_span);
-            let out = outcome?;
-            // A partition that misses the host is a typed failure, not a
-            // retry (and must never be registered).
-            if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                return Err(RequestError::HostNotClustered);
-            }
-            // Validate and claim atomically.
-            let claimed = {
-                let mut reg = registry.lock();
-                if let Some(id) = reg.cluster_id_of(host) {
-                    // A rival clustered us meanwhile: reuse its cluster.
-                    let rc = reg.get(id);
-                    Some((id, rc.cluster.members.clone(), rc.region))
-                } else if out
-                    .all_clusters
-                    .iter()
-                    .flat_map(|c| &c.members)
-                    .any(|&m| reg.is_clustered(m))
-                {
-                    None // a rival claimed one of our users: recompute
-                } else {
-                    let mut host_id = None;
-                    for c in out.all_clusters {
-                        let contains_host = c.contains(host);
-                        let members = c.members.clone();
-                        let id = reg.register(c);
-                        if contains_host {
-                            host_id = Some((id, members, None));
-                        }
-                    }
-                    host_id
-                }
-            };
-            if let Some((id, members, region)) = claimed {
-                return self.finish_concurrent(
-                    registry,
-                    host,
-                    id,
-                    &members,
-                    region,
-                    out.involved_users as u64,
-                );
-            }
-            nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1);
-        }
-        Err(RequestError::Contention {
-            attempts: MAX_CONCURRENT_ATTEMPTS,
-        })
-    }
-
-    /// Phase 2 for a concurrently served host whose cluster id is claimed:
-    /// reuses the stored region or bounds outside the lock, then publishes
-    /// the region (first writer wins — bounding is deterministic per
-    /// cluster, so rivals compute the identical rectangle).
-    fn finish_concurrent(
-        &self,
-        registry: &Mutex<ClusterRegistry>,
-        host: UserId,
-        id: ClusterId,
         members: &[UserId],
-        region: Option<Rect>,
-        clustering_messages: u64,
-    ) -> Result<CloakingResult, RequestError> {
-        let cluster_size = members.len();
-        let required_k = self.required_k_of(members);
-        if let Some(region) = region {
-            return Ok(CloakingResult {
-                host,
-                region,
-                cluster_size,
-                clustering_messages,
-                bounding_messages: 0,
-                bounding_rounds: 0,
-                required_k,
-                reused: clustering_messages == 0,
-                bounding_cpu: Duration::ZERO,
-            });
-        }
-        let member_points: Vec<Point> = members
-            .iter()
-            .map(|&m| self.system.points[m as usize])
-            .collect();
+        points: &[Point],
+    ) -> Result<BboxOutcome, BoundingError> {
+        let p: &Params = &self.system.params;
+        let span = p.uniform_span(members.len());
+        let policy: fn(&Params, f64) -> Box<dyn IncrementPolicy> = match self.bounding {
+            BoundingAlgo::Optimal => {
+                let rect = Rect::bounding(points).ok_or(BoundingError::EmptyCluster)?;
+                return Ok(BboxOutcome {
+                    rect,
+                    messages: members.len() as u64,
+                    rounds: 1,
+                    runs: optimal_runs(points, rect),
+                });
+            }
+            // Per-dimension request-cost coefficient: a bound of extent x on
+            // each axis transfers ≈ Cr · n · x² message units.
+            BoundingAlgo::Secure => |p, span| {
+                Box::new(SecurePolicy::new(
+                    Uniform::new(span),
+                    AreaCost {
+                        cr: p.cr * p.n_users as f64,
+                    },
+                    p.cb,
+                ))
+            },
+            BoundingAlgo::Linear => |_, span| Box::new(LinearPolicy::new(span / 4.0)),
+            BoundingAlgo::Exponential => |_, span| Box::new(ExponentialPolicy::new(span)),
+        };
         let host_point = self.system.points[host as usize];
-        let started = Instant::now();
-        let bbox = self.bound(&member_points, host_point, cluster_size)?;
-        let bounding_cpu = started.elapsed();
-        nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        registry.lock().set_region(id, bbox.rect);
-        Ok(CloakingResult {
-            host,
-            region: bbox.rect,
-            cluster_size,
-            clustering_messages,
-            bounding_messages: bbox.messages,
-            bounding_rounds: bbox.rounds,
-            required_k,
-            reused: false,
-            bounding_cpu,
-        })
+        transport.bound_box(host, host_point, members, points, &mut || policy(p, span))
     }
 
     /// Serves a kNN-baseline request: a fresh group of the host plus its
@@ -818,21 +719,19 @@ impl<'a> CloakingEngine<'a> {
         for &m in &out.cluster.members {
             self.knn_taken[m as usize] = true;
         }
-        let members: Vec<Point> = out
-            .cluster
-            .members
+        let members = &out.cluster.members;
+        let points: Vec<Point> = members
             .iter()
             .map(|&m| self.system.points[m as usize])
             .collect();
-        let host_point = self.system.points[host as usize];
         let started = Instant::now();
-        let bbox = self.bound(&members, host_point, out.cluster.len())?;
+        let bbox = self.bound(&mut Local, host, members, &points)?;
         let bounding_cpu = started.elapsed();
         nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
         Ok(CloakingResult {
             host,
             region: bbox.rect,
-            cluster_size: out.cluster.len(),
+            cluster_size: members.len(),
             clustering_messages: out.involved_users as u64,
             bounding_messages: bbox.messages,
             bounding_rounds: bbox.rounds,
@@ -842,360 +741,59 @@ impl<'a> CloakingEngine<'a> {
         })
     }
 
-    /// Builds the global clustering on the first centralized request.
-    /// Returns the setup cost in messages (the whole population submits its
-    /// proximity information once), 0 on later calls.
-    fn ensure_centralized_built(&mut self) -> u64 {
-        if self.centralized_built {
-            return 0;
-        }
-        self.centralized_built = true;
-        let global = centralized_k_clustering(&self.system.wpg, self.system.params.k);
-        for c in global.clusters {
-            self.registry.register(c);
-        }
-        self.system.points.len() as u64
+    /// Serves `host` through the shared loop over the engine's own registry,
+    /// lent out so the loop can borrow the rest of the engine immutably.
+    fn serve_serial(&mut self, host: UserId) -> Result<CloakingResult, RequestError> {
+        let mut registry = std::mem::replace(&mut self.registry, ClusterRegistry::new(0));
+        let result = self.serve(&mut registry, &mut Local, host);
+        self.registry = registry;
+        result
     }
 
-    /// Builds the hilbASR bucketing on the first request: every user ships
-    /// its exact coordinates to the anonymizer (one message each). The
-    /// position exposure is the point of this baseline.
-    fn ensure_hilb_asr_built(&mut self) -> u64 {
-        if self.centralized_built {
-            return 0;
+    /// Serves a centralized or hilbASR request: the first request clusters
+    /// the whole population at the anonymizer (one message per user), after
+    /// which every servable host is registered, so the shared loop takes
+    /// its reuse or phase-2-only path.
+    fn request_global(&mut self, host: UserId) -> Result<CloakingResult, RequestError> {
+        let mut setup = 0;
+        if !self.registry.is_clustered(host) {
+            setup = self.ensure_global_built() + self.carried_messages;
+            self.carried_messages = 0;
+            if !self.registry.is_clustered(host) {
+                // The host sits in an underfilled component (hilbASR: the
+                // population is below k); carry the setup cost (if any) to
+                // the next served request.
+                self.carried_messages = setup;
+                return Err(ClusterError::ComponentTooSmall { reachable: 0 }.into());
+            }
         }
-        self.centralized_built = true;
-        for c in
-            nela_cluster::hilbert::hilb_asr_partition(&self.system.points, self.system.params.k)
-        {
-            self.registry.register(c);
-        }
-        self.system.points.len() as u64
-    }
-
-    /// Completes a request for a host whose cluster id is known: reuses the
-    /// stored region or runs phase 2 now.
-    fn serve_registered(
-        &mut self,
-        host: UserId,
-        id: ClusterId,
-        clustering_messages: u64,
-    ) -> Result<CloakingResult, RequestError> {
-        let rc = self.registry.get(id);
-        let cluster_size = rc.cluster.len();
-        let required_k = self.required_k_of(&rc.cluster.members);
-        if let Some(region) = rc.region {
-            return Ok(CloakingResult {
-                host,
-                region,
-                cluster_size,
-                clustering_messages,
-                bounding_messages: 0,
-                bounding_rounds: 0,
-                required_k,
-                reused: clustering_messages == 0,
-                bounding_cpu: Duration::ZERO,
-            });
-        }
-        // Take the engine's scratch so `self.bound(&members, ..)` can borrow
-        // `&self` while the buffer is out; `mem::take` keeps its capacity,
-        // so the gather is allocation-free once warm.
-        let mut members = std::mem::take(&mut self.bound_scratch);
-        members.clear();
-        members.extend(
-            rc.cluster
-                .members
-                .iter()
-                .map(|&m| self.system.points[m as usize]),
-        );
-        let host_point = self.system.points[host as usize];
-        let started = Instant::now();
-        let bbox = self.bound(&members, host_point, cluster_size);
-        let bounding_cpu = started.elapsed();
-        self.bound_scratch = members;
-        let bbox = bbox?;
-        nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        self.registry.set_region(id, bbox.rect);
-        Ok(CloakingResult {
-            host,
-            region: bbox.rect,
-            cluster_size,
-            clustering_messages,
-            bounding_messages: bbox.messages,
-            bounding_rounds: bbox.rounds,
-            required_k,
-            reused: false,
-            bounding_cpu,
+        // The setup is charged to the request that triggered it.
+        self.serve_serial(host).map(|r| CloakingResult {
+            clustering_messages: setup,
+            reused: r.reused && setup == 0,
+            ..r
         })
     }
 
-    /// Runs phase 2 under the configured algorithm.
-    fn bound(
-        &self,
-        members: &[Point],
-        host_point: Point,
-        cluster_size: usize,
-    ) -> Result<BboxOutcome, BoundingError> {
-        let p: &Params = &self.system.params;
-        let span = p.uniform_span(cluster_size);
-        match self.bounding {
-            BoundingAlgo::Optimal => {
-                let rect = Rect::bounding(members).ok_or(BoundingError::EmptyCluster)?;
-                Ok(BboxOutcome {
-                    rect,
-                    messages: cluster_size as u64,
-                    rounds: 1,
-                    runs: optimal_runs(members, rect),
-                })
-            }
-            BoundingAlgo::Secure => {
-                // Per-dimension request-cost coefficient: a bound of extent x
-                // on each axis transfers ≈ Cr · n · x² message units.
-                let cr_1d = p.cr * p.n_users as f64;
-                secure_bounding_box(members, host_point, Rect::UNIT, || {
-                    Box::new(SecurePolicy::new(
-                        Uniform::new(span),
-                        AreaCost { cr: cr_1d },
-                        p.cb,
-                    )) as Box<dyn IncrementPolicy>
-                })
-            }
-            BoundingAlgo::Linear => secure_bounding_box(members, host_point, Rect::UNIT, || {
-                Box::new(LinearPolicy::new(span / 4.0)) as Box<dyn IncrementPolicy>
-            }),
-            BoundingAlgo::Exponential => {
-                secure_bounding_box(members, host_point, Rect::UNIT, || {
-                    Box::new(ExponentialPolicy::new(span)) as Box<dyn IncrementPolicy>
-                })
-            }
+    /// Builds the global clustering on the first centralized/hilbASR
+    /// request. Returns the setup cost in messages (the whole population
+    /// submits its proximity information — hilbASR: its exact coordinates,
+    /// the exposure that is the point of that baseline — once), 0 on later
+    /// calls.
+    fn ensure_global_built(&mut self) -> u64 {
+        if self.centralized_built {
+            return 0;
         }
-    }
-
-    /// Phase 2 over the simulated network: the same four directional runs
-    /// and increment policies as [`CloakingEngine::bound`], but every
-    /// verification round-trips through [`Network::rpc`]
-    /// (`nela_netsim::sim_bounding_box`). Over a lossless network this is
-    /// bit-identical to the in-memory path; loss adds retransmissions and
-    /// can fail the request with [`BoundingError::Unreachable`].
-    ///
-    /// [`BoundingAlgo::Optimal`] has no per-round protocol to simulate (its
-    /// single exact message is an analytic fiction), so it stays local.
-    fn bound_net(
-        &self,
-        net: &mut Network,
-        host: UserId,
-        members: &[(UserId, Point)],
-        host_point: Point,
-        cluster_size: usize,
-    ) -> Result<BboxOutcome, BoundingError> {
-        let p: &Params = &self.system.params;
-        let span = p.uniform_span(cluster_size);
-        match self.bounding {
-            BoundingAlgo::Optimal => {
-                let points: Vec<Point> = members.iter().map(|&(_, pt)| pt).collect();
-                let rect = Rect::bounding(&points).ok_or(BoundingError::EmptyCluster)?;
-                Ok(BboxOutcome {
-                    rect,
-                    messages: cluster_size as u64,
-                    rounds: 1,
-                    runs: optimal_runs(&points, rect),
-                })
-            }
-            BoundingAlgo::Secure => {
-                let cr_1d = p.cr * p.n_users as f64;
-                sim_bounding_box(net, host, host_point, members, Rect::UNIT, || {
-                    Box::new(SecurePolicy::new(
-                        Uniform::new(span),
-                        AreaCost { cr: cr_1d },
-                        p.cb,
-                    )) as Box<dyn IncrementPolicy>
-                })
-            }
-            BoundingAlgo::Linear => {
-                sim_bounding_box(net, host, host_point, members, Rect::UNIT, || {
-                    Box::new(LinearPolicy::new(span / 4.0)) as Box<dyn IncrementPolicy>
-                })
-            }
-            BoundingAlgo::Exponential => {
-                sim_bounding_box(net, host, host_point, members, Rect::UNIT, || {
-                    Box::new(ExponentialPolicy::new(span)) as Box<dyn IncrementPolicy>
-                })
-            }
-        }
-    }
-
-    /// One optimistic request against the sharded registry with both phases
-    /// carried by the simulated network: phase-1 adjacency fetches run over
-    /// [`SimFetch`] and phase-2 verifications over
-    /// [`nela_netsim::sim_bounding_box`]. The registry itself stays
-    /// in-process (it models state the host already holds), so the reuse
-    /// fast path never touches the radio.
-    ///
-    /// Each attempt gets a fresh [`Network`] seeded from `(config seed,
-    /// host)`, so RPC loss/latency outcomes are a pure function of the
-    /// request — independent of worker count and interleaving — and a
-    /// single-worker session replays bit-identically.
-    fn serve_sharded_net(
-        &self,
-        sharded: &ShardedRegistry,
-        host: UserId,
-        net_state: &NetState,
-        scratch: &mut RequestScratch,
-    ) -> Result<CloakingResult, RequestError> {
-        let members = &mut scratch.members;
-        let mut tally = NetworkStats::default();
-        let mut virtual_secs = 0.0f64;
-        let mut used_network = false;
-        let absorb = |tally: &mut NetworkStats, vs: &mut f64, net: &Network| {
-            let s = net.stats();
-            tally.transmissions += s.transmissions;
-            tally.rpcs_ok += s.rpcs_ok;
-            tally.rpcs_failed += s.rpcs_failed;
-            tally.lost += s.lost;
-            tally.retransmits += s.retransmits;
-            tally.timeouts += s.timeouts;
-            *vs += net.now();
+        self.centralized_built = true;
+        let (points, k) = (&self.system.points, self.system.params.k);
+        let clusters = match self.clustering {
+            ClusteringAlgo::HilbAsr => nela_cluster::hilbert::hilb_asr_partition(points, k),
+            _ => centralized_k_clustering(&self.system.wpg, k).clusters,
         };
-        let mut outcome: Result<CloakingResult, RequestError> = Err(RequestError::Contention {
-            attempts: MAX_CONCURRENT_ATTEMPTS,
-        });
-        for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
-            // Reuse path: the host's own registry entry, no radio involved.
-            if let Some((id, region)) = sharded.lookup_into(host, members) {
-                if region.is_some() {
-                    outcome = self.finish_sharded_net_reused(host, members, region);
-                    break;
-                }
-                // Cluster known but never bounded: phase 2 only.
-                let mut net = net_state.template.with_seed(mix_seed(net_state.seed, host));
-                used_network = true;
-                outcome = self.finish_sharded_net(sharded, host, id, members, 0, &mut net);
-                absorb(&mut tally, &mut virtual_secs, &net);
-                break;
-            }
-            let mut net = net_state.template.with_seed(mix_seed(net_state.seed, host));
-            used_network = true;
-            // Same lock-free removed-probe contract as `serve_sharded_with`.
-            let removed = |u: UserId| u != host && sharded.is_clustered(u);
-            let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-            let clustered = {
-                let mut fetch = SimFetch::new(&mut net, &self.system.wpg, host);
-                distributed_k_clustering_with_policy(&mut fetch, host, self.kp(), &removed)
-            };
-            drop(cluster_span);
-            let out = match clustered {
-                Ok(out) => out,
-                Err(e) => {
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    outcome = Err(e.into());
-                    break;
-                }
-            };
-            if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                absorb(&mut tally, &mut virtual_secs, &net);
-                outcome = Err(RequestError::HostNotClustered);
-                break;
-            }
-            let claim_span = nela_obs::span(nela_obs::stage::REGISTRY_CLAIM);
-            let claim = sharded.try_claim(host, out.all_clusters);
-            drop(claim_span);
-            match claim {
-                ClaimOutcome::Claimed {
-                    id,
-                    members: claimed,
-                } => {
-                    outcome = self.finish_sharded_net(
-                        sharded,
-                        host,
-                        id,
-                        &claimed,
-                        out.involved_users as u64,
-                        &mut net,
-                    );
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    break;
-                }
-                ClaimOutcome::Conflict => {
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1);
-                    continue;
-                }
-                ClaimOutcome::HostMissing => {
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    outcome = Err(RequestError::HostNotClustered);
-                    break;
-                }
-            }
+        for c in clusters {
+            self.registry.register(c);
         }
-        if used_network {
-            net_state.acc.absorb(&tally, virtual_secs);
-            nela_obs::observe(nela_obs::stage::NET_RETRANS_PER_REQ, tally.retransmits);
-            nela_obs::observe(nela_obs::stage::NET_TIMEOUTS_PER_REQ, tally.timeouts);
-            nela_obs::observe(
-                nela_obs::stage::NET_VIRTUAL_TIME,
-                (virtual_secs * 1e9) as u64,
-            );
-        }
-        outcome
-    }
-
-    /// The fully-reused outcome of a netsim request (both phases skipped).
-    fn finish_sharded_net_reused(
-        &self,
-        host: UserId,
-        members: &[UserId],
-        region: Option<Rect>,
-    ) -> Result<CloakingResult, RequestError> {
-        // invariant: callers pass `region = Some(..)` only; the Option is
-        // kept so the reuse branch reads like `finish_sharded`'s.
-        let region = region.ok_or(RequestError::HostNotClustered)?;
-        Ok(CloakingResult {
-            host,
-            region,
-            cluster_size: members.len(),
-            clustering_messages: 0,
-            bounding_messages: 0,
-            bounding_rounds: 0,
-            required_k: self.required_k_of(members),
-            reused: true,
-            bounding_cpu: Duration::ZERO,
-        })
-    }
-
-    /// Phase 2 over the network for a claimed cluster id, publishing the
-    /// region first-writer-wins exactly like [`CloakingEngine::finish_sharded`].
-    fn finish_sharded_net(
-        &self,
-        sharded: &ShardedRegistry,
-        host: UserId,
-        id: ClusterId,
-        members: &[UserId],
-        clustering_messages: u64,
-        net: &mut Network,
-    ) -> Result<CloakingResult, RequestError> {
-        let cluster_size = members.len();
-        let required_k = self.required_k_of(members);
-        let pairs: Vec<(UserId, Point)> = members
-            .iter()
-            .map(|&m| (m, self.system.points[m as usize]))
-            .collect();
-        let host_point = self.system.points[host as usize];
-        let started = Instant::now();
-        let bbox = self.bound_net(net, host, &pairs, host_point, cluster_size)?;
-        let bounding_cpu = started.elapsed();
-        nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        sharded.set_region(id, bbox.rect);
-        Ok(CloakingResult {
-            host,
-            region: bbox.rect,
-            cluster_size,
-            clustering_messages,
-            bounding_messages: bbox.messages,
-            bounding_rounds: bbox.rounds,
-            required_k,
-            reused: false,
-            bounding_cpu,
-        })
+        points.len() as u64
     }
 }
 
@@ -1211,17 +809,13 @@ fn mix_seed(seed: u64, host: UserId) -> u64 {
 
 /// A long-lived concurrent cloaking session over the sharded registry — the
 /// engine glue for service front-ends (`nela-serve`) that admit requests one
-/// at a time from a worker pool instead of in pre-assembled batches.
+/// at a time from a worker pool, and for [`CloakingEngine::request_many`]'s
+/// scoped workers.
 ///
-/// [`CloakingEngine::request_many_sharded`] owns the whole batch: it spawns
-/// the workers, partitions the hosts, and folds the registry back when the
-/// batch ends. A serving loop inverts that control flow — *its* workers pull
-/// requests off a queue for as long as the service runs — so the session
-/// exposes the same lock-free optimistic path ([`EngineSession::request`]
-/// takes `&self` and is safe to call from any number of threads) while the
-/// caller decides threading and lifetime. [`EngineSession::finish`] returns
-/// the engine with every cluster claimed during the session folded back into
-/// its registry.
+/// [`EngineSession::request`] takes `&self` and is safe to call from any
+/// number of threads, while the caller decides threading and lifetime.
+/// [`EngineSession::finish`] returns the engine with every cluster claimed
+/// during the session folded back into its registry.
 ///
 /// With one calling thread the session is exactly the serial `request` loop,
 /// result for result — the determinism contract the replay tests pin.
@@ -1382,12 +976,13 @@ impl<'a> EngineSession<'a> {
     /// — clustering/bounding failures caused by exhausted RPC retries.
     pub fn request(&self, host: UserId) -> Result<CloakingResult, RequestError> {
         let result = match &self.net {
-            None => self.engine.serve_sharded(&self.sharded, host),
-            Some(net) => REQUEST_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                self.engine
-                    .serve_sharded_net(&self.sharded, host, net, &mut scratch)
-            }),
+            None => self.engine.serve(&mut &self.sharded, &mut Local, host),
+            Some(net) => {
+                let mut radio = Radio::new(net, host);
+                let result = self.engine.serve(&mut &self.sharded, &mut radio, host);
+                radio.settle();
+                result
+            }
         };
         record_outcome(&result);
         result
@@ -1514,10 +1109,10 @@ impl<'a> CloakingEngine<'a> {
     }
 }
 
-/// Tallies one request outcome into the global obs counters. Called once
-/// per request: inside [`CloakingEngine::request`] for serial paths, and at
-/// the batch worker call sites for the concurrent paths (which bypass
-/// `request`).
+/// Tallies one request outcome into the global obs counters. Called exactly
+/// once per request, by the request's entry point
+/// ([`CloakingEngine::request`] or [`EngineSession::request`];
+/// `request_many` serves through them).
 fn record_outcome(result: &Result<CloakingResult, RequestError>) {
     if !nela_obs::enabled() {
         return;

@@ -16,19 +16,19 @@
 //!   accounting and peer crash injection,
 //! - [`proto`] — adapters that run the *actual* protocol implementations
 //!   (`nela-cluster`'s Algorithm 2 / kNN, `nela-bounding`'s progressive
-//!   bounding) over the simulated network instead of an in-memory graph,
-//! - [`concurrency`] — optimistic concurrency control for simultaneous host
-//!   requests: snapshot, compute, validate-and-claim, retry on conflict —
-//!   deadlock-free because claims are atomic and ordered.
+//!   bounding) over the simulated network instead of an in-memory graph.
+//!
+//! Concurrency control for simultaneous host requests lives with the
+//! request path itself (`nela::EngineSession` over
+//! `nela_cluster::registry::ShardedRegistry`), which runs over this crate's
+//! network when a session is built `with_network`.
 
-pub mod concurrency;
 pub mod discovery;
 pub mod event;
 pub mod network;
 pub mod proto;
 
-pub use concurrency::{ConcurrentWorkload, RequestResolution};
 pub use discovery::{edge_recall, run_discovery, DiscoveryConfig, DiscoveryStats};
 pub use event::EventQueue;
 pub use network::{ConfigError, LatencyModel, Network, NetworkConfig, NetworkStats, RpcError};
-pub use proto::{sim_bounding_box, SimFetch, SimVerify};
+pub use proto::{SimDirections, SimFetch, SimVerify};

@@ -8,12 +8,10 @@
 //! robustness scenarios of the paper's §VII.
 
 use crate::network::{Network, RpcError};
-use nela_bounding::bbox::BboxOutcome;
-use nela_bounding::protocol::{
-    progressive_upper_bound_with, BoundingError, IncrementPolicy, VerifyTransport,
-};
+use nela_bounding::bbox::{Direction, DirectionalTransport};
+use nela_bounding::protocol::VerifyTransport;
 use nela_cluster::fetch::PeerFetch;
-use nela_geo::{Point, Rect, UserId};
+use nela_geo::{Point, UserId};
 use nela_wpg::{Weight, Wpg};
 
 /// Adjacency fetch over the simulated network: each fetch is one RPC from
@@ -83,83 +81,56 @@ impl VerifyTransport for SimVerify<'_> {
     }
 }
 
-/// The netsim twin of `nela_bounding::bbox::secure_bounding_box`: four
-/// directional progressive bounding runs (`x`-high, `x`-low over negated
-/// coordinates, `y`-high, `y`-low) where every per-round verification is one
-/// [`Network::rpc`] from the host to the participant ([`SimVerify`]; the
-/// host answers its own questions for free). The assembly — anchors at the
-/// host's coordinates, domain clipping, message/round totals — matches the
-/// in-memory function exactly, so over a lossless network the two produce
-/// bit-identical regions while a lossy one adds retransmissions, timeouts
-/// and, past the retry budget, [`BoundingError::Unreachable`] failures.
-///
-/// # Errors
-/// [`BoundingError::EmptyCluster`] on an empty member list, plus any failure
-/// of the four directional runs (including unreachable participants).
-pub fn sim_bounding_box(
-    net: &mut Network,
+/// Per-direction bounding transport over the simulated network: each of
+/// the box's four runs ([`nela_bounding::bbox::bounding_box`]) asks the
+/// members about one coordinate through a [`SimVerify`] on the same
+/// network. Over a lossless network the assembled box is bit-identical to
+/// the in-memory one; a lossy network adds retransmissions, timeouts and,
+/// past the retry budget, [`nela_bounding::BoundingError::Unreachable`].
+pub struct SimDirections<'a> {
+    net: &'a mut Network,
     host: UserId,
-    host_point: Point,
-    members: &[(UserId, Point)],
-    domain: Rect,
-    mut policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
-) -> Result<BboxOutcome, BoundingError> {
-    if members.is_empty() {
-        return Err(BoundingError::EmptyCluster);
+    /// `members[i]` sits at `points[i]`.
+    members: &'a [UserId],
+    points: &'a [Point],
+    values: Vec<(UserId, f64)>,
+}
+
+impl<'a> SimDirections<'a> {
+    /// Binds a cluster's members (with their positions) to a network; the
+    /// host answers its own questions for free.
+    pub fn new(
+        net: &'a mut Network,
+        host: UserId,
+        members: &'a [UserId],
+        points: &'a [Point],
+    ) -> Self {
+        SimDirections {
+            net,
+            host,
+            members,
+            points,
+            values: Vec::with_capacity(members.len()),
+        }
     }
-    let run = |values: Vec<(UserId, f64)>,
-               x0: f64,
-               domain_min: f64,
-               net: &mut Network,
-               policy: &mut dyn IncrementPolicy| {
-        let mut transport = SimVerify::new(net, host, &values);
-        progressive_upper_bound_with(&mut transport, x0, domain_min, policy)
-    };
-    let vals = |f: fn(&Point) -> f64| -> Vec<(UserId, f64)> {
-        members.iter().map(|&(u, p)| (u, f(&p))).collect()
-    };
-    let x_hi = run(
-        vals(|p| p.x),
-        host_point.x,
-        domain.min_x,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let x_lo = run(
-        vals(|p| -p.x),
-        -host_point.x,
-        -domain.max_x,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let y_hi = run(
-        vals(|p| p.y),
-        host_point.y,
-        domain.min_y,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let y_lo = run(
-        vals(|p| -p.y),
-        -host_point.y,
-        -domain.max_y,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let rect = Rect::new(
-        (-x_lo.bound).clamp(domain.min_x, domain.max_x),
-        (-y_lo.bound).clamp(domain.min_y, domain.max_y),
-        x_hi.bound.clamp(domain.min_x, domain.max_x),
-        y_hi.bound.clamp(domain.min_y, domain.max_y),
-    );
-    let messages = x_hi.messages + x_lo.messages + y_hi.messages + y_lo.messages;
-    let rounds = x_hi.rounds + x_lo.rounds + y_hi.rounds + y_lo.rounds;
-    Ok(BboxOutcome {
-        rect,
-        messages,
-        rounds,
-        runs: [x_hi, x_lo, y_hi, y_lo],
-    })
+}
+
+impl DirectionalTransport for SimDirections<'_> {
+    type Run<'r>
+        = SimVerify<'r>
+    where
+        Self: 'r;
+
+    fn run(&mut self, dir: Direction) -> SimVerify<'_> {
+        self.values.clear();
+        self.values.extend(
+            self.members
+                .iter()
+                .zip(self.points)
+                .map(|(&u, p)| (u, dir.value(p))),
+        );
+        SimVerify::new(self.net, self.host, &self.values)
+    }
 }
 
 #[cfg(test)]
@@ -167,9 +138,11 @@ mod tests {
     use super::*;
     use crate::network::NetworkConfig;
     use nela_bounding::baselines::LinearPolicy;
-    use nela_bounding::protocol::progressive_upper_bound_with;
+    use nela_bounding::bbox::bounding_box;
+    use nela_bounding::protocol::{progressive_upper_bound_with, BoundingError};
     use nela_cluster::distributed::distributed_k_clustering_with;
     use nela_cluster::ClusterError;
+    use nela_geo::Rect;
     use nela_wpg::topology;
 
     fn no_removed(_: UserId) -> bool {
@@ -256,13 +229,13 @@ mod tests {
 
     #[test]
     fn sim_bounding_box_matches_in_memory_assembly_over_reliable_network() {
-        let members: Vec<(UserId, Point)> = vec![
-            (3, Point::new(0.30, 0.40)),
-            (7, Point::new(0.35, 0.42)),
-            (9, Point::new(0.28, 0.47)),
-            (12, Point::new(0.33, 0.38)),
+        let members: Vec<UserId> = vec![3, 7, 9, 12];
+        let points = vec![
+            Point::new(0.30, 0.40),
+            Point::new(0.35, 0.42),
+            Point::new(0.28, 0.47),
+            Point::new(0.33, 0.38),
         ];
-        let points: Vec<Point> = members.iter().map(|&(_, p)| p).collect();
         let host_point = points[0];
         let analytic =
             nela_bounding::bbox::secure_bounding_box(&points, host_point, Rect::UNIT, || {
@@ -270,7 +243,8 @@ mod tests {
             })
             .unwrap();
         let mut net = Network::reliable();
-        let simulated = sim_bounding_box(&mut net, 3, host_point, &members, Rect::UNIT, || {
+        let mut dirs = SimDirections::new(&mut net, 3, &members, &points);
+        let simulated = bounding_box(&mut dirs, host_point, Rect::UNIT, || {
             Box::new(LinearPolicy::new(0.01))
         })
         .unwrap();
@@ -285,11 +259,12 @@ mod tests {
 
     #[test]
     fn sim_bounding_box_fails_typed_when_a_participant_crashes() {
-        let members: Vec<(UserId, Point)> =
-            vec![(3, Point::new(0.30, 0.40)), (7, Point::new(0.95, 0.42))];
+        let members: Vec<UserId> = vec![3, 7];
+        let points = vec![Point::new(0.30, 0.40), Point::new(0.95, 0.42)];
         let mut net = Network::reliable();
         net.crash_peer(7);
-        let err = sim_bounding_box(&mut net, 3, members[0].1, &members, Rect::UNIT, || {
+        let mut dirs = SimDirections::new(&mut net, 3, &members, &points);
+        let err = bounding_box(&mut dirs, points[0], Rect::UNIT, || {
             Box::new(LinearPolicy::new(0.05))
         })
         .unwrap_err();
@@ -300,7 +275,8 @@ mod tests {
     #[test]
     fn sim_bounding_box_rejects_empty_cluster() {
         let mut net = Network::reliable();
-        let err = sim_bounding_box(&mut net, 3, Point::new(0.5, 0.5), &[], Rect::UNIT, || {
+        let mut dirs = SimDirections::new(&mut net, 3, &[], &[]);
+        let err = bounding_box(&mut dirs, Point::new(0.5, 0.5), Rect::UNIT, || {
             Box::new(LinearPolicy::new(0.05))
         })
         .unwrap_err();
@@ -316,9 +292,6 @@ mod tests {
         let err =
             progressive_upper_bound_with(&mut transport, 0.0, 0.0, &mut LinearPolicy::new(0.1))
                 .unwrap_err();
-        assert_eq!(
-            err,
-            nela_bounding::protocol::BoundingError::Unreachable { index: 1 }
-        );
+        assert_eq!(err, BoundingError::Unreachable { index: 1 });
     }
 }

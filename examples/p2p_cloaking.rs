@@ -6,10 +6,11 @@
 //! ```
 
 use nela::cluster::distributed::distributed_k_clustering_with;
-use nela::netsim::concurrency::{ConcurrentWorkload, RequestResolution};
 use nela::netsim::network::{Network, NetworkConfig};
 use nela::netsim::proto::SimFetch;
-use nela::{Params, System};
+use nela::{
+    auto_shard_axis, BoundingAlgo, CloakingEngine, ClusteringAlgo, Params, RequestError, System,
+};
 use nela_geo::UserId;
 
 fn main() {
@@ -79,34 +80,45 @@ fn main() {
     // ---- Part 3: forty hosts race concurrently for overlapping users.
     println!("\n== concurrent requests (optimistic validate-and-claim) ==");
     let hosts = system.host_sequence(40, 9);
-    let workload = ConcurrentWorkload {
-        k: params.k,
-        max_attempts: 10,
-        threads: 8,
-    };
-    let (registry, resolutions) = workload.run(&system.wpg, &hosts);
+    let workers = 8;
+    let session = CloakingEngine::new(
+        &system,
+        ClusteringAlgo::TConnDistributed,
+        BoundingAlgo::Secure,
+    )
+    .into_session(auto_shard_axis(workers));
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let session = &session;
+        let handles: Vec<_> = hosts
+            .chunks(hosts.len().div_ceil(workers))
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&h| session.request(h))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    let registry = session.finish().into_registry();
     let mut served = 0;
     let mut reused = 0;
     let mut unservable = 0;
     let mut starved = 0;
-    let mut retried = 0;
-    for r in &resolutions {
+    for r in &results {
         match r {
-            RequestResolution::Served { attempts, .. } => {
-                served += 1;
-                if *attempts > 1 {
-                    retried += 1;
-                }
-            }
-            RequestResolution::Reused { .. } => reused += 1,
-            RequestResolution::Unservable { .. } => unservable += 1,
-            RequestResolution::Contention { .. } => starved += 1,
+            Ok(r) if r.reused => reused += 1,
+            Ok(_) => served += 1,
+            Err(RequestError::Contention { .. }) => starved += 1,
+            Err(_) => unservable += 1,
         }
     }
-    println!(
-        "{served} served ({retried} needed retries), {reused} reused, \
-         {unservable} unservable, {starved} starved"
-    );
+    println!("{served} served, {reused} reused, {unservable} unservable, {starved} starved");
     println!(
         "final registry: {} clusters / {} users, reciprocity violations: {:?}",
         registry.cluster_count(),

@@ -1,10 +1,14 @@
-//! Batched-request equivalence: `request_many` (sharded and locked paths)
-//! against the serial `request` loop, and safety invariants of the
-//! concurrent paths.
+//! Batched-request equivalence: `request_many` and `EngineSession` (one or
+//! many scoped workers) against the serial `request` loop, and safety
+//! invariants of the concurrent paths.
 
 use nela::cluster::registry::ClusterRegistry;
 use nela::geo::UserId;
-use nela::{BoundingAlgo, CloakingEngine, ClusteringAlgo, Params, RequestError, System};
+use nela::netsim::NetworkConfig;
+use nela::{
+    auto_shard_axis, BoundingAlgo, CloakingEngine, CloakingResult, ClusteringAlgo, EngineSession,
+    Params, RequestError, System,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -38,6 +42,51 @@ fn registry_snapshot(reg: &ClusterRegistry) -> Snapshot {
         .collect();
     snap.sort_by(|a, b| a.0.cmp(&b.0));
     snap
+}
+
+/// Serves `hosts` on `session` from `workers` scoped threads, one
+/// contiguous chunk each, returning the results in `hosts` order.
+fn serve_chunked(
+    session: &EngineSession<'_>,
+    hosts: &[UserId],
+    workers: usize,
+) -> Vec<Result<CloakingResult, RequestError>> {
+    let chunk = hosts.len().div_ceil(workers.max(1)).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = hosts
+            .chunks(chunk)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&h| session.request(h))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("session worker panicked"))
+            .collect()
+    })
+}
+
+/// A fresh distributed/secure engine served through `into_session(axis)`
+/// by `workers` scoped threads; returns the results and the engine
+/// `finish` folds back.
+fn session_batch<'s>(
+    s: &'s System,
+    hosts: &[UserId],
+    workers: usize,
+    axis: usize,
+) -> (
+    Vec<Result<CloakingResult, RequestError>>,
+    CloakingEngine<'s>,
+) {
+    let session = CloakingEngine::new(s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure)
+        .into_session(axis);
+    let results = serve_chunked(&session, hosts, workers);
+    (results, session.finish())
 }
 
 #[test]
@@ -149,9 +198,7 @@ fn sharded_one_worker_matches_serial_loop_across_shard_counts() {
     // serial loop for ANY shard layout — sharding only changes who holds
     // which lock, never what is computed.
     for axis in [1usize, 2, 3, 8] {
-        let mut engine =
-            CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
-        let batched = engine.request_many_sharded(&hosts, 1, axis);
+        let (batched, engine) = session_batch(&s, &hosts, 1, axis);
         assert_results_match(&serial, &batched, &format!("axis={axis}"));
         assert_eq!(
             serial_snap,
@@ -162,20 +209,56 @@ fn sharded_one_worker_matches_serial_loop_across_shard_counts() {
 }
 
 #[test]
-fn sharded_and_locked_paths_agree_under_concurrency() {
+fn session_and_request_many_agree_under_concurrency() {
     let s = system();
     let hosts = s.host_sequence(120, 31);
     for threads in [2usize, 4] {
-        let mut locked =
+        let (_, session) = session_batch(&s, &hosts, threads, auto_shard_axis(threads));
+        let mut batched =
             CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
-        let _ = locked.request_many_locked(&hosts, threads);
-        let mut sharded =
-            CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
-        let _ = sharded.request_many(&hosts, threads);
+        let _ = batched.request_many(&hosts, threads);
         // Concurrent interleavings may attribute work differently, but both
-        // paths must uphold the same safety contract.
-        assert_eq!(locked.registry().reciprocity_violation(), None);
-        assert_eq!(sharded.registry().reciprocity_violation(), None);
+        // entry points must uphold the same safety contract.
+        assert_eq!(session.registry().reciprocity_violation(), None);
+        assert_eq!(batched.registry().reciprocity_violation(), None);
+    }
+}
+
+#[test]
+fn heavy_contention_on_one_neighborhood_terminates() {
+    // Forty hosts from one dense neighborhood, all racing from eight
+    // workers: no deadlock, the folded-back registry stays reciprocal, and
+    // at most a couple of hosts exhaust their retry budget.
+    let s = System::build(&Params {
+        k: 6,
+        ..Params::scaled(2_000)
+    });
+    let center = (0..s.points.len() as UserId)
+        .max_by_key(|&u| s.wpg.degree(u))
+        .expect("non-empty population");
+    let c = s.points[center as usize];
+    let mut by_distance: Vec<UserId> = (0..s.points.len() as UserId).collect();
+    by_distance.sort_by(|&a, &b| {
+        let (pa, pb) = (s.points[a as usize], s.points[b as usize]);
+        pa.dist_sq(&c).total_cmp(&pb.dist_sq(&c))
+    });
+    let hosts = &by_distance[..40];
+    let session = CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure)
+        .into_session(auto_shard_axis(8));
+    let results = serve_chunked(&session, hosts, 8);
+    assert_eq!(results.len(), 40);
+    let engine = session.finish();
+    assert_eq!(engine.registry().reciprocity_violation(), None);
+    let starved = results
+        .iter()
+        .filter(|r| matches!(r, Err(RequestError::Contention { .. })))
+        .count();
+    assert!(starved <= 2, "{starved} hosts starved");
+    for (h, r) in hosts.iter().zip(&results) {
+        if let Ok(r) = r {
+            assert_eq!(r.host, *h);
+            assert!(r.cluster_size >= s.params.k);
+        }
     }
 }
 
@@ -247,18 +330,14 @@ proptest! {
             CloakingEngine::new(s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
         let serial: Vec<_> = hosts.iter().map(|&h| serial_engine.request(h)).collect();
 
-        let mut one =
-            CloakingEngine::new(s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
-        let batched = one.request_many_sharded(&hosts, 1, axis);
+        let (batched, one) = session_batch(s, &hosts, 1, axis);
         assert_results_match(&serial, &batched, &format!("seed={seed} axis={axis}"));
         prop_assert_eq!(
             registry_snapshot(serial_engine.registry()),
             registry_snapshot(one.registry())
         );
 
-        let mut many =
-            CloakingEngine::new(s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
-        let outcomes = many.request_many_sharded(&hosts, threads, axis);
+        let (outcomes, many) = session_batch(s, &hosts, threads, axis);
         prop_assert_eq!(outcomes.len(), hosts.len());
         for (h, outcome) in hosts.iter().zip(&outcomes) {
             if let Ok(r) = outcome {
@@ -276,22 +355,29 @@ proptest! {
 /// requests touch pairwise disjoint user sets, so no interleaving can change
 /// what is computed — served / failed / reused and the exact message totals
 /// must be bit-equal to the serial run at every worker count.
-#[test]
-fn aggregate_stats_are_thread_count_invariant_for_independent_hosts() {
-    use nela::metrics::run_workload_threads;
+/// One host per t-connectivity component, largest components first so most
+/// sampled hosts can actually reach k users. Their requests touch pairwise
+/// disjoint user sets, so no interleaving can change what is computed.
+fn independent_hosts(s: &System) -> Vec<UserId> {
     use nela::wpg::connectivity::{components_under, nothing_removed};
     use nela::wpg::Weight;
 
-    let s = system();
     let mut comps = components_under(&s.wpg, s.params.max_peers as Weight, &nothing_removed);
-    // One representative per component, largest components first so most
-    // sampled hosts can actually reach k users.
     comps.sort_by_key(|c| std::cmp::Reverse(c.len()));
     let hosts: Vec<UserId> = comps.iter().take(32).map(|c| c[0]).collect();
     assert!(
         hosts.len() >= 4,
         "graph too connected for a meaningful differential sample"
     );
+    hosts
+}
+
+#[test]
+fn aggregate_stats_are_thread_count_invariant_for_independent_hosts() {
+    use nela::metrics::run_workload_threads;
+
+    let s = system();
+    let hosts = independent_hosts(&s);
 
     let run = |threads| {
         run_workload_threads(
@@ -318,6 +404,49 @@ fn aggregate_stats_are_thread_count_invariant_for_independent_hosts() {
             "bounding messages diverged at {threads} threads"
         );
     }
+}
+
+/// The netsim transport seeds each request's network from `(seed, host)`,
+/// so over independent hosts a lossy session's per-request outcomes and its
+/// network totals must not depend on how many workers serve it.
+#[test]
+fn netsim_session_outcomes_are_worker_count_invariant() {
+    let s = system();
+    let hosts = independent_hosts(&s);
+    let cfg = NetworkConfig {
+        loss: 0.05,
+        seed: 7,
+        ..NetworkConfig::default()
+    };
+    let run = |workers: usize| {
+        let session =
+            CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure)
+                .into_session(auto_shard_axis(workers))
+                .with_network(cfg)
+                .expect("config is valid");
+        let outcomes: Vec<_> = serve_chunked(&session, &hosts, workers)
+            .into_iter()
+            .map(|r| {
+                r.map(|c| {
+                    let messages = c.clustering_messages + c.bounding_messages;
+                    (c.region, c.reused, messages)
+                })
+            })
+            .collect();
+        (outcomes, session.net_stats().expect("netsim session"))
+    };
+    let (serial, serial_net) = run(1);
+    assert!(serial.iter().any(|r| r.is_ok()), "baseline served nothing");
+    assert!(
+        serial_net.retransmits > 0,
+        "5% loss produced no retransmits"
+    );
+    let (parallel, parallel_net) = run(4);
+    assert_eq!(serial, parallel, "per-host outcomes diverged at 4 workers");
+    assert_eq!(
+        serial_net, parallel_net,
+        "network totals diverged at 4 workers"
+    );
 }
 
 #[test]
