@@ -174,12 +174,6 @@ impl ClusterRegistry {
             .map(|(id, rc)| (id as ClusterId, rc))
     }
 
-    /// Predicate suitable for the clustering algorithms' `removed` argument:
-    /// a user is removed from the remaining WPG iff already clustered.
-    pub fn removed_predicate(&self) -> impl Fn(UserId) -> bool + '_ {
-        move |u| self.is_clustered(u)
-    }
-
     /// Verifies the reciprocity property: every member of every *live*
     /// cluster maps back to that same cluster (tombstones are exempt — their
     /// members were released). Returns the first violating user, if any.
@@ -456,23 +450,12 @@ impl ShardedRegistry {
         self.assignment[u as usize].load(Ordering::Acquire) != UNASSIGNED
     }
 
-    /// The cluster of `u` — id, members, and published region — if `u` is
-    /// assigned. Locks at most the cluster's home shard.
-    ///
-    /// Allocates a fresh members Vec per call; steady-state request paths
-    /// use [`ShardedRegistry::lookup_into`] with a reused buffer instead.
-    pub fn lookup(&self, u: UserId) -> Option<(ClusterId, Vec<UserId>, Option<Rect>)> {
-        let mut members = Vec::new();
-        self.lookup_into(u, &mut members)
-            .map(|(id, region)| (id, members, region))
-    }
-
-    /// Allocation-free variant of [`ShardedRegistry::lookup`]: fills
-    /// `members_out` (cleared first) with the cluster's members instead of
-    /// returning a fresh Vec, so a serving worker's scratch buffer absorbs
-    /// the copy. Once the buffer's capacity reaches the largest cluster
-    /// size it never reallocates — this is what makes the engine's
-    /// region-reuse fast path zero-allocation per request.
+    /// The cluster of `u` — id and published region — if `u` is assigned,
+    /// with its members copied into `members_out` (cleared first). Locks at
+    /// most the cluster's home shard. A serving worker's scratch buffer
+    /// absorbs the copy: once its capacity reaches the largest cluster size
+    /// it never reallocates — this is what makes the engine's region-reuse
+    /// fast path zero-allocation per request.
     pub fn lookup_into(
         &self,
         u: UserId,
@@ -680,12 +663,11 @@ mod tests {
     }
 
     #[test]
-    fn removed_predicate_reflects_assignment() {
+    fn is_clustered_reflects_assignment() {
         let mut reg = ClusterRegistry::new(5);
         reg.register(cluster(&[3, 4]));
-        let removed = reg.removed_predicate();
-        assert!(removed(3));
-        assert!(!removed(0));
+        assert!(reg.is_clustered(3));
+        assert!(!reg.is_clustered(0));
     }
 
     #[test]
@@ -803,13 +785,14 @@ mod tests {
                 assert_eq!(members, vec![0, 1, 2]);
                 assert!(sharded.is_clustered(0));
                 assert!(!sharded.is_clustered(3));
-                let (lid, lmembers, region) = sharded.lookup(2).unwrap();
-                assert_eq!((lid, lmembers), (id, vec![0, 1, 2]));
-                assert!(region.is_none());
+                let mut lmembers = Vec::new();
+                assert_eq!(sharded.lookup_into(2, &mut lmembers), Some((id, None)));
+                assert_eq!(lmembers, vec![0, 1, 2]);
                 sharded.set_region(id, Rect::new(0.0, 0.0, 0.3, 0.3));
                 // First writer wins: a rival's identical publish is a no-op.
                 sharded.set_region(id, Rect::new(0.0, 0.0, 0.9, 0.9));
-                assert_eq!(sharded.lookup(0).unwrap().2.unwrap().area(), 0.09);
+                let (_, region) = sharded.lookup_into(0, &mut lmembers).unwrap();
+                assert_eq!(region.unwrap().area(), 0.09);
             }
             other => panic!("claim failed: {other:?}"),
         }
@@ -877,12 +860,15 @@ mod tests {
         let sharded = ShardedRegistry::new(base, &pts, 4);
         // Pre-batch assignments are visible lock-free.
         assert!(sharded.is_clustered(0));
-        assert_eq!(sharded.lookup(1).unwrap().2.unwrap().area(), 0.25);
+        let mut members = Vec::new();
+        let (_, region) = sharded.lookup_into(1, &mut members).unwrap();
+        assert_eq!(region.unwrap().area(), 0.25);
+        assert_eq!(members, vec![0, 1]);
         // A base cluster without a region gets a write-once publication.
-        assert!(sharded.lookup(4).unwrap().2.is_none());
+        assert_eq!(sharded.lookup_into(4, &mut members), Some((b, None)));
         sharded.set_region(b, Rect::new(0.8, 0.8, 1.0, 1.0));
         sharded.set_region(b, Rect::UNIT); // loses: first writer won
-        let (_, _, region) = sharded.lookup(5).unwrap();
+        let (_, region) = sharded.lookup_into(5, &mut members).unwrap();
         assert!((region.unwrap().area() - 0.04).abs() < 1e-12);
         // A new cluster on top of the frozen base folds back consistently.
         assert!(matches!(

@@ -19,6 +19,7 @@
 //! cells rather than relying on float-to-int cast saturation.
 
 use crate::point::Point;
+use crate::rect::Rect;
 use crate::soa::{dist_sq_block, PointsSoA, KERNEL_BLOCK};
 use crate::UserId;
 
@@ -254,38 +255,36 @@ impl GridIndex {
         out.clear();
         let q = self.points[query_id as usize];
         let r_sq = radius * radius;
-        // Cells overlapping the query ball.
-        let span = (radius / self.cell_side).ceil() as isize;
-        let qcx = cell_coord(q.x, self.cell_side, self.cells) as isize;
-        let qcy = cell_coord(q.y, self.cell_side, self.cells) as isize;
+        // Cells overlapping the query ball (none for a radius of minus one
+        // cell or less).
+        let Ok(span) = usize::try_from((radius / self.cell_side).ceil() as isize) else {
+            return;
+        };
+        let qcx = cell_coord(q.x, self.cell_side, self.cells);
+        let qcy = cell_coord(q.y, self.cell_side, self.cells);
+        let last = self.cells - 1;
+        let cols = (qcx.saturating_sub(span), qcx.saturating_add(span).min(last));
+        let rows = (qcy.saturating_sub(span), qcy.saturating_add(span).min(last));
         // Stack scratch for one block of squared distances — no heap.
         let mut d = [0.0f64; KERNEL_BLOCK];
-        for cy in (qcy - span).max(0)..=(qcy + span).min(self.cells as isize - 1) {
-            for cx in (qcx - span).max(0)..=(qcx + span).min(self.cells as isize - 1) {
-                let c = cy as usize * self.cells + cx as usize;
-                let lo = self.bucket_offsets[c] as usize;
-                let hi = self.bucket_offsets[c + 1] as usize;
-                let ids = &self.entries[lo..hi];
-                let xs = &self.entry_coords.xs[lo..hi];
-                let ys = &self.entry_coords.ys[lo..hi];
-                let mut base = 0;
-                while base < ids.len() {
-                    let m = (ids.len() - base).min(KERNEL_BLOCK);
-                    dist_sq_block(
-                        q.x,
-                        q.y,
-                        &xs[base..base + m],
-                        &ys[base..base + m],
-                        &mut d[..m],
-                    );
-                    for (j, &d_sq) in d[..m].iter().enumerate() {
-                        let id = ids[base + j];
-                        if d_sq <= r_sq && id != query_id {
-                            out.push((id, d_sq));
-                        }
+        for (ids, xs, ys) in self.row_runs(cols, rows) {
+            let mut base = 0;
+            while base < ids.len() {
+                let m = (ids.len() - base).min(KERNEL_BLOCK);
+                dist_sq_block(
+                    q.x,
+                    q.y,
+                    &xs[base..base + m],
+                    &ys[base..base + m],
+                    &mut d[..m],
+                );
+                for (j, &d_sq) in d[..m].iter().enumerate() {
+                    let id = ids[base + j];
+                    if d_sq <= r_sq && id != query_id {
+                        out.push((id, d_sq));
                     }
-                    base += m;
                 }
+                base += m;
             }
         }
     }
@@ -300,22 +299,61 @@ impl GridIndex {
         out
     }
 
+    /// The entries of every cell `rect` overlaps, as one `(ids, xs, ys)` run
+    /// per grid row: the cells of a row are adjacent in the CSR layout, so a
+    /// row's overlapped cells are one contiguous slice of each stream.
+    ///
+    /// Runs hold every point of the overlapped cells, not only those inside
+    /// `rect` — callers apply their own predicate. Every point `rect`
+    /// contains is in exactly one run (out-of-square bounds clamp onto the
+    /// border cells, like the points themselves). Rows come bottom to top;
+    /// within a run, entries are grouped by cell left to right and ascend
+    /// by id within a cell.
+    pub fn rect_cells<'a>(
+        &'a self,
+        rect: &Rect,
+    ) -> impl Iterator<Item = (&'a [UserId], &'a [f64], &'a [f64])> + 'a {
+        let cols = (self.axis_cell(rect.min_x), self.axis_cell(rect.max_x));
+        let rows = (self.axis_cell(rect.min_y), self.axis_cell(rect.max_y));
+        self.row_runs(cols, rows)
+    }
+
+    /// Column or row index of a scalar rect bound, clamped into the grid.
+    #[inline]
+    fn axis_cell(&self, v: f64) -> usize {
+        ((v / self.cell_side) as isize).clamp(0, self.cells as isize - 1) as usize
+    }
+
+    /// One run per row of the inclusive cell block `cols × rows`; nothing
+    /// when either range is inverted.
+    fn row_runs(
+        &self,
+        (lo_cx, hi_cx): (usize, usize),
+        (lo_cy, hi_cy): (usize, usize),
+    ) -> impl Iterator<Item = (&[UserId], &[f64], &[f64])> + '_ {
+        let rows = if lo_cx <= hi_cx {
+            lo_cy..hi_cy + 1
+        } else {
+            0..0
+        };
+        rows.map(move |cy| {
+            let lo = self.bucket_offsets[cy * self.cells + lo_cx] as usize;
+            let hi = self.bucket_offsets[cy * self.cells + hi_cx + 1] as usize;
+            (
+                &self.entries[lo..hi],
+                &self.entry_coords.xs[lo..hi],
+                &self.entry_coords.ys[lo..hi],
+            )
+        })
+    }
+
     /// Ids of all points inside `rect` (inclusive bounds), ascending.
-    pub fn ids_in_rect(&self, rect: &crate::rect::Rect) -> Vec<UserId> {
-        let lo_cx = ((rect.min_x / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
-        let hi_cx = ((rect.max_x / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
-        let lo_cy = ((rect.min_y / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
-        let hi_cy = ((rect.max_y / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
+    pub fn ids_in_rect(&self, rect: &Rect) -> Vec<UserId> {
         let mut out = Vec::new();
-        for cy in lo_cy..=hi_cy {
-            for cx in lo_cx..=hi_cx {
-                let c = cy as usize * self.cells + cx as usize;
-                let lo = self.bucket_offsets[c] as usize;
-                let hi = self.bucket_offsets[c + 1] as usize;
-                for i in lo..hi {
-                    if rect.contains(&self.entry_coords.get(i)) {
-                        out.push(self.entries[i]);
-                    }
+        for (ids, xs, ys) in self.rect_cells(rect) {
+            for ((&id, &x), &y) in ids.iter().zip(xs).zip(ys) {
+                if rect.contains(&Point::new(x, y)) {
+                    out.push(id);
                 }
             }
         }
@@ -325,25 +363,15 @@ impl GridIndex {
 
     /// Count of points inside `rect` (inclusive bounds). Used to evaluate how
     /// many users a cloaked region actually covers (k-anonymity audit).
-    pub fn count_in_rect(&self, rect: &crate::rect::Rect) -> usize {
-        let lo_cx = ((rect.min_x / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
-        let hi_cx = ((rect.max_x / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
-        let lo_cy = ((rect.min_y / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
-        let hi_cy = ((rect.max_y / self.cell_side) as isize).clamp(0, self.cells as isize - 1);
-        let mut n = 0;
-        for cy in lo_cy..=hi_cy {
-            for cx in lo_cx..=hi_cx {
-                let c = cy as usize * self.cells + cx as usize;
-                let lo = self.bucket_offsets[c] as usize;
-                let hi = self.bucket_offsets[c + 1] as usize;
-                for i in lo..hi {
-                    if rect.contains(&self.entry_coords.get(i)) {
-                        n += 1;
-                    }
-                }
-            }
-        }
-        n
+    pub fn count_in_rect(&self, rect: &Rect) -> usize {
+        self.rect_cells(rect)
+            .map(|(_, xs, ys)| {
+                xs.iter()
+                    .zip(ys)
+                    .filter(|&(&x, &y)| rect.contains(&Point::new(x, y)))
+                    .count()
+            })
+            .sum()
     }
 }
 

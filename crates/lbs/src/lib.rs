@@ -25,6 +25,7 @@
 pub mod query;
 pub mod server;
 pub mod store;
+mod topk;
 
 pub use query::{refine_knn, refine_range};
 pub use server::{CloakedQuery, LbsServer, Response};

@@ -6,6 +6,7 @@
 //! client — who alone knows the true position — refines locally.
 
 use crate::store::PoiStore;
+use crate::topk::TopK;
 use nela_geo::{Point, Rect};
 
 /// Server-side range query over a cloaked region: a user anywhere in
@@ -15,19 +16,38 @@ use nela_geo::{Point, Rect};
 pub fn cloaked_range(store: &PoiStore, region: &Rect, radius: f64) -> Vec<u32> {
     assert!(radius >= 0.0, "radius must be non-negative");
     let _span = nela_obs::span(nela_obs::stage::LBS_RANGE);
+    range_candidates(store, region, radius)
+}
+
+/// The body of [`cloaked_range`], without its span, so [`cloaked_krnn`]
+/// records one kRNN sample and no range sample.
+///
+/// One pass over the grid rows the expanded region overlaps applies the
+/// rectangle pre-filter and then the exact distance-to-rectangle test
+/// ([`WithinRadius`]), so the candidate set is tight for the query
+/// semantics; only the survivors are sorted. The expansion is not clipped
+/// to the unit square: clipping changes no answer (every POI lies in the
+/// square), and the unclipped rectangle stays valid for a region outside
+/// it.
+fn range_candidates(store: &PoiStore, region: &Rect, radius: f64) -> Vec<u32> {
     let expanded = Rect::new(
-        (region.min_x - radius).max(0.0),
-        (region.min_y - radius).max(0.0),
-        (region.max_x + radius).min(1.0),
-        (region.max_y + radius).min(1.0),
+        region.min_x - radius,
+        region.min_y - radius,
+        region.max_x + radius,
+        region.max_y + radius,
     );
-    // Rectangle pre-filter, then exact distance-to-rectangle test so the
-    // candidate set is tight for the query semantics.
-    store
-        .range(&expanded)
-        .into_iter()
-        .filter(|&id| dist_to_rect(store.get(id).position, region) <= radius)
-        .collect()
+    let within = WithinRadius::new(radius);
+    let mut out = Vec::new();
+    for (ids, xs, ys) in store.grid().rect_cells(&expanded) {
+        for ((&id, &x), &y) in ids.iter().zip(xs).zip(ys) {
+            let p = Point::new(x, y);
+            if expanded.contains(&p) && within.of_rect(p, region) {
+                out.push(id);
+            }
+        }
+    }
+    out.sort_unstable();
+    out
 }
 
 /// Server-side k-range-nearest-neighbor (kRNN) query: a candidate set
@@ -47,12 +67,14 @@ pub fn cloaked_krnn(store: &PoiStore, region: &Rect, k: usize) -> Vec<u32> {
         Point::new(region.max_x, region.min_y),
         Point::new(region.max_x, region.max_y),
     ];
+    // One selection buffer serves all four corners.
+    let mut top = TopK::default();
     let d_max = corners
         .iter()
-        .map(|&c| store.kth_nn_dist(c, k))
+        .map(|&c| store.kth_nn_dist_in(c, k, &mut top))
         .fold(0.0f64, f64::max);
     let diag = region.width().hypot(region.height());
-    cloaked_range(store, region, d_max + diag)
+    range_candidates(store, region, d_max + diag)
 }
 
 /// Client-side refinement of a range candidate set: keep candidates within
@@ -75,20 +97,71 @@ pub fn refine_range(
 /// among the candidates (ascending by distance, ties by id).
 pub fn refine_knn(store: &PoiStore, candidates: &[u32], position: Point, k: usize) -> Vec<u32> {
     let _span = nela_obs::span(nela_obs::stage::LBS_REFINE);
-    let mut scored: Vec<(f64, u32)> = candidates
-        .iter()
-        .map(|&id| (store.get(id).position.dist_sq(&position), id))
-        .collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    scored.truncate(k);
-    scored.into_iter().map(|(_, id)| id).collect()
+    let mut top = TopK::default();
+    top.reset(k);
+    for &id in candidates {
+        top.offer(store.get(id).position.dist_sq(&position), id);
+    }
+    top.into_ids()
 }
 
-/// Euclidean distance from a point to a rectangle (0 inside).
-fn dist_to_rect(p: Point, r: &Rect) -> f64 {
-    let dx = (r.min_x - p.x).max(0.0).max(p.x - r.max_x);
-    let dy = (r.min_y - p.y).max(0.0).max(p.y - r.max_y);
-    dx.hypot(dy)
+/// Relative half-width of the band around `radius²` inside which
+/// [`WithinRadius`] defers to `hypot`. The squared offset `dx² + dy²` is
+/// within 2 ulps of its exact value and `radius²` within 1, and a libm
+/// `hypot` is within a few ulps of the exact distance. Outside a band of
+/// 10⁻¹² (about 4500 ulps) the exact distance, and with it `hypot`'s result,
+/// is therefore on the same side of `radius` as the squared comparison says.
+const HYPOT_BAND: f64 = 1e-12;
+
+/// The range predicate `hypot(dx, dy) <= radius`, where `(dx, dy)` is a
+/// point's offset from a rectangle (zero inside it), decided without the
+/// libm call wherever the squared offset settles it.
+///
+/// `hypot` costs about 20 ns a call; most scanned points lie far enough
+/// inside or outside the radius that `dx² + dy²` against `radius²` gives the
+/// same answer, so only points within [`HYPOT_BAND`] of the boundary — and
+/// every point when `radius²` is too small or too large for the error bound
+/// (no band) — reach `hypot`. The answer is bit-for-bit the `hypot`
+/// comparison's.
+struct WithinRadius {
+    radius: f64,
+    /// Squared offsets below this are within the radius.
+    accept_below: f64,
+    /// Squared offsets above this are outside it.
+    reject_above: f64,
+}
+
+impl WithinRadius {
+    /// The test for a non-negative `radius` (both callers guarantee it: a
+    /// range query asserts it, a kRNN radius is a sum of distances).
+    fn new(radius: f64) -> Self {
+        let r_sq = radius * radius;
+        let (accept_below, reject_above) = if (1e-300..=1e300).contains(&r_sq) {
+            (r_sq * (1.0 - HYPOT_BAND), r_sq * (1.0 + HYPOT_BAND))
+        } else {
+            (0.0, f64::INFINITY)
+        };
+        WithinRadius {
+            radius,
+            accept_below,
+            reject_above,
+        }
+    }
+
+    /// True when `p` lies within the radius of `r`.
+    #[inline]
+    fn of_rect(&self, p: Point, r: &Rect) -> bool {
+        let dx = (r.min_x - p.x).max(0.0).max(p.x - r.max_x);
+        let dy = (r.min_y - p.y).max(0.0).max(p.y - r.max_y);
+        let d_sq = dx * dx + dy * dy;
+        if d_sq < self.accept_below {
+            true
+        } else if d_sq > self.reject_above {
+            false
+        } else {
+            dx.hypot(dy) <= self.radius
+        }
+    }
 }
 
 #[cfg(test)]
@@ -178,12 +251,42 @@ mod tests {
     }
 
     #[test]
-    fn dist_to_rect_basics() {
-        let r = Rect::new(0.2, 0.2, 0.4, 0.4);
-        assert_eq!(dist_to_rect(Point::new(0.3, 0.3), &r), 0.0);
-        assert!((dist_to_rect(Point::new(0.5, 0.3), &r) - 0.1).abs() < 1e-12);
-        let d = dist_to_rect(Point::new(0.5, 0.5), &r);
-        assert!((d - (0.1f64.hypot(0.1))).abs() < 1e-12);
+    fn within_radius_agrees_with_hypot_at_and_near_the_boundary() {
+        let r = Rect::new(0.25, 0.25, 0.5, 0.5);
+        let hypot_says = |p: Point, radius: f64| {
+            let dx = (r.min_x - p.x).max(0.0).max(p.x - r.max_x);
+            let dy = (r.min_y - p.y).max(0.0).max(p.y - r.max_y);
+            dx.hypot(dy) <= radius
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for radius in [0.0, 1e-160, 1e-9, 0.02, 0.3125, 1.7] {
+            let within = WithinRadius::new(radius);
+            for _ in 0..2000 {
+                // A point at distance radius·(1 + ε) from a random spot of
+                // the boundary, with ε spanning the band and beyond.
+                let angle = rng.gen::<f64>() * std::f64::consts::TAU;
+                let eps = [0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-11, -1e-11, 0.3, -0.3]
+                    [rng.gen_range(0..9usize)];
+                let d = radius * (1.0 + eps);
+                let base = Point::new(r.max_x, 0.25 + 0.25 * rng.gen::<f64>());
+                let corner = Point::new(r.max_x, r.max_y);
+                for from in [base, corner] {
+                    let p = Point::new(from.x + d * angle.cos().abs(), from.y + d * angle.sin());
+                    assert_eq!(
+                        within.of_rect(p, &r),
+                        hypot_says(p, radius),
+                        "{p:?} r={radius}"
+                    );
+                }
+            }
+        }
+        // Exact dyadic distances: a 3-4-5 triangle off the corner, an axis
+        // offset off the edge, and a point inside.
+        let within = WithinRadius::new(0.3125);
+        assert!(within.of_rect(Point::new(0.5 + 0.1875, 0.5 + 0.25), &r));
+        assert!(within.of_rect(Point::new(0.5 + 0.3125, 0.375), &r));
+        assert!(within.of_rect(Point::new(0.375, 0.375), &r));
+        assert!(!within.of_rect(Point::new(0.5 + 0.3125, 0.5 + 1.0 / 1024.0), &r));
     }
 
     #[test]

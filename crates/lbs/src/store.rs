@@ -1,5 +1,6 @@
 //! Grid-indexed POI storage with exact spatial queries.
 
+use crate::topk::TopK;
 use nela_geo::{GridIndex, Point, Rect};
 use serde::{Deserialize, Serialize};
 
@@ -88,52 +89,79 @@ impl PoiStore {
         self.knn(p, 1)[0]
     }
 
+    /// The grid index over the POI positions.
+    pub(crate) fn grid(&self) -> &GridIndex {
+        &self.grid
+    }
+
     /// The k nearest POIs to `p` (ascending by distance, ties by id),
     /// via expanding-square search over the grid.
     pub fn knn(&self, p: Point, k: usize) -> Vec<u32> {
-        let k = k.min(self.pois.len());
-        // Grow a square window until it holds ≥ k POIs, then widen once more
-        // by the window's half-diagonal so no closer POI outside the square
-        // is missed, and rank exactly.
-        let mut half = 0.01f64;
-        loop {
-            let window = Rect::new(
-                (p.x - half).max(0.0),
-                (p.y - half).max(0.0),
-                (p.x + half).min(1.0),
-                (p.y + half).min(1.0),
-            );
-            if self.grid.count_in_rect(&window) >= k || half >= 2.0 {
-                break;
-            }
-            half *= 2.0;
-        }
-        // Points within Chebyshev distance `half` are found; their max
-        // Euclidean distance is half·√2, so that radius is a safe cover.
-        let cover = half * std::f64::consts::SQRT_2;
-        let window = Rect::new(
-            (p.x - cover).max(0.0),
-            (p.y - cover).max(0.0),
-            (p.x + cover).min(1.0),
-            (p.y + cover).min(1.0),
-        );
-        let mut scored: Vec<(f64, u32)> = self
-            .grid
-            .ids_in_rect(&window)
-            .into_iter()
-            .map(|id| (self.pois[id as usize].position.dist_sq(&p), id))
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        scored.truncate(k);
-        scored.into_iter().map(|(_, id)| id).collect()
+        let mut top = TopK::default();
+        self.select_knn(p, k, &mut top);
+        top.into_ids()
     }
 
     /// Distance from `p` to its k-th nearest POI.
     pub fn kth_nn_dist(&self, p: Point, k: usize) -> f64 {
-        let ids = self.knn(p, k);
-        ids.last()
-            .map(|&id| self.pois[id as usize].position.dist(&p))
-            .unwrap_or(f64::INFINITY)
+        self.kth_nn_dist_in(p, k, &mut TopK::default())
+    }
+
+    /// [`PoiStore::kth_nn_dist`] selecting into a caller-owned `top`, so
+    /// repeated calls reuse one buffer.
+    pub(crate) fn kth_nn_dist_in(&self, p: Point, k: usize, top: &mut TopK) -> f64 {
+        self.select_knn(p, k, top);
+        top.kth().map_or(f64::INFINITY, |s| s.0.sqrt())
+    }
+
+    /// Selects the k nearest POIs to `p` into `top`.
+    ///
+    /// Grows a square window until it holds ≥ k POIs, then widens it once
+    /// more to the half-diagonal — POIs within Chebyshev distance `half`
+    /// lie within Euclidean `half·√2`, so no closer POI outside the square
+    /// is missed — and ranks that cover exactly. The windows are not clipped
+    /// to the unit square: clipping changes no in-square answer (every POI
+    /// lies in the square), and an unclipped window stays a valid rectangle
+    /// for a query point outside it. Growth stops once the window spans the
+    /// whole square from `p`, where it already holds every POI.
+    fn select_knn(&self, p: Point, k: usize, top: &mut TopK) {
+        let k = k.min(self.pois.len());
+        top.reset(k);
+        let reach =
+            p.x.abs()
+                .max((1.0 - p.x).abs())
+                .max(p.y.abs())
+                .max((1.0 - p.y).abs());
+        let mut half = 0.01f64;
+        while half < reach && !self.holds_at_least(&square(p, half), k) {
+            half *= 2.0;
+        }
+        let cover = square(p, half * std::f64::consts::SQRT_2);
+        for (ids, xs, ys) in self.grid.rect_cells(&cover) {
+            for ((&id, &x), &y) in ids.iter().zip(xs).zip(ys) {
+                let q = Point::new(x, y);
+                let d_sq = q.dist_sq(&p);
+                if top.admits(d_sq) && cover.contains(&q) {
+                    top.offer(d_sq, id);
+                }
+            }
+        }
+    }
+
+    /// True when `window` holds at least `k` POIs; stops counting there.
+    fn holds_at_least(&self, window: &Rect, k: usize) -> bool {
+        let mut n = 0;
+        for (_, xs, ys) in self.grid.rect_cells(window) {
+            if n >= k {
+                break;
+            }
+            n += xs
+                .iter()
+                .zip(ys)
+                .filter(|&(&x, &y)| window.contains(&Point::new(x, y)))
+                .count();
+        }
+        n >= k
     }
 
     /// Total content units of the given POIs — the transfer cost of
@@ -142,6 +170,18 @@ impl PoiStore {
         ids.iter()
             .map(|&id| self.pois[id as usize].content_units as u64)
             .sum()
+    }
+}
+
+/// The square of half-width `half` around `p`. A struct literal rather than
+/// `Rect::new`: a NaN query point then gives a window that contains nothing
+/// instead of tripping the inverted-rectangle assertion.
+fn square(p: Point, half: f64) -> Rect {
+    Rect {
+        min_x: p.x - half,
+        min_y: p.y - half,
+        max_x: p.x + half,
+        max_y: p.y + half,
     }
 }
 

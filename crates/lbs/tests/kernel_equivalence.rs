@@ -1,0 +1,362 @@
+//! The cloaked-query kernel against the collect-sort-filter algorithms it
+//! replaced, copied into [`oracle`] unchanged. Over uniform, California-like
+//! and duplicate-heavy stores, `handle` must return bit-identical candidates
+//! and transfer units, and `knn` / `refine_knn` the same ids in the same
+//! order (ties included). Queries outside the unit square, which the old
+//! code could not answer, are checked against linear scans instead.
+
+use nela_geo::{DatasetSpec, GridIndex, Point, Rect, SpatialDistribution};
+use nela_lbs::query::refine_knn;
+use nela_lbs::{CloakedQuery, LbsServer, Poi, PoiStore};
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+/// The original algorithms. `ids_in_rect` / `count_in_rect` are linear
+/// scans: the grid versions returned exactly the ascending ids of the
+/// points the rectangle contains.
+mod oracle {
+    use super::*;
+
+    pub fn ids_in_rect(store: &PoiStore, rect: &Rect) -> Vec<u32> {
+        (0..store.len() as u32)
+            .filter(|&i| rect.contains(&store.get(i).position))
+            .collect()
+    }
+
+    pub fn count_in_rect(store: &PoiStore, rect: &Rect) -> usize {
+        ids_in_rect(store, rect).len()
+    }
+
+    pub fn knn(store: &PoiStore, p: Point, k: usize) -> Vec<u32> {
+        let k = k.min(store.len());
+        let mut half = 0.01f64;
+        loop {
+            let window = Rect::new(
+                (p.x - half).max(0.0),
+                (p.y - half).max(0.0),
+                (p.x + half).min(1.0),
+                (p.y + half).min(1.0),
+            );
+            if count_in_rect(store, &window) >= k || half >= 2.0 {
+                break;
+            }
+            half *= 2.0;
+        }
+        let cover = half * std::f64::consts::SQRT_2;
+        let window = Rect::new(
+            (p.x - cover).max(0.0),
+            (p.y - cover).max(0.0),
+            (p.x + cover).min(1.0),
+            (p.y + cover).min(1.0),
+        );
+        let mut scored: Vec<(f64, u32)> = ids_in_rect(store, &window)
+            .into_iter()
+            .map(|id| (store.get(id).position.dist_sq(&p), id))
+            .collect();
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scored.truncate(k);
+        scored.into_iter().map(|(_, id)| id).collect()
+    }
+
+    pub fn kth_nn_dist(store: &PoiStore, p: Point, k: usize) -> f64 {
+        let ids = knn(store, p, k);
+        ids.last()
+            .map(|&id| store.get(id).position.dist(&p))
+            .unwrap_or(f64::INFINITY)
+    }
+
+    pub fn dist_to_rect(p: Point, r: &Rect) -> f64 {
+        let dx = (r.min_x - p.x).max(0.0).max(p.x - r.max_x);
+        let dy = (r.min_y - p.y).max(0.0).max(p.y - r.max_y);
+        dx.hypot(dy)
+    }
+
+    pub fn cloaked_range(store: &PoiStore, region: &Rect, radius: f64) -> Vec<u32> {
+        let expanded = Rect::new(
+            (region.min_x - radius).max(0.0),
+            (region.min_y - radius).max(0.0),
+            (region.max_x + radius).min(1.0),
+            (region.max_y + radius).min(1.0),
+        );
+        ids_in_rect(store, &expanded)
+            .into_iter()
+            .filter(|&id| dist_to_rect(store.get(id).position, region) <= radius)
+            .collect()
+    }
+
+    pub fn cloaked_krnn(store: &PoiStore, region: &Rect, k: usize) -> Vec<u32> {
+        let corners = [
+            Point::new(region.min_x, region.min_y),
+            Point::new(region.min_x, region.max_y),
+            Point::new(region.max_x, region.min_y),
+            Point::new(region.max_x, region.max_y),
+        ];
+        let d_max = corners
+            .iter()
+            .map(|&c| kth_nn_dist(store, c, k))
+            .fold(0.0f64, f64::max);
+        let diag = region.width().hypot(region.height());
+        cloaked_range(store, region, d_max + diag)
+    }
+
+    pub fn refine_knn(store: &PoiStore, candidates: &[u32], position: Point, k: usize) -> Vec<u32> {
+        let mut scored: Vec<(f64, u32)> = candidates
+            .iter()
+            .map(|&id| (store.get(id).position.dist_sq(&position), id))
+            .collect();
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scored.truncate(k);
+        scored.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Exact k nearest by a full scan, for queries the old code could not
+    /// answer.
+    pub fn linear_knn(store: &PoiStore, p: Point, k: usize) -> Vec<u32> {
+        let all: Vec<u32> = (0..store.len() as u32).collect();
+        refine_knn(store, &all, p, k)
+    }
+}
+
+/// A store over `points` with per-POI content sizes, so transfer units
+/// depend on which POIs are returned, not only on how many.
+fn store_of(points: &[Point], units: &[u32], cell: f64) -> PoiStore {
+    let pois = points
+        .iter()
+        .enumerate()
+        .map(|(i, &position)| Poi {
+            id: i as u32,
+            position,
+            category: 0,
+            content_units: units[i % units.len()],
+        })
+        .collect();
+    PoiStore::new(pois, cell)
+}
+
+const CELLS: [f64; 4] = [5e-3, 0.03, 0.1, 0.7];
+
+/// The three kinds of store: uniform, California-like, and duplicate-heavy
+/// — points on the 1/16 lattice of the closed unit square, so many exact
+/// duplicates (id tie-breaks), many POIs on the 0/1 edges, and many exact
+/// distances to lattice-aligned regions.
+fn build_store(kind: u8, n: usize, seed: u64, cell: usize, units: &[u32]) -> PoiStore {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let points: Vec<Point> = match kind {
+        0 => (0..n).map(|_| Point::new(rng.gen(), rng.gen())).collect(),
+        1 => DatasetSpec {
+            n: 8 * n,
+            seed,
+            distribution: SpatialDistribution::california(),
+        }
+        .generate(),
+        _ => (0..n)
+            .map(|_| {
+                let (i, j) = (rng.gen_range(0..17u32), rng.gen_range(0..17u32));
+                Point::new(i as f64 / 16.0, j as f64 / 16.0)
+            })
+            .collect(),
+    };
+    store_of(&points, units, CELLS[cell])
+}
+
+fn arb_store() -> impl Strategy<Value = PoiStore> {
+    (
+        0u8..3,
+        1usize..400,
+        0u64..u64::MAX,
+        0usize..CELLS.len(),
+        collection::vec(1u32..5000, 1..8),
+    )
+        .prop_map(|(kind, n, seed, cell, units)| build_store(kind, n, seed, cell, &units))
+}
+
+/// Regions inside the closed unit square: free-form, zero-area, and
+/// lattice-aligned (often touching the 0/1 edges).
+fn arb_region() -> impl Strategy<Value = Rect> {
+    (0u8..3, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.3, 0.0f64..0.3).prop_map(|(kind, x, y, w, h)| {
+        match kind {
+            0 => Rect::new(x, y, (x + w).min(1.0), (y + h).min(1.0)),
+            1 => Rect::from_point(Point::new(x, y)),
+            _ => {
+                let at = |v: f64, extra: f64| {
+                    ((v * 17.0) as u32 + (extra * 20.0) as u32).min(16) as f64 / 16.0
+                };
+                Rect::new(at(x, 0.0), at(y, 0.0), at(x, w), at(y, h))
+            }
+        }
+    })
+}
+
+/// Zero, free-form, or a multiple of 1/16 up to 1/2.
+fn arb_radius() -> impl Strategy<Value = f64> {
+    (0u8..3, 0.0f64..0.3).prop_map(|(kind, r)| match kind {
+        0 => 0.0,
+        1 => r,
+        _ => (r * 30.0).floor() / 16.0,
+    })
+}
+
+/// Small k, k at or above the store size, and the largest k.
+fn arb_k() -> impl Strategy<Value = usize> {
+    (0u8..3, 1usize..12, 250usize..450).prop_map(|(kind, small, large)| match kind {
+        0 => small,
+        1 => large,
+        _ => usize::MAX,
+    })
+}
+
+/// A position inside `region` from two unit fractions.
+fn inside(region: &Rect, fx: f64, fy: f64) -> Point {
+    Point::new(
+        (region.min_x + fx * region.width()).min(region.max_x),
+        (region.min_y + fy * region.height()).min(region.max_y),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn handle_matches_the_original_kernel(
+        store in arb_store(),
+        region in arb_region(),
+        radius in arb_radius(),
+        k in arb_k(),
+        fx in 0.0f64..1.0,
+        fy in 0.0f64..1.0,
+    ) {
+        let server = LbsServer::new(store);
+        let store = server.store();
+
+        let got = server.handle(&region, &CloakedQuery::Range { radius });
+        let expect = oracle::cloaked_range(store, &region, radius);
+        prop_assert_eq!(got.transfer_units, store.transfer_units(&expect));
+        prop_assert_eq!(&got.candidates, &expect);
+
+        let got = server.handle(&region, &CloakedQuery::Knn { k });
+        let expect = oracle::cloaked_krnn(store, &region, k);
+        prop_assert_eq!(got.transfer_units, store.transfer_units(&expect));
+        prop_assert_eq!(&got.candidates, &expect);
+
+        let p = inside(&region, fx, fy);
+        prop_assert_eq!(
+            refine_knn(store, &got.candidates, p, k),
+            oracle::refine_knn(store, &expect, p, k)
+        );
+    }
+
+    #[test]
+    fn knn_matches_the_original_selection(
+        store in arb_store(),
+        qx in 0.0f64..1.0,
+        qy in 0.0f64..1.0,
+        lattice in 0u8..2,
+        k in arb_k(),
+    ) {
+        // Lattice query points put many POIs at exactly equal distances.
+        let snap = |v: f64| if lattice == 1 { (v * 16.0).round() / 16.0 } else { v };
+        let p = Point::new(snap(qx), snap(qy));
+        prop_assert_eq!(store.knn(p, k), oracle::knn(&store, p, k));
+        prop_assert_eq!(
+            store.kth_nn_dist(p, k).to_bits(),
+            oracle::kth_nn_dist(&store, p, k).to_bits()
+        );
+        let all: Vec<u32> = (0..store.len() as u32).rev().collect();
+        prop_assert_eq!(
+            refine_knn(&store, &all, p, k),
+            oracle::refine_knn(&store, &all, p, k)
+        );
+    }
+
+    #[test]
+    fn rect_scans_are_unchanged(store in arb_store(), rect in arb_region(), cell in 0usize..CELLS.len()) {
+        let points: Vec<Point> = store.pois().iter().map(|p| p.position).collect();
+        let grid = GridIndex::build(&points, CELLS[cell]);
+        let expect = oracle::ids_in_rect(&store, &rect);
+        prop_assert_eq!(grid.count_in_rect(&rect), oracle::count_in_rect(&store, &rect));
+        prop_assert_eq!(grid.ids_in_rect(&rect), expect.clone());
+        prop_assert_eq!(store.range(&rect), expect);
+    }
+
+    #[test]
+    fn queries_outside_the_unit_square_are_exact(
+        store in arb_store(),
+        (x0, y0, x1, y1) in (-1.0f64..2.0, -1.0f64..2.0, -1.0f64..2.0, -1.0f64..2.0),
+        radius in arb_radius(),
+        k in 1usize..12,
+        fx in 0.0f64..1.0,
+        fy in 0.0f64..1.0,
+    ) {
+        let region = Rect::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1));
+        let p = Point::new(x0, y0);
+        prop_assert_eq!(store.knn(p, k), oracle::linear_knn(&store, p, k));
+        let kth = oracle::linear_knn(&store, p, k)
+            .last()
+            .map_or(f64::INFINITY, |&id| store.get(id).position.dist(&p));
+        prop_assert_eq!(store.kth_nn_dist(p, k).to_bits(), kth.to_bits());
+
+        let server = LbsServer::new(store);
+        let store = server.store();
+        let got = server.handle(&region, &CloakedQuery::Range { radius });
+        let expect: Vec<u32> = (0..store.len() as u32)
+            .filter(|&i| oracle::dist_to_rect(store.get(i).position, &region) <= radius)
+            .collect();
+        prop_assert_eq!(got.candidates, expect);
+
+        let got = server.handle(&region, &CloakedQuery::Knn { k });
+        let q = inside(&region, fx, fy);
+        prop_assert_eq!(
+            refine_knn(store, &got.candidates, q, k),
+            oracle::linear_knn(store, q, k)
+        );
+    }
+}
+
+/// POIs at exactly `radius` from a region corner (a 3-4-5 triangle and an
+/// axis offset, all dyadic, so every distance is exact in f64) stay in the
+/// candidate set, and POIs one step further stay out.
+#[test]
+fn pois_exactly_radius_from_a_corner_are_candidates() {
+    let region = Rect::new(0.25, 0.25, 0.5, 0.5);
+    let radius = 0.3125; // 5/16
+    let points = [
+        Point::new(0.5 + 0.1875, 0.5 + 0.25), // (3/16, 4/16) from (max, max)
+        Point::new(0.25 - 0.25, 0.25 - 0.1875), // (4/16, 3/16) from (min, min)
+        Point::new(0.5 + radius, 0.375),      // axis offset from the right edge
+        Point::new(0.5 + 0.1875, 0.5 + 0.25 + 1.0 / 1024.0),
+        Point::new(0.5 + radius + 1.0 / 1024.0, 0.375),
+        Point::new(0.375, 0.375),
+    ];
+    for cell in [5e-3, 0.1, 0.7] {
+        let server = LbsServer::new(store_of(&points, &[7, 11, 13], cell));
+        let got = server.handle(&region, &CloakedQuery::Range { radius });
+        assert_eq!(got.candidates, vec![0, 1, 2, 5], "cell {cell}");
+        assert_eq!(
+            got.candidates,
+            oracle::cloaked_range(server.store(), &region, radius)
+        );
+        assert_eq!(got.transfer_units, 7 + 11 + 13 + 13);
+    }
+}
+
+/// A point far outside the square (x = 5) gets its true nearest neighbours;
+/// the clipped windows of the old code inverted there.
+#[test]
+fn far_query_point_gets_true_neighbours() {
+    let points: Vec<Point> = (0..50)
+        .map(|i| Point::new((i % 10) as f64 / 9.0, (i / 10) as f64 / 4.0))
+        .collect();
+    let store = store_of(&points, &[1], 0.05);
+    let p = Point::new(5.0, 0.5);
+    assert_eq!(store.knn(p, 3), oracle::linear_knn(&store, p, 3));
+    assert_eq!(store.kth_nn_dist(p, 1), 4.0);
+    let region = Rect::new(4.0, 0.2, 5.0, 0.6);
+    let server = LbsServer::new(store);
+    let got = server.handle(&region, &CloakedQuery::Knn { k: 2 });
+    let q = Point::new(4.5, 0.4);
+    assert_eq!(
+        refine_knn(server.store(), &got.candidates, q, 2),
+        oracle::linear_knn(server.store(), q, 2)
+    );
+}

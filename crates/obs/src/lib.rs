@@ -74,10 +74,11 @@ pub mod stage {
     pub const MOBILITY_REBUILD: &str = "mobility.tick.rebuild";
     /// One `LbsServer::handle` call (query evaluation + transfer accounting).
     pub const LBS_HANDLE: &str = "lbs.handle";
-    /// One server-side cloaked range query (`cloaked_range`).
+    /// One server-side cloaked range query (`cloaked_range`). A kRNN query
+    /// records none: its inner range step belongs to `LBS_KRNN`.
     pub const LBS_RANGE: &str = "lbs.query.range";
-    /// One server-side kRNN query (`cloaked_krnn`), its inner range query
-    /// included.
+    /// One server-side kRNN query (`cloaked_krnn`), its corner selections
+    /// and inner range step included.
     pub const LBS_KRNN: &str = "lbs.query.krnn";
     /// One client-side refinement (`refine_range` / `refine_knn`).
     pub const LBS_REFINE: &str = "lbs.refine";
