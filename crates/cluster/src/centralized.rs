@@ -37,7 +37,9 @@
 //!
 //! - [`centralized_k_clustering`] — the production *level-based* algorithm
 //!   (fast: one Kruskal pass builds the class-merge forest, a top-down cut
-//!   and an ascending attachment scan finish in `O(E α(V))` after sorting),
+//!   and an ascending attachment scan finish in `O(E α(V))` after sorting,
+//!   and packing is one `O(V + E)` pass); [`centralized_k_clustering_edges`]
+//!   runs it on a super-cluster's local indices,
 //! - [`level_reference_k_clustering`] — a literal-minded slow
 //!   implementation of the same level semantics (differential oracle),
 //! - [`single_linkage_k_clustering`] — the fast binary-dendrogram cut
@@ -107,65 +109,58 @@ struct ClassNode {
 pub fn centralized_k_clustering(g: &Wpg, k: usize) -> GlobalClustering {
     assert!(k >= 1, "anonymity level must be at least 1");
     let mut edges: Vec<Edge> = g.edges().collect();
-    level_cluster_edge_list(g.n(), None, &mut edges, k)
+    level_cluster_edge_list(g.n(), &mut edges, k)
 }
 
-/// Level-based Algorithm 1 restricted to the induced subgraph on `members` —
-/// the third step of the distributed algorithm (Algorithm 2, line 16).
-pub fn centralized_k_clustering_subset(g: &Wpg, members: &[UserId], k: usize) -> GlobalClustering {
-    let member_set: std::collections::HashSet<UserId> = members.iter().copied().collect();
-    let edges: Vec<Edge> = g
-        .edges()
-        .filter(|e| member_set.contains(&e.u) && member_set.contains(&e.v))
-        .collect();
-    centralized_k_clustering_edges(members, &edges, k)
-}
-
-/// Level-based Algorithm 1 over an explicit vertex set and edge list — used
-/// by the distributed algorithm, whose host only holds the adjacency it
-/// gathered over the network. Every edge must join two members.
+/// Level-based Algorithm 1 over an explicit vertex set and edge list — the
+/// partition step of the distributed algorithm (Algorithm 2, line 16),
+/// whose host only holds the adjacency it gathered over the network.
+///
+/// Edges name vertices by their position in `members` (dense local indices
+/// `0..members.len()`, as [`crate::fetch::AdjCache::internal_edges`] emits
+/// them), so work and memory grow with `members`, not with the largest user
+/// id. The returned clusters name users by id. Because `members` ascends,
+/// local order is id order: every tie-break, and so the whole output, is
+/// the one the same clustering over user ids would produce.
+///
+/// # Panics
+/// If `k == 0`, if `members` is not strictly ascending, or if an edge
+/// endpoint is not a position in `members`.
 pub fn centralized_k_clustering_edges(
     members: &[UserId],
     edges: &[Edge],
     k: usize,
 ) -> GlobalClustering {
     assert!(k >= 1, "anonymity level must be at least 1");
-    let n = members
-        .iter()
-        .copied()
-        .max()
-        .map(|m| m as usize + 1)
-        .unwrap_or(0);
+    assert!(
+        members.windows(2).all(|w| w[0] < w[1]),
+        "members must be strictly ascending"
+    );
     let mut edges = edges.to_vec();
-    level_cluster_edge_list(n, Some(members), &mut edges, k)
+    let mut out = level_cluster_edge_list(members.len(), &mut edges, k);
+    let to_id = |i: &mut UserId| *i = members[*i as usize];
+    for c in &mut out.clusters {
+        c.members.iter_mut().for_each(to_id);
+    }
+    out.underfilled.iter_mut().flatten().for_each(to_id);
+    out
 }
 
-/// Shared core of the level-based algorithm.
-fn level_cluster_edge_list(
-    n: usize,
-    vertices: Option<&[UserId]>,
-    edges: &mut [Edge],
-    k: usize,
-) -> GlobalClustering {
+/// Shared core of the level-based algorithm, over the vertices `0..n`.
+fn level_cluster_edge_list(n: usize, edges: &mut [Edge], k: usize) -> GlobalClustering {
     edges.sort_unstable_by_key(|e| (e.w, e.u, e.v));
-    let vertex_list: Vec<UserId> = match vertices {
-        Some(vs) => vs.to_vec(),
-        None => (0..n as UserId).collect(),
-    };
 
     // ---- Pass 1: build the class-merge forest by ascending weight levels.
-    let mut nodes: Vec<ClassNode> = Vec::with_capacity(2 * vertex_list.len());
-    let mut node_of_root = vec![u32::MAX; n];
-    for &v in &vertex_list {
-        node_of_root[v as usize] = nodes.len() as u32;
-        nodes.push(ClassNode {
-            level: 0,
-            size: 1,
-            children: Vec::new(),
-            vertex: v,
-            open: false,
-        });
-    }
+    // Leaf node `v` is vertex `v`.
+    let mut nodes: Vec<ClassNode> = Vec::with_capacity(2 * n);
+    nodes.extend((0..n as UserId).map(|v| ClassNode {
+        level: 0,
+        size: 1,
+        children: Vec::new(),
+        vertex: v,
+        open: false,
+    }));
+    let mut node_of_root: Vec<u32> = (0..n as u32).collect();
     let mut ds = DisjointSets::new(n);
     let mut level_start = 0;
     let mut opened: Vec<u32> = Vec::new();
@@ -226,14 +221,13 @@ fn level_cluster_edge_list(
     }
 
     // ---- Pass 2: top-down cut — recurse into valid children only.
+    // Forest roots in order of their smallest vertex.
     let mut roots: Vec<u32> = Vec::new();
-    {
-        let mut seen = std::collections::HashSet::new();
-        for &v in &vertex_list {
-            let r = ds.find(v);
-            if seen.insert(r) {
-                roots.push(node_of_root[r as usize]);
-            }
+    let mut seen = vec![false; n];
+    for v in 0..n as u32 {
+        let r = ds.find(v) as usize;
+        if !std::mem::replace(&mut seen[r], true) {
+            roots.push(node_of_root[r]);
         }
     }
     let mut finals: Vec<u32> = Vec::new(); // final cluster nodes
@@ -319,12 +313,15 @@ fn level_cluster_edge_list(
     // Vertices of underfilled components have no seeded group; their edges
     // must not perturb the unsettled-group accounting.
     let mut in_underfilled = vec![false; n];
+    let mut underfilled = Vec::with_capacity(underfilled_nodes.len());
     for &u in &underfilled_nodes {
-        members_buf.clear();
-        collect_leaves(&nodes, u, &mut members_buf);
-        for &m in &members_buf {
+        let mut members = Vec::new();
+        collect_leaves(&nodes, u, &mut members);
+        members.sort_unstable();
+        for &m in &members {
             in_underfilled[m as usize] = true;
         }
+        underfilled.push(members);
     }
     if unsettled_groups > 0 {
         for e in edges.iter() {
@@ -355,40 +352,32 @@ fn level_cluster_edge_list(
         }
     }
 
-    // ---- Collect output.
-    let mut underfilled = Vec::new();
-    for &u in &underfilled_nodes {
-        members_buf.clear();
-        collect_leaves(&nodes, u, &mut members_buf);
-        let mut m = members_buf.clone();
-        m.sort_unstable();
-        underfilled.push(m);
-    }
-    let mut by_root: std::collections::HashMap<u32, Vec<UserId>> = std::collections::HashMap::new();
-    let underfilled_set: std::collections::HashSet<UserId> =
-        underfilled.iter().flatten().copied().collect();
-    for &v in &vertex_list {
-        if !underfilled_set.contains(&v) {
-            by_root.entry(ds2.find(v)).or_default().push(v);
+    // ---- Collect output. Visiting vertices in ascending order yields each
+    // cluster's members sorted and the clusters ordered by smallest member.
+    let mut cluster_of_root = vec![u32::MAX; n];
+    let mut clusters: Vec<Cluster> = Vec::new();
+    for v in 0..n as UserId {
+        if in_underfilled[v as usize] {
+            continue;
+        }
+        let root = ds2.find(v) as usize;
+        match cluster_of_root[root] {
+            u32::MAX => {
+                cluster_of_root[root] = clusters.len() as u32;
+                clusters.push(Cluster {
+                    members: vec![v],
+                    connectivity: connectivity[root],
+                });
+            }
+            ci => clusters[ci as usize].members.push(v),
         }
     }
-    let mut clusters: Vec<Cluster> = by_root
-        .into_iter()
-        .map(|(root, mut members)| {
-            members.sort_unstable();
-            Cluster {
-                members,
-                connectivity: connectivity[root as usize],
-            }
-        })
-        .collect();
-    clusters.sort_by_key(|c| c.members[0]);
     debug_assert!(
         clusters.iter().all(|c| c.members.len() >= k),
         "straggler attachment left an undersized cluster"
     );
     underfilled.sort();
-    let clusters = pack_oversized_clusters(clusters, edges, k);
+    let clusters = pack_oversized_clusters(n, clusters, edges, k);
     GlobalClustering {
         clusters,
         underfilled,
@@ -397,10 +386,147 @@ fn level_cluster_edge_list(
 
 /// Divides every cluster of size ≥ 2k into t-connected groups of size ≥ k
 /// (the packing pass; see module docs). Groups are carved bottom-up along a
-/// BFS spanning tree of the cluster's ≤ t edges: whenever a residual subtree
+/// BFS spanning tree of the cluster's ≤ t edges, taken from the smallest
+/// member with neighbors in ascending order: whenever a residual subtree
 /// reaches k vertices it becomes a group, and the undersized root remainder
-/// merges into an adjacent group. Deterministic for a fixed edge order.
-pub(crate) fn pack_oversized_clusters(
+/// merges into the group of the smallest carved child of any remainder
+/// vertex.
+///
+/// `clusters` cover vertices of `0..n` and are ordered by smallest member.
+/// One pass over `edges` buckets the ≤ t internal edges of every oversized
+/// cluster into a single CSR, and every cluster is then carved with
+/// vertex-indexed parent, residual and group arrays, so the pass is
+/// O(V + E) plus the sort of each neighbor list. The output equals
+/// [`reference_pack_oversized_clusters`] on the same input.
+fn pack_oversized_clusters(
+    n: usize,
+    clusters: Vec<Cluster>,
+    edges: &[Edge],
+    k: usize,
+) -> Vec<Cluster> {
+    const NONE: u32 = u32::MAX;
+    let oversized = |c: &Cluster| c.members.len() >= 2 * k;
+    if !clusters.iter().any(oversized) {
+        return clusters;
+    }
+    let mut owner = vec![NONE; n];
+    for (ci, c) in clusters.iter().enumerate().filter(|(_, c)| oversized(c)) {
+        for &m in &c.members {
+            owner[m as usize] = ci as u32;
+        }
+    }
+    let packed = |e: &&Edge| {
+        let c = owner[e.u as usize];
+        c != NONE && c == owner[e.v as usize] && e.w <= clusters[c as usize].connectivity
+    };
+    let mut offsets = vec![0u32; n + 1];
+    for e in edges.iter().filter(packed) {
+        offsets[e.u as usize + 1] += 1;
+        offsets[e.v as usize + 1] += 1;
+    }
+    for i in 1..=n {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut nbrs = vec![0 as UserId; offsets[n] as usize];
+    let mut fill = offsets.clone();
+    for e in edges.iter().filter(packed) {
+        nbrs[fill[e.u as usize] as usize] = e.v;
+        fill[e.u as usize] += 1;
+        nbrs[fill[e.v as usize] as usize] = e.u;
+        fill[e.v as usize] += 1;
+    }
+    for v in 0..n {
+        nbrs[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
+    }
+    let adj = |v: UserId| &nbrs[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
+
+    // Each vertex lies in one cluster, so these are written once, never reset.
+    let mut parent = vec![NONE; n];
+    let mut residual = vec![1u32; n];
+    let mut group = vec![NONE; n];
+    let mut order: Vec<UserId> = Vec::new();
+    let mut carved: Vec<UserId> = Vec::new(); // group g is rooted at carved[g]
+    let mut out = Vec::with_capacity(clusters.len());
+    for cluster in clusters {
+        if !oversized(&cluster) {
+            out.push(cluster);
+            continue;
+        }
+        let root = cluster.members[0];
+        parent[root as usize] = root;
+        order.clear();
+        order.push(root);
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for &y in adj(v) {
+                if parent[y as usize] == NONE {
+                    parent[y as usize] = v;
+                    order.push(y);
+                }
+            }
+        }
+        debug_assert_eq!(
+            order.len(),
+            cluster.members.len(),
+            "cluster not t-connected"
+        );
+
+        // Carve in reverse BFS order: a residual subtree that reaches k
+        // becomes a group and detaches from its parent.
+        carved.clear();
+        for &v in order[1..].iter().rev() {
+            if residual[v as usize] as usize >= k {
+                group[v as usize] = carved.len() as u32;
+                carved.push(v);
+            } else {
+                residual[parent[v as usize] as usize] += residual[v as usize];
+            }
+        }
+        // Everything else joins its nearest carved ancestor; the root
+        // remainder provisionally forms group `remainder`.
+        let remainder = carved.len() as u32;
+        group[root as usize] = remainder;
+        for &v in &order[1..] {
+            if group[v as usize] == NONE {
+                group[v as usize] = group[parent[v as usize] as usize];
+            }
+        }
+        // An undersized remainder merges into the group of the smallest
+        // carved vertex hanging off it (none is undersized when nothing was
+        // carved: the cluster holds ≥ 2k).
+        let target = if residual[root as usize] as usize >= k || carved.is_empty() {
+            remainder
+        } else {
+            let child = carved
+                .iter()
+                .filter(|&&c| group[parent[c as usize] as usize] == remainder)
+                .min()
+                .expect("tree connectivity guarantees an adjacent group");
+            group[*child as usize]
+        };
+        // Ascending members leave every group sorted.
+        let mut groups: Vec<Vec<UserId>> = vec![Vec::new(); carved.len() + 1];
+        for &m in &cluster.members {
+            let g = group[m as usize];
+            groups[if g == remainder { target } else { g } as usize].push(m);
+        }
+        groups.retain(|g| !g.is_empty());
+        debug_assert!(groups.iter().all(|g| g.len() >= k));
+        out.extend(groups.into_iter().map(|members| Cluster {
+            members,
+            connectivity: cluster.connectivity,
+        }));
+    }
+    out.sort_by_key(|c| c.members[0]);
+    out
+}
+
+/// The original per-cluster packing: builds each oversized cluster's
+/// adjacency by scanning every edge through hash maps. Kept as the packing
+/// of the [`level_reference_k_clustering`] oracle, so the differential tests
+/// also check [`pack_oversized_clusters`].
+fn reference_pack_oversized_clusters(
     clusters: Vec<Cluster>,
     edges: &[Edge],
     k: usize,
@@ -670,7 +796,7 @@ pub fn level_reference_k_clustering(g: &Wpg, k: usize) -> GlobalClustering {
         .collect();
     clusters.sort_by_key(|c| c.members[0]);
     underfilled.sort();
-    let clusters = pack_oversized_clusters(clusters, &all_edges, k);
+    let clusters = reference_pack_oversized_clusters(clusters, &all_edges, k);
     GlobalClustering {
         clusters,
         underfilled,
@@ -1043,18 +1169,36 @@ mod tests {
 
     #[test]
     fn subset_clustering_ignores_outside_vertices() {
+        // The right pentagon of fig6_like, its edges named by position in
+        // `members`: the clustering must cover exactly those users and equal
+        // the whole-graph clustering of the induced subgraph, relabeled.
         let g = fig6_like();
-        let members = vec![5, 6, 7, 8, 9];
-        let r = centralized_k_clustering_subset(&g, &members, 2);
-        let clustered: Vec<UserId> = r
+        let members: Vec<UserId> = vec![5, 6, 7, 8, 9];
+        let local = |u: UserId| members.binary_search(&u).ok().map(|i| i as UserId);
+        let edges: Vec<Edge> = g
+            .edges()
+            .filter_map(|e| Some(Edge::new(local(e.u)?, local(e.v)?, e.w)))
+            .collect();
+        let r = centralized_k_clustering_edges(&members, &edges, 2);
+        let mut clustered: Vec<UserId> = r
             .clusters
             .iter()
             .flat_map(|c| c.members.clone())
             .chain(r.underfilled.iter().flatten().copied())
             .collect();
-        let mut clustered_sorted = clustered.clone();
-        clustered_sorted.sort_unstable();
-        assert_eq!(clustered_sorted, members);
+        clustered.sort_unstable();
+        assert_eq!(clustered, members);
+        let mut induced = centralized_k_clustering(&Wpg::from_edges(members.len(), &edges), 2);
+        for c in &mut induced.clusters {
+            c.members.iter_mut().for_each(|i| *i = members[*i as usize]);
+        }
+        assert_eq!(r.clusters, induced.clusters);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn edge_list_clustering_rejects_unsorted_members() {
+        centralized_k_clustering_edges(&[3, 1, 2], &[Edge::new(0, 1, 1), Edge::new(1, 2, 1)], 2);
     }
 
     #[test]

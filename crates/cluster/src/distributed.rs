@@ -130,26 +130,25 @@ pub fn distributed_k_clustering_with_policy(
     assert!(kp.of(host) >= 1, "anonymity level must be at least 1");
     assert!(!removed(host), "host must not be already clustered");
     let mut adj = AdjCache::new(fetch, host);
-    let mut in_c: HashSet<UserId> = HashSet::from([host]);
+    let mut c = Growing::new(host);
     let mut t: Weight = 0;
-    let mut enqueued: HashSet<UserId> = HashSet::new();
 
     loop {
         // ---- Step 1: Prim-style span to the current requirement (exactly
         // k in the uniform case; the max k_i of the members so far in the
         // personalized one).
-        span_to_requirement(&mut adj, &mut in_c, &mut t, kp, removed)?;
+        span_to_requirement(&mut adj, &mut c, &mut t, kp, removed)?;
 
         // ---- Step 2: border validation loop. A vertex that passed once is
         // not rechecked within one pass (t only increases).
         let mut queue: VecDeque<UserId> = VecDeque::new();
-        collect_border(&mut adj, &in_c, removed, &mut queue, &mut enqueued)?;
+        collect_border(&mut adj, &mut c, removed, &mut queue)?;
 
         while let Some(v) = queue.pop_front() {
-            if in_c.contains(&v) {
+            if c.contains(v) {
                 continue; // absorbed since it was enqueued
             }
-            if border_has_valid_cluster(&mut adj, v, t, kp, removed, &in_c)? {
+            if border_has_valid_cluster(&mut adj, v, t, kp, removed, &c)? {
                 continue; // passes now, passes forever (t only increases)
             }
             // Absorb v; t rises to the lightest edge joining v to C. A border
@@ -158,21 +157,21 @@ pub fn distributed_k_clustering_with_policy(
             let join_w = adj
                 .get(v)?
                 .iter()
-                .filter(|(y, _)| in_c.contains(y))
+                .filter(|&&(y, _)| c.contains(y))
                 .map(|&(_, w)| w)
                 .min()
                 .ok_or(ClusterError::Inconsistent { user: v })?;
-            in_c.insert(v);
+            c.insert(v);
             t = t.max(join_w);
-            close_under_t(&mut adj, &mut in_c, t, removed)?;
-            collect_border(&mut adj, &in_c, removed, &mut queue, &mut enqueued)?;
+            close_under_t(&mut adj, &mut c, t, v, removed)?;
+            collect_border(&mut adj, &mut c, removed, &mut queue)?;
         }
 
         // Uniform policy: step 1 reached k and absorption only grows the
         // cluster, so this always holds and the loop runs exactly once.
         // Personalized: an absorbed member may have raised the requirement
         // past the current size — re-span with the enlarged border state.
-        if in_c.len() >= kp.required(in_c.iter().copied()) {
+        if c.len() >= kp.required(c.members.iter().copied()) {
             break;
         }
     }
@@ -181,21 +180,20 @@ pub fn distributed_k_clustering_with_policy(
     // adjacency already gathered (every member's list is cached). The
     // partition must satisfy the strictest member, so it cuts at the
     // super-cluster's own requirement.
-    let mut super_cluster: Vec<UserId> = in_c.iter().copied().collect();
+    let mut super_cluster = c.members;
     super_cluster.sort_unstable();
     let k_part = kp.required(super_cluster.iter().copied());
     let edges = adj.internal_edges(&super_cluster);
     let partition = centralized_k_clustering_edges(&super_cluster, &edges, k_part);
-    debug_assert!(
-        partition.underfilled.is_empty(),
-        "super-cluster is connected and ≥ k, its partition cannot underfill"
-    );
-    // The host is in the super-cluster and a connected super-cluster of
-    // size ≥ k cannot underfill, so over an honest transport the partition
-    // always covers the host; a corrupted adjacency view can break that.
+    // Over an honest transport the super-cluster is connected and ≥ k, so
+    // its partition covers everyone, host included. Peer lists are outside
+    // input, and contradictory ones can leave pieces underfilled.
     let host_idx = partition
         .cluster_of(host)
         .ok_or(ClusterError::Inconsistent { user: host })?;
+    if let Some(piece) = partition.underfilled.first() {
+        return Err(ClusterError::Inconsistent { user: piece[0] });
+    }
     let host_cluster = partition.clusters[host_idx].clone();
     let required_k = kp.required(host_cluster.members.iter().copied());
 
@@ -209,46 +207,93 @@ pub fn distributed_k_clustering_with_policy(
     })
 }
 
-/// Grows `in_c` Prim-style through edges in increasing weight order until
-/// its size meets the policy requirement of its own members (Algorithm 2
+/// The super-cluster C as it grows: membership, the order members joined,
+/// and how far closure and border collection have already looked, so
+/// neither re-walks members it has seen.
+struct Growing {
+    set: HashSet<UserId>,
+    members: Vec<UserId>,
+    /// The t of the last full closure. While t stays there, `members` is
+    /// closed under t-reachability: the span never breaks that, because a
+    /// closed C's external edges are all heavier than t, so anything the
+    /// span adds raises t.
+    closed_at: Option<Weight>,
+    /// `members[..bordered]` have had their border vertices collected.
+    bordered: usize,
+    /// Every vertex ever put on the border queue. One that passed its
+    /// check is not rechecked (t only increases).
+    queued: HashSet<UserId>,
+    /// Work list of the closure and the border collection.
+    work: Vec<UserId>,
+}
+
+impl Growing {
+    fn new(host: UserId) -> Self {
+        Growing {
+            set: HashSet::from([host]),
+            members: vec![host],
+            closed_at: None,
+            bordered: 0,
+            queued: HashSet::new(),
+            work: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    fn contains(&self, u: UserId) -> bool {
+        self.set.contains(&u)
+    }
+
+    /// Adds `u`; false when it already was a member.
+    fn insert(&mut self, u: UserId) -> bool {
+        let fresh = self.set.insert(u);
+        if fresh {
+            self.members.push(u);
+        }
+        fresh
+    }
+}
+
+/// Grows C Prim-style through edges in increasing weight order until its
+/// size meets the policy requirement of its own members (Algorithm 2
 /// lines 1–6). The heap is seeded from every current member's external
-/// edges; on the first call `in_c` is just the host, reproducing the
-/// original span exactly.
+/// edges; on the first call C is just the host, reproducing the original
+/// span exactly.
 fn span_to_requirement(
     adj: &mut AdjCache<'_>,
-    in_c: &mut HashSet<UserId>,
+    c: &mut Growing,
     t: &mut Weight,
     kp: KPolicy<'_>,
     removed: &dyn Fn(UserId) -> bool,
 ) -> Result<(), ClusterError> {
-    let mut need = kp.required(in_c.iter().copied());
-    if in_c.len() >= need {
+    let mut need = kp.required(c.members.iter().copied());
+    if c.len() >= need {
         return Ok(());
     }
-    let mut members: Vec<UserId> = in_c.iter().copied().collect();
+    let mut members = c.members.clone();
     members.sort_unstable();
     let mut heap: BinaryHeap<Reverse<(Weight, UserId)>> = BinaryHeap::new();
-    for c in members {
-        for &(v, w) in adj.get(c)? {
-            if !removed(v) && !in_c.contains(&v) {
+    for m in members {
+        for &(v, w) in adj.get(m)? {
+            if !removed(v) && !c.contains(v) {
                 heap.push(Reverse((w, v)));
             }
         }
     }
-    while in_c.len() < need {
+    while c.len() < need {
         let Some(Reverse((w, v))) = heap.pop() else {
-            return Err(ClusterError::ComponentTooSmall {
-                reachable: in_c.len(),
-            });
+            return Err(ClusterError::ComponentTooSmall { reachable: c.len() });
         };
-        if in_c.contains(&v) {
+        if !c.insert(v) {
             continue;
         }
-        in_c.insert(v);
         need = need.max(kp.of(v));
         *t = (*t).max(w);
         for &(y, wy) in adj.get(v)? {
-            if !removed(y) && !in_c.contains(&y) {
+            if !removed(y) && !c.contains(y) {
                 heap.push(Reverse((wy, y)));
             }
         }
@@ -258,20 +303,32 @@ fn span_to_requirement(
 
 /// Adds every not-yet-enqueued border vertex of C to the check queue. The
 /// adjacency of C members is already cached at the host, so this costs no
-/// new messages. Members are visited in id order so the border queue — and
-/// with it the whole absorption sequence — is deterministic.
+/// new messages. A member scanned by an earlier call has already enqueued
+/// every border vertex it lists (C only grows), so only the members added
+/// since are scanned; visiting them in id order gives the queue the order a
+/// rescan of all members in id order would — and with it a deterministic
+/// absorption sequence.
 fn collect_border(
     adj: &mut AdjCache<'_>,
-    in_c: &HashSet<UserId>,
+    c: &mut Growing,
     removed: &dyn Fn(UserId) -> bool,
     queue: &mut VecDeque<UserId>,
-    enqueued: &mut HashSet<UserId>,
 ) -> Result<(), ClusterError> {
-    let mut members: Vec<UserId> = in_c.iter().copied().collect();
-    members.sort_unstable();
-    for c in members {
-        for &(v, _) in adj.get(c)? {
-            if !in_c.contains(&v) && !removed(v) && enqueued.insert(v) {
+    let Growing {
+        set,
+        members,
+        bordered,
+        queued,
+        work: added,
+        ..
+    } = c;
+    added.clear();
+    added.extend_from_slice(&members[*bordered..]);
+    added.sort_unstable();
+    *bordered = members.len();
+    for &m in added.iter() {
+        for &(v, _) in adj.get(m)? {
+            if !set.contains(&v) && !removed(v) && queued.insert(v) {
                 queue.push_back(v);
             }
         }
@@ -279,20 +336,37 @@ fn collect_border(
     Ok(())
 }
 
-/// Expands `in_c` to its t-reachability closure ("span C with new t",
-/// Algorithm 2 line 14), fetching adjacency of every vertex that enters.
+/// Expands C to its t-reachability closure ("span C with new t",
+/// Algorithm 2 line 14) after `newcomer` joined, fetching the adjacency of
+/// every vertex that enters. While t is unchanged since the last full
+/// closure, C without the newcomer is already closed, so the walk starts
+/// from the newcomer alone; after t rises it starts from every member —
+/// at most once per distinct t.
 fn close_under_t(
     adj: &mut AdjCache<'_>,
-    in_c: &mut HashSet<UserId>,
+    c: &mut Growing,
     t: Weight,
+    newcomer: UserId,
     removed: &dyn Fn(UserId) -> bool,
 ) -> Result<(), ClusterError> {
-    let mut stack: Vec<UserId> = in_c.iter().copied().collect();
+    let Growing {
+        set,
+        members,
+        closed_at,
+        work: stack,
+        ..
+    } = c;
+    stack.clear();
+    if *closed_at == Some(t) {
+        stack.push(newcomer);
+    } else {
+        stack.extend_from_slice(members);
+        *closed_at = Some(t);
+    }
     while let Some(x) = stack.pop() {
-        let nbrs: Vec<(UserId, Weight)> = adj.get(x)?.to_vec();
-        for (y, w) in nbrs {
-            if w <= t && !removed(y) && !in_c.contains(&y) {
-                in_c.insert(y);
+        for &(y, w) in adj.get(x)? {
+            if w <= t && !removed(y) && set.insert(y) {
+                members.push(y);
                 stack.push(y);
             }
         }
@@ -313,7 +387,7 @@ fn border_has_valid_cluster(
     t: Weight,
     kp: KPolicy<'_>,
     removed: &dyn Fn(UserId) -> bool,
-    in_c: &HashSet<UserId>,
+    c: &Growing,
 ) -> Result<bool, ClusterError> {
     let mut visited: HashSet<UserId> = HashSet::from([v]);
     let mut queue: VecDeque<UserId> = VecDeque::from([v]);
@@ -323,9 +397,8 @@ fn border_has_valid_cluster(
                 return Ok(true);
             }
             while let Some(x) = queue.pop_front() {
-                let nbrs: Vec<(UserId, Weight)> = adj.get(x)?.to_vec();
-                for (y, w) in nbrs {
-                    if w <= t && !removed(y) && !in_c.contains(&y) && visited.insert(y) {
+                for &(y, w) in adj.get(x)? {
+                    if w <= t && !removed(y) && !c.contains(y) && visited.insert(y) {
                         if visited.len() >= k {
                             return Ok(true);
                         }
@@ -338,9 +411,8 @@ fn border_has_valid_cluster(
         KPolicy::PerUser(_) => {
             let mut need = kp.of(v);
             while let Some(x) = queue.pop_front() {
-                let nbrs: Vec<(UserId, Weight)> = adj.get(x)?.to_vec();
-                for (y, w) in nbrs {
-                    if w <= t && !removed(y) && !in_c.contains(&y) && visited.insert(y) {
+                for &(y, w) in adj.get(x)? {
+                    if w <= t && !removed(y) && !c.contains(y) && visited.insert(y) {
                         need = need.max(kp.of(y));
                         queue.push_back(y);
                     }
@@ -613,6 +685,22 @@ mod tests {
         }
         let err = distributed_k_clustering_with(&mut Liar, 0, 2, &no_removed).unwrap_err();
         assert_eq!(err, ClusterError::Inconsistent { user: 2 });
+    }
+
+    #[test]
+    fn one_sided_edge_yields_typed_inconsistency_in_every_build() {
+        // Host 1 lists an edge to 0 that 0 denies. The span takes 0 through
+        // the host's list, but the partition sees only edges listed by their
+        // smaller endpoint, so both users end up underfilled: the error must
+        // be typed in debug builds too, not an assertion.
+        struct OneSided;
+        impl PeerFetch for OneSided {
+            fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
+                Some(if u == 1 { vec![(0, 5)] } else { Vec::new() })
+            }
+        }
+        let err = distributed_k_clustering_with(&mut OneSided, 1, 2, &no_removed).unwrap_err();
+        assert_eq!(err, ClusterError::Inconsistent { user: 1 });
     }
 
     #[test]

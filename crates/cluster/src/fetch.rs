@@ -8,7 +8,8 @@
 //! peer failures).
 
 use nela_geo::UserId;
-use nela_wpg::{Weight, Wpg};
+use nela_wpg::{Edge, Weight, Wpg};
+use std::collections::hash_map::Entry;
 
 /// Source of peer adjacency lists. One `fetch` per distinct peer corresponds
 /// to one protocol message; the algorithms cache internally, so
@@ -59,14 +60,16 @@ impl<'f> AdjCache<'f> {
 
     /// The adjacency of `u`, fetching on first use.
     pub fn get(&mut self, u: UserId) -> Result<&[(UserId, Weight)], crate::ClusterError> {
-        if !self.map.contains_key(&u) {
-            let adj = self
-                .fetch
-                .fetch(u)
-                .ok_or(crate::ClusterError::PeerUnreachable { peer: u })?;
-            self.map.insert(u, adj);
+        match self.map.entry(u) {
+            Entry::Occupied(cached) => Ok(cached.into_mut()),
+            Entry::Vacant(slot) => {
+                let adj = self
+                    .fetch
+                    .fetch(u)
+                    .ok_or(crate::ClusterError::PeerUnreachable { peer: u })?;
+                Ok(slot.insert(adj))
+            }
         }
-        Ok(self.map.get(&u).expect("just inserted"))
     }
 
     /// Number of peers whose adjacency was fetched, excluding the host's own
@@ -75,16 +78,20 @@ impl<'f> AdjCache<'f> {
         self.map.len() - usize::from(self.map.contains_key(&self.host))
     }
 
-    /// Every undirected edge among `members` known to the cache, each once.
-    pub fn internal_edges(&self, members: &[UserId]) -> Vec<nela_wpg::Edge> {
-        let set: std::collections::HashSet<UserId> = members.iter().copied().collect();
+    /// Every undirected edge among `members` known to the cache, each once,
+    /// taken from the list of its smaller endpoint. Endpoints are positions
+    /// in `members`, which must be strictly ascending — the local indices
+    /// [`crate::centralized::centralized_k_clustering_edges`] takes.
+    pub fn internal_edges(&self, members: &[UserId]) -> Vec<Edge> {
         let mut edges = Vec::new();
-        for &m in members {
-            if let Some(adj) = self.map.get(&m) {
-                for &(v, w) in adj {
-                    if m < v && set.contains(&v) {
-                        edges.push(nela_wpg::Edge::new(m, v, w));
-                    }
+        for (i, &m) in members.iter().enumerate() {
+            let Some(adj) = self.map.get(&m) else {
+                continue;
+            };
+            let above = &members[i + 1..];
+            for &(v, w) in adj {
+                if let Ok(j) = above.binary_search(&v) {
+                    edges.push(Edge::new(i as UserId, (i + 1 + j) as UserId, w));
                 }
             }
         }
@@ -95,7 +102,6 @@ impl<'f> AdjCache<'f> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nela_wpg::Edge;
 
     #[test]
     fn cache_fetches_once_and_counts() {
@@ -118,6 +124,23 @@ mod tests {
         }
         let edges = cache.internal_edges(&[0, 1, 2]);
         assert_eq!(edges.len(), 2);
+    }
+
+    #[test]
+    fn internal_edges_name_members_by_position() {
+        let g = Wpg::from_edges(
+            4,
+            &[Edge::new(0, 1, 1), Edge::new(1, 3, 2), Edge::new(2, 3, 4)],
+        );
+        let mut local = LocalFetch::new(&g);
+        let mut cache = AdjCache::new(&mut local, 1);
+        for u in [1, 2, 3] {
+            cache.get(u).unwrap();
+        }
+        assert_eq!(
+            cache.internal_edges(&[1, 2, 3]),
+            vec![Edge::new(0, 2, 2), Edge::new(1, 2, 4)]
+        );
     }
 
     /// A fetch that fails for a chosen peer.
