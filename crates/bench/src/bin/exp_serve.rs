@@ -179,8 +179,8 @@ fn smoke() -> i32 {
         eprintln!("[smoke] FAIL: netsim replay diverged at a fixed seed");
         return 1;
     }
-    let net_a = na.net.clone().expect("netsim totals");
-    let net_b = nb.net.clone().expect("netsim totals");
+    let net_a = na.net.expect("netsim totals");
+    let net_b = nb.net.expect("netsim totals");
     if (net_a.transmissions, net_a.retransmits, net_a.timeouts)
         != (net_b.transmissions, net_b.retransmits, net_b.timeouts)
     {

@@ -8,15 +8,12 @@
 //! cover the host anyway, so this anchor reveals nothing beyond the final
 //! region itself.
 //!
-//! The assembly is written once, over a [`DirectionalTransport`] that hands
-//! out one [`VerifyTransport`] per run: [`LocalDirections`] asks in-memory
-//! values, and `nela-netsim`'s `SimDirections` asks peers over the simulated
-//! radio.
+//! The assembly is written once, in [`bounding_box`]. The caller supplies
+//! the directional run as a closure, so in-memory values, the simulated
+//! radio and adversarial peers all reach the same anchors, run order and
+//! clamp.
 
-use crate::protocol::{
-    progressive_upper_bound_with, BoundingError, BoundingRun, IncrementPolicy, LocalValues,
-    VerifyTransport,
-};
+use crate::protocol::{BoundingError, BoundingRun};
 use nela_geo::{Point, Rect};
 
 /// One of the four directional runs of a box.
@@ -45,50 +42,6 @@ impl Direction {
     }
 }
 
-/// Carries the verification questions of the four directional runs: one
-/// [`VerifyTransport`] per run, whose participant `i` answers about
-/// member `i`'s [`Direction::value`].
-pub trait DirectionalTransport {
-    /// The transport of one run; it may borrow the carrier mutably (a
-    /// network), so runs are handed out one at a time.
-    type Run<'r>: VerifyTransport
-    where
-        Self: 'r;
-
-    /// The transport asking every member about `dir`'s value.
-    fn run(&mut self, dir: Direction) -> Self::Run<'_>;
-}
-
-/// In-memory [`DirectionalTransport`]: each run is a [`LocalValues`] over
-/// the members' coordinates (one reused value buffer for all four runs).
-pub struct LocalDirections<'a> {
-    points: &'a [Point],
-    values: Vec<f64>,
-}
-
-impl<'a> LocalDirections<'a> {
-    /// Wraps the members' positions.
-    pub fn new(points: &'a [Point]) -> Self {
-        LocalDirections {
-            points,
-            values: Vec::with_capacity(points.len()),
-        }
-    }
-}
-
-impl DirectionalTransport for LocalDirections<'_> {
-    type Run<'r>
-        = LocalValues<'r>
-    where
-        Self: 'r;
-
-    fn run(&mut self, dir: Direction) -> LocalValues<'_> {
-        self.values.clear();
-        self.values.extend(self.points.iter().map(|p| dir.value(p)));
-        LocalValues::new(&self.values)
-    }
-}
-
 /// The four directional runs and the assembled region.
 #[derive(Debug, Clone)]
 pub struct BboxOutcome {
@@ -103,52 +56,28 @@ pub struct BboxOutcome {
     pub runs: [BoundingRun; 4],
 }
 
-/// Runs secure bounding in all four directions over the cluster members'
-/// `points`, anchored at the host's own position, and assembles the cloaked
-/// rectangle. `policy_factory` builds a fresh increment policy per direction
-/// (policies may carry per-run state).
+/// Four directional progressive bounding runs, each anchored at the host's
+/// own coordinate, assembled into the cloaked rectangle clipped to `domain`.
+///
+/// `run(dir, x0, domain_min)` performs one run: it bounds every member's
+/// [`Direction::value`] from above starting at `x0`, with `domain_min` the
+/// public lower end of that value's domain. The runs go XHigh, XLow, YHigh,
+/// YLow. The assembly never looks at the members, so any two runs whose
+/// participants answer identically (a lossless network and local values)
+/// yield bit-identical boxes.
 ///
 /// # Errors
-/// As [`bounding_box`].
-pub fn secure_bounding_box(
-    points: &[Point],
-    host: Point,
-    domain: Rect,
-    policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
-) -> Result<BboxOutcome, BoundingError> {
-    bounding_box(
-        &mut LocalDirections::new(points),
-        host,
-        domain,
-        policy_factory,
-    )
-}
-
-/// Four directional progressive bounding runs over `transports`, each
-/// anchored at the host's own coordinate, assembled into the cloaked
-/// rectangle clipped to `domain`. The assembly is transport-independent,
-/// so any two transports whose participants answer identically (a lossless
-/// network and local values) yield bit-identical boxes.
-///
-/// # Errors
-/// [`BoundingError::EmptyCluster`] on an empty member list, plus any failure
-/// of the four directional runs (an unreachable participant included) — a
+/// The first run's error, unchanged; later runs are not started. An empty
+/// member list surfaces as the run's [`BoundingError::EmptyCluster`], an
+/// unreachable participant as its [`BoundingError::Unreachable`] — a
 /// malformed cluster degrades the single request instead of aborting the
 /// process.
-pub fn bounding_box<D: DirectionalTransport>(
-    transports: &mut D,
+pub fn bounding_box(
     host: Point,
     domain: Rect,
-    mut policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
+    mut run: impl FnMut(Direction, f64, f64) -> Result<BoundingRun, BoundingError>,
 ) -> Result<BboxOutcome, BoundingError> {
-    let mut run = |dir: Direction, domain_min: f64| {
-        progressive_upper_bound_with(
-            &mut transports.run(dir),
-            dir.value(&host),
-            domain_min,
-            &mut *policy_factory(),
-        )
-    };
+    let mut run = |dir: Direction, domain_min: f64| run(dir, dir.value(&host), domain_min);
     let x_hi = run(Direction::XHigh, domain.min_x)?;
     let x_lo = run(Direction::XLow, -domain.max_x)?;
     let y_hi = run(Direction::YHigh, domain.min_y)?;
@@ -174,6 +103,7 @@ pub fn bounding_box<D: DirectionalTransport>(
 mod tests {
     use super::*;
     use crate::baselines::LinearPolicy;
+    use crate::protocol::progressive_upper_bound;
 
     fn cluster() -> Vec<Point> {
         vec![
@@ -184,13 +114,18 @@ mod tests {
         ]
     }
 
+    /// The box over in-memory values under a linear policy of `step`.
+    fn local_box(pts: &[Point], host: Point, step: f64) -> Result<BboxOutcome, BoundingError> {
+        bounding_box(host, Rect::UNIT, |dir, x0, domain_min| {
+            let values: Vec<f64> = pts.iter().map(|p| dir.value(p)).collect();
+            progressive_upper_bound(&values, x0, domain_min, &mut LinearPolicy::new(step))
+        })
+    }
+
     #[test]
     fn region_covers_every_member() {
         let pts = cluster();
-        let out = secure_bounding_box(&pts, pts[0], Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.01))
-        })
-        .unwrap();
+        let out = local_box(&pts, pts[0], 0.01).unwrap();
         for p in &pts {
             assert!(out.rect.contains(p), "{p:?} outside {:?}", out.rect);
         }
@@ -200,10 +135,7 @@ mod tests {
     fn region_contains_tight_bbox_with_bounded_slack() {
         let pts = cluster();
         let step = 0.005;
-        let out = secure_bounding_box(&pts, pts[0], Rect::UNIT, || {
-            Box::new(LinearPolicy::new(step))
-        })
-        .unwrap();
+        let out = local_box(&pts, pts[0], step).unwrap();
         let tight = Rect::bounding(&pts).unwrap();
         assert!(out.rect.contains_rect(&tight));
         assert!(out.rect.width() <= tight.width() + 2.0 * step + 1e-12);
@@ -213,10 +145,7 @@ mod tests {
     #[test]
     fn region_clipped_to_domain() {
         let pts = vec![Point::new(0.99, 0.99), Point::new(0.97, 0.98)];
-        let out = secure_bounding_box(&pts, pts[0], Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.05))
-        })
-        .unwrap();
+        let out = local_box(&pts, pts[0], 0.05).unwrap();
         assert!(out.rect.max_x <= 1.0 && out.rect.max_y <= 1.0);
         assert!(Rect::UNIT.contains_rect(&out.rect));
     }
@@ -224,10 +153,7 @@ mod tests {
     #[test]
     fn messages_are_summed_over_four_runs() {
         let pts = cluster();
-        let out = secure_bounding_box(&pts, pts[0], Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.5))
-        })
-        .unwrap();
+        let out = local_box(&pts, pts[0], 0.5).unwrap();
         // Step 0.5 covers each direction in one round of 4 messages.
         assert_eq!(out.rounds, 4);
         assert_eq!(out.messages, 16);
@@ -235,10 +161,7 @@ mod tests {
 
     #[test]
     fn empty_cluster_is_a_typed_error() {
-        let err = secure_bounding_box(&[], Point::new(0.5, 0.5), Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.05))
-        })
-        .unwrap_err();
+        let err = local_box(&[], Point::new(0.5, 0.5), 0.05).unwrap_err();
         assert_eq!(err, BoundingError::EmptyCluster);
     }
 
@@ -246,8 +169,42 @@ mod tests {
     fn host_is_always_inside() {
         let pts = cluster();
         let host = pts[2];
-        let out = secure_bounding_box(&pts, host, Rect::UNIT, || Box::new(LinearPolicy::new(0.02)))
-            .unwrap();
+        let out = local_box(&pts, host, 0.02).unwrap();
         assert!(out.rect.contains(&host));
+    }
+
+    #[test]
+    fn runs_follow_the_direction_order_anchors_and_floors() {
+        let host = Point::new(0.3, 0.6);
+        let domain = Rect::new(0.1, 0.2, 0.9, 0.8);
+        let mut calls = Vec::new();
+        let out = bounding_box(host, domain, |dir, x0, domain_min| {
+            calls.push((dir, x0, domain_min));
+            progressive_upper_bound(&[x0], x0, domain_min, &mut LinearPolicy::new(0.01))
+        })
+        .unwrap();
+        assert_eq!(
+            calls,
+            vec![
+                (Direction::XHigh, 0.3, 0.1),
+                (Direction::XLow, -0.3, -0.9),
+                (Direction::YHigh, 0.6, 0.2),
+                (Direction::YLow, -0.6, -0.8),
+            ]
+        );
+        assert!(out.rect.contains(&host));
+
+        // The first error is returned as is and stops the later runs.
+        let mut started = Vec::new();
+        let err = bounding_box(host, domain, |dir, x0, domain_min| {
+            started.push(dir);
+            if dir == Direction::XLow {
+                return Err(BoundingError::Unreachable { index: 3 });
+            }
+            progressive_upper_bound(&[x0], x0, domain_min, &mut LinearPolicy::new(0.01))
+        })
+        .unwrap_err();
+        assert_eq!(err, BoundingError::Unreachable { index: 3 });
+        assert_eq!(started, vec![Direction::XHigh, Direction::XLow]);
     }
 }

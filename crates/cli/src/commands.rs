@@ -679,7 +679,7 @@ pub fn robustness(raw: Vec<String>) -> Result<(), ArgError> {
         leak_floor: args.num_or("leak-floor", base.leak_floor)?,
         seed: args.num_or("seed", base.seed)?,
     };
-    let cells = nela::scenario_matrix(&cfg);
+    let cells = nela::scenario_matrix(&cfg).map_err(|e| ArgError(e.to_string()))?;
     if args.flag("json") {
         let report = serde_json::json!({ "config": cfg, "cells": cells });
         println!(
@@ -728,5 +728,25 @@ fn mark(ok: bool) -> &'static str {
         "ok"
     } else {
         "VIOLATED"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn robustness_rejects_bad_matrix_values_as_arg_errors() {
+        for (flag, value, field) in [
+            ("crash-round", "0", "crash_round "),
+            ("k", "0", "k "),
+            ("users", "0", "n_users "),
+            ("leak-floor", "-1", "leak_floor "),
+            ("leak-floor", "nan", "leak_floor "),
+        ] {
+            let raw = vec![format!("--{flag}"), value.to_string()];
+            let err = robustness(raw).expect_err("bad value must be rejected");
+            assert!(err.0.starts_with(field), "--{flag} {value}: {}", err.0);
+        }
     }
 }

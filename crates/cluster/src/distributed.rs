@@ -77,18 +77,6 @@ pub fn distributed_k_clustering(
     distributed_k_clustering_with(&mut fetch, host, k, removed)
 }
 
-/// Runs Algorithm 2 for `host` on an in-memory WPG under a per-user
-/// anonymity policy. See [`distributed_k_clustering_with_policy`].
-pub fn distributed_k_clustering_policy(
-    g: &Wpg,
-    host: UserId,
-    kp: KPolicy<'_>,
-    removed: &dyn Fn(UserId) -> bool,
-) -> Result<DistributedOutcome, ClusterError> {
-    let mut fetch = LocalFetch::new(g);
-    distributed_k_clustering_with_policy(&mut fetch, host, kp, removed)
-}
-
 /// Runs Algorithm 2 for `host`, fetching peer adjacency through `fetch`.
 /// Vertices with `removed(v) == true` (previously clustered users) are
 /// treated as absent from the remaining WPG.
@@ -596,8 +584,13 @@ mod tests {
         let ks = vec![5usize; 80];
         for host in [0u32, 7, 23, 61, 79] {
             let uni = distributed_k_clustering(&g, host, 5, &no_removed).unwrap();
-            let per = distributed_k_clustering_policy(&g, host, KPolicy::PerUser(&ks), &no_removed)
-                .unwrap();
+            let per = distributed_k_clustering_with_policy(
+                &mut LocalFetch::new(&g),
+                host,
+                KPolicy::PerUser(&ks),
+                &no_removed,
+            )
+            .unwrap();
             assert_eq!(per.host_cluster, uni.host_cluster, "host {host}");
             assert_eq!(per.all_clusters, uni.all_clusters);
             assert_eq!(per.super_cluster, uni.super_cluster);
@@ -616,7 +609,9 @@ mod tests {
         let mut ks = vec![2usize; 30];
         ks[11] = 6;
         let kp = KPolicy::PerUser(&ks);
-        let out = distributed_k_clustering_policy(&g, 11, kp, &no_removed).unwrap();
+        let out =
+            distributed_k_clustering_with_policy(&mut LocalFetch::new(&g), 11, kp, &no_removed)
+                .unwrap();
         assert!(out.host_cluster.contains(11));
         assert!(out.required_k >= 6);
         assert!(
@@ -648,7 +643,9 @@ mod tests {
         let mut ks = vec![2usize; 5];
         ks[2] = 5;
         let kp = KPolicy::PerUser(&ks);
-        let out = distributed_k_clustering_policy(&g, 0, kp, &no_removed).unwrap();
+        let out =
+            distributed_k_clustering_with_policy(&mut LocalFetch::new(&g), 0, kp, &no_removed)
+                .unwrap();
         assert!(out.super_cluster.contains(&2), "strict user absorbed");
         assert_eq!(out.super_cluster.len(), 5, "{:?}", out.super_cluster);
         assert_eq!(out.required_k, 5);
@@ -662,8 +659,13 @@ mod tests {
         // The strict user demands more anonymity than its component holds.
         let g = Wpg::from_edges(3, &[Edge::new(0, 1, 1), Edge::new(1, 2, 2)]);
         let ks = vec![5usize, 1, 1];
-        let err =
-            distributed_k_clustering_policy(&g, 0, KPolicy::PerUser(&ks), &no_removed).unwrap_err();
+        let err = distributed_k_clustering_with_policy(
+            &mut LocalFetch::new(&g),
+            0,
+            KPolicy::PerUser(&ks),
+            &no_removed,
+        )
+        .unwrap_err();
         assert_eq!(err, ClusterError::ComponentTooSmall { reachable: 3 });
     }
 

@@ -33,12 +33,12 @@ pub mod registry;
 
 pub use centralized::{centralized_k_clustering, reference_k_clustering, GlobalClustering};
 pub use distributed::{
-    distributed_k_clustering, distributed_k_clustering_policy, distributed_k_clustering_with,
-    distributed_k_clustering_with_policy, DistributedOutcome,
+    distributed_k_clustering, distributed_k_clustering_with, distributed_k_clustering_with_policy,
+    DistributedOutcome,
 };
 pub use fetch::{LocalFetch, PeerFetch};
 pub use knn::{knn_cluster, knn_cluster_with, KnnOutcome, TieBreak};
-pub use registry::{ClaimOutcome, ClusterRegistry, ShardTelemetry, ShardedRegistry};
+pub use registry::{ClaimOutcome, ClusterRegistry, ShardedRegistry};
 
 use nela_geo::UserId;
 use nela_wpg::Weight;

@@ -23,7 +23,7 @@ use crate::Cluster;
 use nela_geo::{Point, Rect, UserId};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 /// Identifier of a registered cluster.
@@ -332,7 +332,6 @@ pub enum ClaimOutcome {
 pub struct ShardedRegistry {
     base: ClusterRegistry,
     base_count: u32,
-    axis: usize,
     /// Home shard of every user, from its position in the shard grid.
     shard_of_user: Vec<u32>,
     /// Current cluster id per user ([`UNASSIGNED`] when free). Writers hold
@@ -340,31 +339,6 @@ pub struct ShardedRegistry {
     /// it is certain (stores happen after validation, under the locks).
     assignment: Vec<AtomicU32>,
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard contention counters, attributed to the host's home shard.
-    telemetry: Vec<ShardCounters>,
-}
-
-/// Always-on relaxed counters per shard; reads may be slightly torn while
-/// claims are in flight, which is fine for telemetry.
-#[derive(Debug, Default)]
-struct ShardCounters {
-    claims: AtomicU64,
-    conflicts: AtomicU64,
-    lock_wait_ns: AtomicU64,
-}
-
-/// Frozen per-shard contention telemetry (see
-/// [`ShardedRegistry::shard_telemetry`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardTelemetry {
-    /// `try_claim` calls whose host is homed in this shard.
-    pub claims: u64,
-    /// Those claims rejected because a rival won a member first.
-    pub conflicts: u64,
-    /// Total nanoseconds those claims spent acquiring shard locks. Only
-    /// measured while the `nela-obs` global recorder is enabled (timing
-    /// every lock costs two clock reads per claim); 0 otherwise.
-    pub lock_wait_ns: u64,
 }
 
 #[derive(Default)]
@@ -406,40 +380,13 @@ impl ShardedRegistry {
         let base_count = base.cluster_count() as u32;
         let mut shards = Vec::with_capacity(axis * axis);
         shards.resize_with(axis * axis, || Mutex::new(Shard::default()));
-        let mut telemetry = Vec::with_capacity(axis * axis);
-        telemetry.resize_with(axis * axis, ShardCounters::default);
         ShardedRegistry {
             base,
             base_count,
-            axis,
             shard_of_user,
             assignment,
             shards,
-            telemetry,
         }
-    }
-
-    /// Per-shard contention counters accumulated so far in this batch,
-    /// indexed by shard id (`sy * axis + sx`).
-    pub fn shard_telemetry(&self) -> Vec<ShardTelemetry> {
-        self.telemetry
-            .iter()
-            .map(|t| ShardTelemetry {
-                claims: t.claims.load(Ordering::Relaxed),
-                conflicts: t.conflicts.load(Ordering::Relaxed),
-                lock_wait_ns: t.lock_wait_ns.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Number of shards (`shards_per_axis²`).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard-grid resolution per axis.
-    pub fn shards_per_axis(&self) -> usize {
-        self.axis
     }
 
     /// Lock-free: true when `u` currently belongs to a cluster. The
@@ -506,18 +453,11 @@ impl ShardedRegistry {
             .map(|&m| self.shard_of_user[m as usize] as usize)
             .collect();
         let order: Vec<usize> = touched.into_iter().collect();
-        let host_shard = self.shard_of_user[host as usize] as usize;
-        self.telemetry[host_shard]
-            .claims
-            .fetch_add(1, Ordering::Relaxed);
         let mut guards: Vec<_> = if nela_obs::enabled() {
             let started = Instant::now();
             let guards: Vec<_> = order.iter().map(|&s| self.shards[s].lock()).collect();
             let waited = nela_obs::saturating_ns(started.elapsed());
             nela_obs::observe(nela_obs::stage::REGISTRY_LOCK_WAIT, waited);
-            self.telemetry[host_shard]
-                .lock_wait_ns
-                .fetch_add(waited, Ordering::Relaxed);
             guards
         } else {
             order.iter().map(|&s| self.shards[s].lock()).collect()
@@ -531,9 +471,6 @@ impl ShardedRegistry {
                 .flat_map(|c| &c.members)
                 .any(|&m| claimed(m))
         {
-            self.telemetry[host_shard]
-                .conflicts
-                .fetch_add(1, Ordering::Relaxed);
             nela_obs::add(nela_obs::counter::CLAIM_CONFLICTS, 1);
             return ClaimOutcome::Conflict;
         }
@@ -778,7 +715,6 @@ mod tests {
     fn sharded_claim_and_lookup() {
         let pts = two_region_points();
         let sharded = ShardedRegistry::new(ClusterRegistry::new(8), &pts, 2);
-        assert_eq!(sharded.n_shards(), 4);
         assert!(!sharded.is_clustered(1));
         match sharded.try_claim(1, vec![cluster(&[0, 1, 2])]) {
             ClaimOutcome::Claimed { id, members } => {
@@ -879,36 +815,6 @@ mod tests {
         assert_eq!(reg.cluster_count(), 3);
         assert_eq!(reg.reciprocity_violation(), None);
         assert!((reg.get(b).region.unwrap().area() - 0.04).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shard_telemetry_attributes_claims_and_conflicts() {
-        let pts = two_region_points();
-        let sharded = ShardedRegistry::new(ClusterRegistry::new(8), &pts, 2);
-        assert!(matches!(
-            sharded.try_claim(0, vec![cluster(&[0, 1])]),
-            ClaimOutcome::Claimed { .. }
-        ));
-        // Host 2 lives in the same (lower-left) shard; its claim conflicts
-        // on member 1.
-        assert!(matches!(
-            sharded.try_claim(2, vec![cluster(&[1, 2])]),
-            ClaimOutcome::Conflict
-        ));
-        // Host 7 is in the upper-right shard: an independent clean claim.
-        assert!(matches!(
-            sharded.try_claim(7, vec![cluster(&[6, 7])]),
-            ClaimOutcome::Claimed { .. }
-        ));
-        let t = sharded.shard_telemetry();
-        assert_eq!(t.len(), 4);
-        let home_ll = 0; // shard of (0.1, 0.1) at axis 2
-        let home_ur = 3; // shard of (0.9, 0.9) at axis 2
-        assert_eq!(t[home_ll].claims, 2);
-        assert_eq!(t[home_ll].conflicts, 1);
-        assert_eq!(t[home_ur].claims, 1);
-        assert_eq!(t[home_ur].conflicts, 0);
-        assert_eq!(t.iter().map(|s| s.claims).sum::<u64>(), 3);
     }
 
     #[test]

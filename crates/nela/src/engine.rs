@@ -15,8 +15,9 @@
 //!    rectangle under the configured [`BoundingAlgo`].
 //!
 //! Every distributed-algorithm request — serial, batched, in a concurrent
-//! [`EngineSession`], in-process or over the simulated radio — runs the one
-//! loop in `CloakingEngine::serve`: lookup/reuse → phase 1 → claim (retry
+//! [`EngineSession`], in-process, over the simulated radio or under the
+//! scenario matrix's adversarial peers — runs the one loop in
+//! `CloakingEngine::serve`: lookup/reuse → phase 1 → claim (retry
 //! on conflict) → phase 2 → publish. The loop is generic over the registry's
 //! claim surface (`ClusterRegistry` serially, `ShardedRegistry` in a
 //! session) and over the transport carrying the protocol phases (in-process
@@ -25,11 +26,13 @@
 use crate::params::Params;
 use crate::system::System;
 use nela_bounding::baselines::{ExponentialPolicy, LinearPolicy};
-use nela_bounding::bbox::{bounding_box, BboxOutcome, LocalDirections};
+use nela_bounding::bbox::{bounding_box, BboxOutcome};
 use nela_bounding::cost::AreaCost;
 use nela_bounding::distribution::Uniform;
 use nela_bounding::nbound::SecurePolicy;
-use nela_bounding::protocol::{BoundingError, IncrementPolicy};
+use nela_bounding::protocol::{
+    progressive_upper_bound_with, BoundingError, IncrementPolicy, LocalValues,
+};
 use nela_cluster::centralized::centralized_k_clustering;
 use nela_cluster::distributed::{distributed_k_clustering_with_policy, DistributedOutcome};
 use nela_cluster::knn::{knn_cluster, TieBreak};
@@ -38,8 +41,9 @@ use nela_cluster::registry::{
 };
 use nela_cluster::{ClusterError, KPolicy, LocalFetch};
 use nela_geo::{Point, Rect, UserId};
-use nela_netsim::{ConfigError, Network, NetworkConfig, NetworkStats, SimDirections, SimFetch};
+use nela_netsim::{ConfigError, Network, NetworkConfig, NetworkStats, SimFetch, SimVerify};
 use nela_wpg::Wpg;
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -218,21 +222,27 @@ thread_local! {
         std::cell::RefCell::new(RequestScratch::default());
 }
 
-/// How one request's protocol phases reach its peers. Two
-/// implementations: [`Local`] (in-memory adjacency and values) and
-/// [`Radio`] (RPCs over a simulated network).
-trait Transport {
-    /// Phase 1: Algorithm 2 for `host` over the remaining WPG.
+/// How one request's protocol phases reach its peers. Three
+/// implementations: [`Local`] (in-memory adjacency and values), [`Radio`]
+/// (RPCs over a simulated network) and the scenario matrix's adversarial
+/// transport (in-memory phase 1, phase 2 under crashing, lying or
+/// colluding peers).
+pub(crate) trait Transport {
+    /// Phase 1: Algorithm 2 for `host` over the remaining WPG, by default
+    /// over in-memory adjacency (`LocalFetch`).
     fn cluster(
         &mut self,
         wpg: &Wpg,
         host: UserId,
         kp: KPolicy<'_>,
         removed: &dyn Fn(UserId) -> bool,
-    ) -> Result<DistributedOutcome, ClusterError>;
+    ) -> Result<DistributedOutcome, ClusterError> {
+        distributed_k_clustering_with_policy(&mut LocalFetch::new(wpg), host, kp, removed)
+    }
 
     /// Phase 2: the four directional bounding runs over the members
-    /// (`members[i]` sits at `points[i]`), anchored at the host.
+    /// (`members[i]` sits at `points[i]`), anchored at the host and
+    /// assembled by [`bounding_box`].
     fn bound_box(
         &mut self,
         host: UserId,
@@ -251,16 +261,6 @@ trait Transport {
 struct Local;
 
 impl Transport for Local {
-    fn cluster(
-        &mut self,
-        wpg: &Wpg,
-        host: UserId,
-        kp: KPolicy<'_>,
-        removed: &dyn Fn(UserId) -> bool,
-    ) -> Result<DistributedOutcome, ClusterError> {
-        distributed_k_clustering_with_policy(&mut LocalFetch::new(wpg), host, kp, removed)
-    }
-
     fn bound_box(
         &mut self,
         _host: UserId,
@@ -269,12 +269,13 @@ impl Transport for Local {
         points: &[Point],
         policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
     ) -> Result<BboxOutcome, BoundingError> {
-        bounding_box(
-            &mut LocalDirections::new(points),
-            host_point,
-            Rect::UNIT,
-            policy,
-        )
+        let mut values = Vec::with_capacity(points.len());
+        bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
+            values.clear();
+            values.extend(points.iter().map(|p| dir.value(p)));
+            let mut transport = LocalValues::new(&values);
+            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut *policy())
+        })
     }
 }
 
@@ -348,8 +349,14 @@ impl Transport for Radio<'_> {
         points: &[Point],
         policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
     ) -> Result<BboxOutcome, BoundingError> {
-        let mut dirs = SimDirections::new(self.net(), host, members, points);
-        bounding_box(&mut dirs, host_point, Rect::UNIT, policy)
+        let net = self.net();
+        let mut values = Vec::with_capacity(members.len());
+        bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
+            values.clear();
+            values.extend(members.iter().zip(points).map(|(&u, p)| (u, dir.value(p))));
+            let mut transport = SimVerify::new(&mut *net, host, &values);
+            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut *policy())
+        })
     }
 
     fn end_attempt(&mut self) {
@@ -470,8 +477,19 @@ impl<'a> CloakingEngine<'a> {
     /// remaining WPG (paper Fig. 5's disconnected problem);
     /// [`RequestError::Bounding`] when phase 2 fails on a malformed cluster.
     pub fn request(&mut self, host: UserId) -> Result<CloakingResult, RequestError> {
+        self.request_over(&mut Local, host)
+    }
+
+    /// [`CloakingEngine::request`] with `transport` carrying the distributed
+    /// algorithm's protocol phases — the scenario matrix's entry for its
+    /// adversarial transport.
+    pub(crate) fn request_over<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        host: UserId,
+    ) -> Result<CloakingResult, RequestError> {
         let result = match self.clustering {
-            ClusteringAlgo::TConnDistributed => self.serve_serial(host),
+            ClusteringAlgo::TConnDistributed => self.serve_serial(transport, host),
             ClusteringAlgo::TConnCentralized | ClusteringAlgo::HilbAsr => self.request_global(host),
             // The kNN baseline forms a fresh group per request (no reuse).
             ClusteringAlgo::Knn(tie) => self.request_knn(host, tie),
@@ -743,9 +761,13 @@ impl<'a> CloakingEngine<'a> {
 
     /// Serves `host` through the shared loop over the engine's own registry,
     /// lent out so the loop can borrow the rest of the engine immutably.
-    fn serve_serial(&mut self, host: UserId) -> Result<CloakingResult, RequestError> {
+    fn serve_serial<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        host: UserId,
+    ) -> Result<CloakingResult, RequestError> {
         let mut registry = std::mem::replace(&mut self.registry, ClusterRegistry::new(0));
-        let result = self.serve(&mut registry, &mut Local, host);
+        let result = self.serve(&mut registry, transport, host);
         self.registry = registry;
         result
     }
@@ -768,7 +790,7 @@ impl<'a> CloakingEngine<'a> {
             }
         }
         // The setup is charged to the request that triggered it.
-        self.serve_serial(host).map(|r| CloakingResult {
+        self.serve_serial(&mut Local, host).map(|r| CloakingResult {
             clustering_messages: setup,
             reused: r.reused && setup == 0,
             ..r
@@ -884,7 +906,7 @@ impl NetAccumulator {
 /// Aggregate network activity of a netsim-backed session — the sum of every
 /// request's per-request [`NetworkStats`] (reuse fast-path requests
 /// contribute nothing: they never touch the radio).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct SessionNetStats {
     /// Transmissions put on the air (requests + replies, lost included).
     pub transmissions: u64,

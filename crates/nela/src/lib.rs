@@ -55,7 +55,7 @@ pub use metrics::{service_request_cost, WorkloadStats};
 pub use params::Params;
 pub use scenario::{
     personalized_k_levels, run_scenario_on, scenario_matrix, scenario_system, Adversary,
-    CellOutcome, GeoAxis, KAxis, MatrixConfig, PrivacyVerdict, ScenarioSpec,
+    CellOutcome, GeoAxis, KAxis, MatrixConfig, MatrixConfigError, PrivacyVerdict, ScenarioSpec,
 };
 pub use system::System;
 pub use verify::{audit_result, AuditReport};

@@ -14,9 +14,11 @@
 //! - **geography** — a uniform population, or the extreme rush-hour skew of
 //!   [`SpatialDistribution::rush_hour`].
 //!
-//! Each cell of the matrix runs a full two-phase workload (distributed
-//! clustering with cluster-isolation bookkeeping, then four directional
-//! secure-bounding runs per cluster) and folds every request into a
+//! Each cell serves its requests through one [`CloakingEngine`] — the
+//! library's one request loop (distributed clustering with the registry's
+//! cluster-isolation bookkeeping, then secure bounding assembled by
+//! [`bounding_box`]) — over an engine transport whose phase 2 runs under
+//! the cell's adversary. Every request folds into a
 //! [`PrivacyVerdict`]: k-anonymity audited against ground truth, transcript
 //! leak widths against a floor, coalition knowledge against the
 //! per-transcript bound, and crash recovery against the typed-degrade
@@ -26,15 +28,15 @@
 //! end in a served-and-audited region over the survivors or a typed
 //! degrade, never a panic or a silently wrong box.
 
+use crate::engine::{BoundingAlgo, CloakingEngine, ClusteringAlgo, Transport};
 use crate::params::Params;
 use crate::system::System;
-use nela_bounding::nbound::SecurePolicy;
+use crate::verify::audit_result;
 use nela_bounding::{
-    collusion_leak_report, leak_report, progressive_upper_bound_resilient,
-    progressive_upper_bound_with, AreaCost, BoundingError, BoundingRun, CrashingValues,
-    IncrementPolicy, LieMode, LocalValues, LyingValues, Uniform,
+    bounding_box, collusion_leak_report, leak_report, progressive_upper_bound_resilient,
+    progressive_upper_bound_with, BboxOutcome, BoundingError, CrashingValues, IncrementPolicy,
+    LieMode, LocalValues, LyingValues,
 };
-use nela_cluster::distributed::distributed_k_clustering_policy;
 use nela_cluster::KPolicy;
 use nela_geo::{Point, Rect, SpatialDistribution, UserId};
 use rand::{Rng, SeedableRng};
@@ -263,270 +265,240 @@ pub fn scenario_system(geo: GeoAxis, n_users: usize, k: usize, seed: u64) -> Sys
     System::build(&p)
 }
 
-/// A cluster produced during a cell run, with its lazily-bounded region
-/// (phase 2 runs on the first request from one of its members).
-struct StoredCluster {
-    members: Vec<UserId>,
-    required_k: usize,
-    region: Option<Rect>,
-}
-
 /// Runs one cell against a pre-built system (build it once per geography
 /// with [`scenario_system`] and share it across the cells of that column).
-pub fn run_scenario_on(system: &System, spec: &ScenarioSpec) -> CellOutcome {
+///
+/// # Errors
+/// Rejects a system built with `k = 0`, a crash round of 0 (rounds are
+/// 1-based) and a negative or NaN leak floor before any request runs.
+pub fn run_scenario_on(
+    system: &System,
+    spec: &ScenarioSpec,
+) -> Result<CellOutcome, MatrixConfigError> {
+    check_cell(system.params.k, spec.adversary, spec.leak_floor)?;
     let n = system.points.len();
     let levels = match spec.k_axis {
         KAxis::Uniform => None,
         KAxis::Personalized => Some(personalized_k_levels(n, system.params.k, spec.seed)),
     };
+    let mut engine = CloakingEngine::new(
+        system,
+        ClusteringAlgo::TConnDistributed,
+        BoundingAlgo::Secure,
+    );
     let kp = match &levels {
         None => KPolicy::Uniform(system.params.k),
-        Some(ls) => KPolicy::PerUser(ls),
+        Some(ls) => {
+            engine = engine.with_personalized_k(ls.clone());
+            KPolicy::PerUser(ls)
+        }
     };
     let hosts = system.host_sequence(spec.requests.min(n), spec.seed ^ 0x5343_454e); // "SCEN"
 
-    let mut v = PrivacyVerdict::fresh(hosts.len());
-    let mut assigned = vec![false; n];
-    let mut cluster_of: Vec<Option<usize>> = vec![None; n];
-    let mut clusters: Vec<StoredCluster> = Vec::new();
-
+    let mut transport = Adversarial {
+        spec,
+        kp,
+        verdict: PrivacyVerdict::fresh(hosts.len()),
+    };
     for &host in &hosts {
-        // Phase 1: cluster the host, or find the cluster a previous request
-        // already placed it in (reciprocity: one region per cluster).
-        let cid = match cluster_of[host as usize] {
-            Some(cid) => cid,
-            None => {
-                let outcome = {
-                    let removed = |u: UserId| assigned[u as usize];
-                    distributed_k_clustering_policy(&system.wpg, host, kp, &removed)
-                };
-                match outcome {
-                    Ok(out) => {
-                        let mut host_cid = usize::MAX;
-                        for c in out.all_clusters {
-                            let cid = clusters.len();
-                            for &m in &c.members {
-                                assigned[m as usize] = true;
-                                cluster_of[m as usize] = Some(cid);
-                            }
-                            if c.contains(host) {
-                                host_cid = cid;
-                            }
-                            let required_k = c.required_k(kp);
-                            clusters.push(StoredCluster {
-                                members: c.members,
-                                required_k,
-                                region: None,
-                            });
-                        }
-                        debug_assert_ne!(host_cid, usize::MAX, "host not in its own partition");
-                        host_cid
-                    }
-                    Err(_) => {
-                        // Typed degrade (component too small in the
-                        // remaining WPG) — counted, never fatal.
-                        v.degraded += 1;
-                        continue;
-                    }
-                }
-            }
-        };
-        let required_k = clusters[cid].required_k;
-        if let Some(region) = clusters[cid].region {
-            v.served += 1;
-            v.reused += 1;
-            audit_region(&mut v, system, &region, required_k);
-            continue;
-        }
-        // Phase 2: four directional secure-bounding runs under the cell's
-        // adversary, assembled into the cloaked rectangle.
-        let members = clusters[cid].members.clone();
-        match bound_cluster(system, spec, host, &members, required_k, &mut v) {
-            Some(region) => {
-                clusters[cid].region = Some(region);
+        let result = engine.request_over(&mut transport, host);
+        let v = &mut transport.verdict;
+        match result {
+            Ok(r) => {
                 v.served += 1;
-                audit_region(&mut v, system, &region, required_k);
+                v.reused += usize::from(r.reused);
+                let audit = audit_result(system, &r);
+                v.k_anonymity_held &= audit.k_satisfied && audit.within_domain;
             }
-            None => v.degraded += 1,
+            // Typed degrade (component too small in the remaining WPG, a
+            // bounding failure, or crash recovery below the anonymity
+            // level) — counted, never fatal.
+            Err(_) => v.degraded += 1,
         }
     }
 
-    let passed = expectation_met(spec.adversary, &v);
-    CellOutcome {
+    let verdict = transport.verdict;
+    Ok(CellOutcome {
         spec: spec.clone(),
-        verdict: v,
-        passed,
-    }
+        verdict,
+        passed: expectation_met(spec.adversary, &verdict),
+    })
 }
 
-/// Audits one served region against ground truth.
-fn audit_region(v: &mut PrivacyVerdict, system: &System, region: &Rect, required_k: usize) {
-    let users_in = system.grid.count_in_rect(region);
-    v.k_anonymity_held &= users_in >= required_k && Rect::UNIT.contains_rect(region);
+/// The scenario's engine transport: the in-memory phase 1, and a phase 2
+/// that bounds the box under the cell's adversary and folds every
+/// transcript into the cell's verdict.
+struct Adversarial<'a> {
+    spec: &'a ScenarioSpec,
+    /// The engine's anonymity policy (crash recovery must keep
+    /// `required_k` survivors).
+    kp: KPolicy<'a>,
+    verdict: PrivacyVerdict,
 }
 
-/// Runs phase 2 for one cluster under the cell's adversary. Returns the
-/// cloaked region, or `None` when the request must degrade (a typed
-/// bounding failure, or crash recovery left fewer survivors than the
-/// anonymity requirement).
-fn bound_cluster(
-    system: &System,
-    spec: &ScenarioSpec,
-    host: UserId,
-    members: &[UserId],
-    required_k: usize,
-    v: &mut PrivacyVerdict,
-) -> Option<Rect> {
-    let p = &system.params;
-    let pts: Vec<Point> = members.iter().map(|&m| system.points[m as usize]).collect();
-    let cluster_size = members.len();
-    let host_idx = members
-        .binary_search(&host)
-        .expect("host is a member of its own cluster");
-    let host_pt = system.points[host as usize];
+impl Transport for Adversarial<'_> {
+    /// Returns the box, or the error the request must degrade with: a
+    /// typed bounding failure, or [`BoundingError::Unreachable`] naming the
+    /// first dropped member when crash recovery left fewer survivors than
+    /// the anonymity requirement.
+    fn bound_box(
+        &mut self,
+        host: UserId,
+        host_point: Point,
+        members: &[UserId],
+        points: &[Point],
+        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+    ) -> Result<BboxOutcome, BoundingError> {
+        let adversary = self.spec.adversary;
+        let cluster_size = members.len();
+        // Adversary roles: the lowest-indexed non-host members take them
+        // (deterministic, so reruns replay bit-identically).
+        let role_count = match adversary {
+            Adversary::Honest => 0,
+            Adversary::Colluders { c } => c,
+            Adversary::Liars { l } => l,
+            Adversary::Crash { peers, .. } => peers,
+        };
+        let roles: Vec<usize> = (0..cluster_size)
+            .filter(|&i| members[i] != host)
+            .take(role_count)
+            .collect();
 
-    // Same increment policy as the engine's BoundingAlgo::Secure.
-    let span = p.uniform_span(cluster_size);
-    let cr_1d = p.cr * p.n_users as f64;
-    let mut policy_factory = || {
-        Box::new(SecurePolicy::new(
-            Uniform::new(span),
-            AreaCost { cr: cr_1d },
-            p.cb,
-        )) as Box<dyn IncrementPolicy>
-    };
-
-    // Adversary roles: the lowest-indexed non-host members take them
-    // (deterministic, so reruns replay bit-identically).
-    let role_count = match spec.adversary {
-        Adversary::Honest => 0,
-        Adversary::Colluders { c } => c,
-        Adversary::Liars { l } => l,
-        Adversary::Crash { peers, .. } => peers,
-    };
-    let adversary_idx: Vec<usize> = (0..cluster_size)
-        .filter(|&i| i != host_idx)
-        .take(role_count)
-        .collect();
-
-    let xs: Vec<f64> = pts.iter().map(|pt| pt.x).collect();
-    let ys: Vec<f64> = pts.iter().map(|pt| pt.y).collect();
-    let neg_xs: Vec<f64> = xs.iter().map(|x| -x).collect();
-    let neg_ys: Vec<f64> = ys.iter().map(|y| -y).collect();
-    let domain = Rect::UNIT;
-    let dirs: [(&[f64], f64, f64); 4] = [
-        (&xs, host_pt.x, domain.min_x),
-        (&neg_xs, -host_pt.x, -domain.max_x),
-        (&ys, host_pt.y, domain.min_y),
-        (&neg_ys, -host_pt.y, -domain.max_y),
-    ];
-
-    let mut dropped = vec![false; cluster_size];
-    let mut runs: Vec<BoundingRun> = Vec::with_capacity(4);
-    for (values, x0, domain_min) in dirs {
-        let run = match spec.adversary {
-            Adversary::Honest | Adversary::Colluders { .. } => {
-                let mut t = LocalValues::new(values);
-                progressive_upper_bound_with(&mut t, x0, domain_min, &mut *policy_factory())
-            }
-            Adversary::Liars { .. } => {
-                let mut t = LyingValues::new(values, &adversary_idx, LieMode::AgreeEarly);
-                progressive_upper_bound_with(&mut t, x0, domain_min, &mut *policy_factory())
-            }
-            Adversary::Crash { .. } => {
-                let round = match spec.adversary {
-                    Adversary::Crash { round, .. } => round,
-                    _ => unreachable!(),
-                };
-                let mut t = CrashingValues::new(values, &adversary_idx, round);
-                match progressive_upper_bound_resilient(&mut t, x0, domain_min, &mut policy_factory)
-                {
-                    Ok(out) => {
-                        for &i in &out.dropped {
-                            dropped[i] = true;
-                        }
-                        Ok(out.run)
+        let mut values = Vec::with_capacity(cluster_size);
+        let mut dropped = vec![false; cluster_size];
+        let boxed = bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
+            values.clear();
+            values.extend(points.iter().map(|p| dir.value(p)));
+            match adversary {
+                Adversary::Honest | Adversary::Colluders { .. } => {
+                    let mut t = LocalValues::new(&values);
+                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut *policy())
+                }
+                Adversary::Liars { .. } => {
+                    let mut t = LyingValues::new(&values, &roles, LieMode::AgreeEarly);
+                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut *policy())
+                }
+                Adversary::Crash { round, .. } => {
+                    let mut t = CrashingValues::new(&values, &roles, round);
+                    let out =
+                        progressive_upper_bound_resilient(&mut t, x0, domain_min, &mut *policy)?;
+                    for &i in &out.dropped {
+                        dropped[i] = true;
                     }
-                    Err(e) => Err(e),
+                    Ok(out.run)
                 }
             }
-        };
-        match run {
-            Ok(run) => runs.push(run),
-            Err(BoundingError::Unreachable { .. }) => {
-                // The resilient path must absorb crashes; a raw Unreachable
-                // escaping it is a recovery bug the verdict pins.
-                if matches!(spec.adversary, Adversary::Crash { .. }) {
-                    v.recovery_sound = false;
+        });
+        let v = &mut self.verdict;
+        let out = boxed.map_err(|e| {
+            // The resilient path must absorb crashes; a raw Unreachable
+            // escaping it is a recovery bug the verdict pins.
+            if let (Adversary::Crash { .. }, BoundingError::Unreachable { .. }) = (adversary, e) {
+                v.recovery_sound = false;
+            }
+            e
+        })?;
+
+        for run in &out.runs {
+            // No non-member exposure: every transcript record names a member,
+            // and (crash drops aside) exactly the members.
+            v.no_non_member_exposure &= run.records.iter().all(|r| r.index < cluster_size);
+            let expected = match adversary {
+                Adversary::Crash { .. } => run.records.len() <= cluster_size,
+                _ => run.records.len() == cluster_size,
+            };
+            v.no_non_member_exposure &= expected;
+
+            // Leak accounting: no transcript interval at or below the floor,
+            // and (for collusion cells) the coalition never beats the
+            // transcript bound.
+            let lr = leak_report(run, self.spec.leak_floor);
+            if lr.min_width.is_finite() {
+                v.worst_leak_width = v.worst_leak_width.min(lr.min_width);
+            }
+            v.leak_floor_held &= lr.min_width > self.spec.leak_floor;
+            if matches!(adversary, Adversary::Colluders { .. }) && !roles.is_empty() {
+                let cr = collusion_leak_report(run, &roles, self.spec.leak_floor);
+                if cr.worst_width.is_finite() {
+                    v.collusion_worst_width = v.collusion_worst_width.min(cr.worst_width);
                 }
-                return None;
+                v.collusion_bounded_by_transcript &= cr.worst_width >= lr.min_width - 1e-12;
             }
-            Err(_) => return None,
         }
-    }
 
-    // No non-member exposure: every transcript record names a member, and
-    // (crash drops aside) exactly the members.
-    for run in &runs {
-        v.no_non_member_exposure &= run.records.iter().all(|r| r.index < cluster_size);
-        let expected = match spec.adversary {
-            Adversary::Crash { .. } => run.records.len() <= cluster_size,
-            _ => run.records.len() == cluster_size,
+        // Crash recovery below the anonymity requirement must degrade, not
+        // serve a region that only covers too few survivors.
+        if let Some(first) = dropped.iter().position(|&d| d) {
+            let survivors = dropped.iter().filter(|&&d| !d).count();
+            if survivors < self.kp.required(members.iter().copied()) {
+                return Err(BoundingError::Unreachable { index: first });
+            }
+        }
+
+        // Truthful, non-crashed members must be covered by the region they
+        // agreed to share; liars and crashers forfeit their own coverage.
+        let liars: &[usize] = match adversary {
+            Adversary::Liars { .. } => &roles,
+            _ => &[],
         };
-        v.no_non_member_exposure &= expected;
-    }
-
-    // Leak accounting: no transcript interval at or below the floor, and
-    // (for collusion cells) the coalition never beats the transcript bound.
-    for run in &runs {
-        let lr = leak_report(run, spec.leak_floor);
-        if lr.min_width.is_finite() {
-            v.worst_leak_width = v.worst_leak_width.min(lr.min_width);
-        }
-        v.leak_floor_held &= lr.min_width > spec.leak_floor;
-        if matches!(spec.adversary, Adversary::Colluders { .. }) && !adversary_idx.is_empty() {
-            let cr = collusion_leak_report(run, &adversary_idx, spec.leak_floor);
-            if cr.worst_width.is_finite() {
-                v.collusion_worst_width = v.collusion_worst_width.min(cr.worst_width);
+        for (i, pt) in points.iter().enumerate() {
+            if liars.contains(&i) || dropped[i] {
+                continue;
             }
-            v.collusion_bounded_by_transcript &= cr.worst_width >= lr.min_width - 1e-12;
+            v.truthful_coverage &= out.rect.contains(pt);
+        }
+
+        Ok(out)
+    }
+}
+
+/// A rejected [`MatrixConfig`] (or scenario cell) with the offending field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MatrixConfigError {
+    /// `n_users` was zero.
+    NoUsers,
+    /// `k` was zero.
+    ZeroK,
+    /// `crash_round` was zero (rounds are 1-based).
+    ZeroCrashRound,
+    /// `leak_floor` was negative or NaN.
+    BadLeakFloor(f64),
+}
+
+impl std::fmt::Display for MatrixConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MatrixConfigError::NoUsers => write!(f, "n_users must be positive"),
+            MatrixConfigError::ZeroK => write!(f, "k must be at least 1"),
+            MatrixConfigError::ZeroCrashRound => {
+                write!(f, "crash_round must be at least 1 (rounds are 1-based)")
+            }
+            MatrixConfigError::BadLeakFloor(x) => {
+                write!(f, "leak_floor {x} must be non-negative")
+            }
         }
     }
+}
 
-    // Crash recovery below the anonymity requirement must degrade, not
-    // serve a region that only covers too few survivors.
-    if matches!(spec.adversary, Adversary::Crash { .. }) {
-        let survivors = cluster_size - dropped.iter().filter(|&&d| d).count();
-        if survivors < required_k {
-            return None;
-        }
+impl std::error::Error for MatrixConfigError {}
+
+/// The checks one cell needs: a positive `k`, a 1-based crash round and a
+/// non-negative leak floor.
+fn check_cell(k: usize, adversary: Adversary, leak_floor: f64) -> Result<(), MatrixConfigError> {
+    if k == 0 {
+        return Err(MatrixConfigError::ZeroK);
     }
-
-    let rect = Rect::new(
-        (-runs[1].bound).clamp(domain.min_x, domain.max_x),
-        (-runs[3].bound).clamp(domain.min_y, domain.max_y),
-        runs[0].bound.clamp(domain.min_x, domain.max_x),
-        runs[2].bound.clamp(domain.min_y, domain.max_y),
-    );
-
-    // Truthful, non-crashed members must be covered by the region they
-    // agreed to share; liars and crashers forfeit their own coverage.
-    let liars: &[usize] = match spec.adversary {
-        Adversary::Liars { .. } => &adversary_idx,
-        _ => &[],
-    };
-    for (i, pt) in pts.iter().enumerate() {
-        if liars.contains(&i) || dropped[i] {
-            continue;
-        }
-        v.truthful_coverage &= rect.contains(pt);
+    if let Adversary::Crash { round: 0, .. } = adversary {
+        return Err(MatrixConfigError::ZeroCrashRound);
     }
-
-    Some(rect)
+    if leak_floor.is_nan() || leak_floor < 0.0 {
+        return Err(MatrixConfigError::BadLeakFloor(leak_floor));
+    }
+    Ok(())
 }
 
 /// Workload knobs shared by every cell of one matrix run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MatrixConfig {
     /// Population size per system.
     pub n_users: usize,
@@ -549,10 +521,11 @@ pub struct MatrixConfig {
 }
 
 impl MatrixConfig {
-    /// The benchmark configuration (`exp_robustness` Part D).
+    /// The benchmark configuration (`exp_robustness` Part D, which writes
+    /// `BENCH_robustness.json`).
     pub fn bench() -> MatrixConfig {
         MatrixConfig {
-            n_users: 6_000,
+            n_users: 10_000,
             k: 8,
             requests: 100,
             colluders: 3,
@@ -578,12 +551,28 @@ impl MatrixConfig {
             seed: 42,
         }
     }
+
+    /// Validates every field, returning the first offender.
+    pub fn validate(&self) -> Result<(), MatrixConfigError> {
+        if self.n_users == 0 {
+            return Err(MatrixConfigError::NoUsers);
+        }
+        let crash = Adversary::Crash {
+            peers: self.crash_peers,
+            round: self.crash_round,
+        };
+        check_cell(self.k, crash, self.leak_floor)
+    }
 }
 
 /// Runs the full 2×2×4 matrix: {uniform, rush-hour} geography ×
 /// {uniform, personalized} k × {honest, colluders, liars, crash}. Systems
 /// are built once per geography and shared across their column's cells.
-pub fn scenario_matrix(cfg: &MatrixConfig) -> Vec<CellOutcome> {
+///
+/// # Errors
+/// [`MatrixConfig::validate`]'s, before any system is built.
+pub fn scenario_matrix(cfg: &MatrixConfig) -> Result<Vec<CellOutcome>, MatrixConfigError> {
+    cfg.validate()?;
     let adversaries = [
         Adversary::Honest,
         Adversary::Colluders { c: cfg.colluders },
@@ -606,16 +595,17 @@ pub fn scenario_matrix(cfg: &MatrixConfig) -> Vec<CellOutcome> {
                     cfg.leak_floor,
                     cfg.seed,
                 );
-                cells.push(run_scenario_on(&system, &spec));
+                cells.push(run_scenario_on(&system, &spec)?);
             }
         }
     }
-    cells
+    Ok(cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RequestError;
 
     fn small_system(geo: GeoAxis) -> System {
         scenario_system(geo, 1_200, 4, 7)
@@ -628,7 +618,7 @@ mod tests {
     #[test]
     fn honest_uniform_cell_passes() {
         let system = small_system(GeoAxis::Uniform);
-        let cell = run_scenario_on(&system, &spec(Adversary::Honest));
+        let cell = run_scenario_on(&system, &spec(Adversary::Honest)).unwrap();
         assert!(cell.passed, "honest cell failed: {:?}", cell.verdict);
         assert!(cell.verdict.served > 0);
         assert!(cell.verdict.worst_leak_width > 0.0);
@@ -643,7 +633,7 @@ mod tests {
             Adversary::Liars { l: 1 },
             Adversary::Crash { peers: 1, round: 2 },
         ] {
-            let cell = run_scenario_on(&system, &spec(adversary));
+            let cell = run_scenario_on(&system, &spec(adversary)).unwrap();
             let v = cell.verdict;
             assert_eq!(
                 v.served + v.degraded,
@@ -656,7 +646,7 @@ mod tests {
     #[test]
     fn colluders_never_beat_the_transcript_bound() {
         let system = small_system(GeoAxis::Uniform);
-        let cell = run_scenario_on(&system, &spec(Adversary::Colluders { c: 2 }));
+        let cell = run_scenario_on(&system, &spec(Adversary::Colluders { c: 2 })).unwrap();
         assert!(cell.passed, "collusion cell failed: {:?}", cell.verdict);
         assert!(cell.verdict.collusion_bounded_by_transcript);
         // A coalition pools strictly less than the host knows, so its worst
@@ -667,7 +657,7 @@ mod tests {
     #[test]
     fn liar_cell_keeps_truthful_members_covered() {
         let system = small_system(GeoAxis::Uniform);
-        let cell = run_scenario_on(&system, &spec(Adversary::Liars { l: 1 }));
+        let cell = run_scenario_on(&system, &spec(Adversary::Liars { l: 1 })).unwrap();
         assert!(cell.passed, "liar cell failed: {:?}", cell.verdict);
         assert!(cell.verdict.truthful_coverage);
     }
@@ -675,7 +665,8 @@ mod tests {
     #[test]
     fn crash_cell_recovers_or_degrades_typed() {
         let system = small_system(GeoAxis::Uniform);
-        let cell = run_scenario_on(&system, &spec(Adversary::Crash { peers: 1, round: 1 }));
+        let cell =
+            run_scenario_on(&system, &spec(Adversary::Crash { peers: 1, round: 1 })).unwrap();
         assert!(cell.passed, "crash cell failed: {:?}", cell.verdict);
         assert!(cell.verdict.recovery_sound);
         assert!(cell.verdict.k_anonymity_held);
@@ -703,7 +694,7 @@ mod tests {
             0.0,
             7,
         );
-        let cell = run_scenario_on(&system, &spec);
+        let cell = run_scenario_on(&system, &spec).unwrap();
         assert!(cell.passed, "personalized cell failed: {:?}", cell.verdict);
     }
 
@@ -720,7 +711,7 @@ mod tests {
             leak_floor: 0.0,
             seed: 11,
         };
-        let cells = scenario_matrix(&cfg);
+        let cells = scenario_matrix(&cfg).unwrap();
         assert_eq!(cells.len(), 16);
         let mut names: Vec<&str> = cells.iter().map(|c| c.spec.name.as_str()).collect();
         names.sort_unstable();
@@ -737,5 +728,107 @@ mod tests {
                 cell.spec.name, cell.verdict
             );
         }
+    }
+
+    #[test]
+    fn crashers_beyond_every_slack_degrade_every_request_typed() {
+        let system = small_system(GeoAxis::Uniform);
+        let mut engine = CloakingEngine::new(
+            &system,
+            ClusteringAlgo::TConnDistributed,
+            BoundingAlgo::Secure,
+        );
+        // Every non-host member crashes from round 1, so recovery keeps
+        // only the host: below any cluster's anonymity level.
+        let crash = spec(Adversary::Crash {
+            peers: usize::MAX,
+            round: 1,
+        });
+        let mut transport = Adversarial {
+            spec: &crash,
+            kp: KPolicy::Uniform(system.params.k),
+            verdict: PrivacyVerdict::fresh(0),
+        };
+        let mut bounded = 0;
+        for host in system.host_sequence(20, 7) {
+            match engine.request_over(&mut transport, host) {
+                Err(RequestError::Bounding(BoundingError::Unreachable { .. })) => bounded += 1,
+                Err(RequestError::Cluster(_)) => {}
+                other => panic!("host {host}: expected a typed degrade, got {other:?}"),
+            }
+        }
+        assert!(bounded > 0, "no request reached phase 2");
+        assert!(
+            engine
+                .registry()
+                .active_clusters()
+                .all(|(_, rc)| rc.region.is_none()),
+            "a degraded request published a region"
+        );
+        assert!(transport.verdict.recovery_sound);
+
+        let v = run_scenario_on(&system, &crash).unwrap().verdict;
+        assert_eq!((v.served, v.degraded), (0, v.requests));
+        assert!(v.recovery_sound && v.k_anonymity_held);
+    }
+
+    fn bad(f: impl FnOnce(&mut MatrixConfig)) -> MatrixConfigError {
+        let mut cfg = MatrixConfig::smoke();
+        f(&mut cfg);
+        scenario_matrix(&cfg).unwrap_err()
+    }
+
+    #[test]
+    fn matrix_rejects_zero_users() {
+        assert_eq!(bad(|c| c.n_users = 0), MatrixConfigError::NoUsers);
+    }
+
+    #[test]
+    fn matrix_rejects_zero_k() {
+        assert_eq!(bad(|c| c.k = 0), MatrixConfigError::ZeroK);
+        let system = scenario_system(GeoAxis::Uniform, 300, 0, 7);
+        assert_eq!(
+            run_scenario_on(&system, &spec(Adversary::Honest)).unwrap_err(),
+            MatrixConfigError::ZeroK
+        );
+    }
+
+    #[test]
+    fn matrix_rejects_zero_crash_round() {
+        assert_eq!(
+            bad(|c| c.crash_round = 0),
+            MatrixConfigError::ZeroCrashRound
+        );
+        let system = small_system(GeoAxis::Uniform);
+        let cell = spec(Adversary::Crash { peers: 1, round: 0 });
+        assert_eq!(
+            run_scenario_on(&system, &cell).unwrap_err(),
+            MatrixConfigError::ZeroCrashRound
+        );
+    }
+
+    #[test]
+    fn matrix_rejects_negative_or_nan_leak_floor() {
+        assert_eq!(
+            bad(|c| c.leak_floor = -1.0),
+            MatrixConfigError::BadLeakFloor(-1.0)
+        );
+        assert!(matches!(
+            bad(|c| c.leak_floor = f64::NAN),
+            MatrixConfigError::BadLeakFloor(x) if x.is_nan()
+        ));
+        let system = small_system(GeoAxis::Uniform);
+        let cell = ScenarioSpec::new(
+            KAxis::Uniform,
+            GeoAxis::Uniform,
+            Adversary::Honest,
+            20,
+            -0.5,
+            7,
+        );
+        assert_eq!(
+            run_scenario_on(&system, &cell).unwrap_err(),
+            MatrixConfigError::BadLeakFloor(-0.5)
+        );
     }
 }

@@ -31,4 +31,4 @@ pub mod proto;
 pub use discovery::{edge_recall, run_discovery, DiscoveryConfig, DiscoveryStats};
 pub use event::EventQueue;
 pub use network::{ConfigError, LatencyModel, Network, NetworkConfig, NetworkStats, RpcError};
-pub use proto::{SimDirections, SimFetch, SimVerify};
+pub use proto::{SimFetch, SimVerify};

@@ -8,10 +8,9 @@
 //! robustness scenarios of the paper's §VII.
 
 use crate::network::{Network, RpcError};
-use nela_bounding::bbox::{Direction, DirectionalTransport};
 use nela_bounding::protocol::VerifyTransport;
 use nela_cluster::fetch::PeerFetch;
-use nela_geo::{Point, UserId};
+use nela_geo::UserId;
 use nela_wpg::{Weight, Wpg};
 
 /// Adjacency fetch over the simulated network: each fetch is one RPC from
@@ -81,72 +80,48 @@ impl VerifyTransport for SimVerify<'_> {
     }
 }
 
-/// Per-direction bounding transport over the simulated network: each of
-/// the box's four runs ([`nela_bounding::bbox::bounding_box`]) asks the
-/// members about one coordinate through a [`SimVerify`] on the same
-/// network. Over a lossless network the assembled box is bit-identical to
-/// the in-memory one; a lossy network adds retransmissions, timeouts and,
-/// past the retry budget, [`nela_bounding::BoundingError::Unreachable`].
-pub struct SimDirections<'a> {
-    net: &'a mut Network,
-    host: UserId,
-    /// `members[i]` sits at `points[i]`.
-    members: &'a [UserId],
-    points: &'a [Point],
-    values: Vec<(UserId, f64)>,
-}
-
-impl<'a> SimDirections<'a> {
-    /// Binds a cluster's members (with their positions) to a network; the
-    /// host answers its own questions for free.
-    pub fn new(
-        net: &'a mut Network,
-        host: UserId,
-        members: &'a [UserId],
-        points: &'a [Point],
-    ) -> Self {
-        SimDirections {
-            net,
-            host,
-            members,
-            points,
-            values: Vec::with_capacity(members.len()),
-        }
-    }
-}
-
-impl DirectionalTransport for SimDirections<'_> {
-    type Run<'r>
-        = SimVerify<'r>
-    where
-        Self: 'r;
-
-    fn run(&mut self, dir: Direction) -> SimVerify<'_> {
-        self.values.clear();
-        self.values.extend(
-            self.members
-                .iter()
-                .zip(self.points)
-                .map(|(&u, p)| (u, dir.value(p))),
-        );
-        SimVerify::new(self.net, self.host, &self.values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::NetworkConfig;
     use nela_bounding::baselines::LinearPolicy;
-    use nela_bounding::bbox::bounding_box;
-    use nela_bounding::protocol::{progressive_upper_bound_with, BoundingError};
+    use nela_bounding::bbox::{bounding_box, BboxOutcome};
+    use nela_bounding::protocol::{
+        progressive_upper_bound, progressive_upper_bound_with, BoundingError,
+    };
     use nela_cluster::distributed::distributed_k_clustering_with;
     use nela_cluster::ClusterError;
-    use nela_geo::Rect;
+    use nela_geo::{Point, Rect};
     use nela_wpg::topology;
 
     fn no_removed(_: UserId) -> bool {
         false
+    }
+
+    /// The box over the simulated network under a linear policy of `step`:
+    /// each directional run asks the members through a `SimVerify`.
+    fn sim_box(
+        net: &mut Network,
+        host: UserId,
+        host_point: Point,
+        members: &[UserId],
+        points: &[Point],
+        step: f64,
+    ) -> Result<BboxOutcome, BoundingError> {
+        bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
+            let values: Vec<(UserId, f64)> = members
+                .iter()
+                .zip(points)
+                .map(|(&u, p)| (u, dir.value(p)))
+                .collect();
+            let mut transport = SimVerify::new(net, host, &values);
+            progressive_upper_bound_with(
+                &mut transport,
+                x0,
+                domain_min,
+                &mut LinearPolicy::new(step),
+            )
+        })
     }
 
     #[test]
@@ -237,17 +212,13 @@ mod tests {
             Point::new(0.33, 0.38),
         ];
         let host_point = points[0];
-        let analytic =
-            nela_bounding::bbox::secure_bounding_box(&points, host_point, Rect::UNIT, || {
-                Box::new(LinearPolicy::new(0.01))
-            })
-            .unwrap();
-        let mut net = Network::reliable();
-        let mut dirs = SimDirections::new(&mut net, 3, &members, &points);
-        let simulated = bounding_box(&mut dirs, host_point, Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.01))
+        let analytic = bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
+            let values: Vec<f64> = points.iter().map(|p| dir.value(p)).collect();
+            progressive_upper_bound(&values, x0, domain_min, &mut LinearPolicy::new(0.01))
         })
         .unwrap();
+        let mut net = Network::reliable();
+        let simulated = sim_box(&mut net, 3, host_point, &members, &points, 0.01).unwrap();
         assert_eq!(analytic.rect, simulated.rect);
         assert_eq!(analytic.messages, simulated.messages);
         assert_eq!(analytic.rounds, simulated.rounds);
@@ -263,11 +234,7 @@ mod tests {
         let points = vec![Point::new(0.30, 0.40), Point::new(0.95, 0.42)];
         let mut net = Network::reliable();
         net.crash_peer(7);
-        let mut dirs = SimDirections::new(&mut net, 3, &members, &points);
-        let err = bounding_box(&mut dirs, points[0], Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.05))
-        })
-        .unwrap_err();
+        let err = sim_box(&mut net, 3, points[0], &members, &points, 0.05).unwrap_err();
         assert!(matches!(err, BoundingError::Unreachable { .. }));
         assert!(net.stats().rpcs_failed > 0);
     }
@@ -275,11 +242,7 @@ mod tests {
     #[test]
     fn sim_bounding_box_rejects_empty_cluster() {
         let mut net = Network::reliable();
-        let mut dirs = SimDirections::new(&mut net, 3, &[], &[]);
-        let err = bounding_box(&mut dirs, Point::new(0.5, 0.5), Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.05))
-        })
-        .unwrap_err();
+        let err = sim_box(&mut net, 3, Point::new(0.5, 0.5), &[], &[], 0.05).unwrap_err();
         assert_eq!(err, BoundingError::EmptyCluster);
     }
 

@@ -42,6 +42,8 @@ pub mod run;
 
 pub use arrivals::{schedule, Arrival, QueryKind};
 pub use config::{QueryMix, ServeConfig, ServeConfigError, Transport};
+/// The report's network totals under their former name.
+pub use nela::SessionNetStats as NetReport;
 pub use queue::{Pop, Push, RequestQueue};
-pub use report::{NetReport, ServeReport, StageStats};
+pub use report::{ServeReport, StageStats};
 pub use run::{run, run_session, run_with_system, SessionOutcome};

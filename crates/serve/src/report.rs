@@ -52,26 +52,6 @@ impl StageStats {
     }
 }
 
-/// Network totals of a netsim-backed session, summed over every request
-/// (absent from the report when the transport is in-process).
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct NetReport {
-    /// Transmissions put on the air (requests + replies, lost included).
-    pub transmissions: u64,
-    /// Completed request/reply exchanges.
-    pub rpcs_ok: u64,
-    /// RPCs abandoned after the full retry budget.
-    pub rpcs_failed: u64,
-    /// Transmissions that were lost.
-    pub lost: u64,
-    /// RPC attempts beyond the first.
-    pub retransmits: u64,
-    /// Timeouts charged for lost transmissions.
-    pub timeouts: u64,
-    /// Total simulated seconds requests spent on the radio.
-    pub virtual_s: f64,
-}
-
 /// Everything one serving session measured.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeReport {
@@ -128,7 +108,7 @@ pub struct ServeReport {
     /// cost), `None` when nothing was served.
     pub mean_transfer_units: Option<f64>,
     /// Network totals when the transport is netsim, `None` in-process.
-    pub net: Option<NetReport>,
+    pub net: Option<nela::SessionNetStats>,
     /// Order-independent digest of every served request's refined answer
     /// set — two runs of the same single-worker config must agree exactly
     /// (the replay contract).

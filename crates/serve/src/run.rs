@@ -27,7 +27,7 @@
 use crate::arrivals::{schedule, QueryKind};
 use crate::config::{ServeConfig, ServeConfigError, Transport};
 use crate::queue::{Pop, Push, RequestQueue};
-use crate::report::{answer_hash, NetReport, ServeReport, StageStats};
+use crate::report::{answer_hash, ServeReport, StageStats};
 use nela::{
     auto_shard_axis, shard_axis_for_total, BoundingAlgo, CarryOver, CloakingEngine, ClusteringAlgo,
     EngineSession, Params, SessionCheckpoint, System,
@@ -353,15 +353,7 @@ pub fn run_session(
         refine: collect(|l| &l.refine),
         mean_candidates: (served > 0).then(|| candidates as f64 / served as f64),
         mean_transfer_units: server.mean_transfer(),
-        net: net_stats.map(|s| NetReport {
-            transmissions: s.transmissions,
-            rpcs_ok: s.rpcs_ok,
-            rpcs_failed: s.rpcs_failed,
-            lost: s.lost,
-            retransmits: s.retransmits,
-            timeouts: s.timeouts,
-            virtual_s: s.virtual_s,
-        }),
+        net: net_stats,
         answers_digest: digest,
     };
     Ok(SessionOutcome { report, checkpoint })
