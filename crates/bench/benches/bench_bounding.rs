@@ -8,7 +8,8 @@ use nela::bounding::baselines::{optimal_bound, ExponentialPolicy, LinearPolicy};
 use nela::bounding::cost::AreaCost;
 use nela::bounding::distribution::Uniform;
 use nela::bounding::nbound::{
-    exact_dp_increment, n_bounding_increment, n_bounding_uniform_area_closed_form, SecurePolicy,
+    exact_dp_increment, n_bounding_increment, n_bounding_uniform_area_closed_form, IncrementTable,
+    SecurePolicy,
 };
 use nela::bounding::protocol::progressive_upper_bound;
 use rand::{Rng, SeedableRng};
@@ -28,9 +29,12 @@ fn bench_protocols(c: &mut Criterion) {
         let values = cluster_values(k, 7);
         let span = k as f64 / 20_000.0;
         let cr = 1000.0 * 20_000.0;
+        // A fresh table per run: the cost one host pays solving its own
+        // increments.
         group.bench_with_input(BenchmarkId::new("secure", k), &k, |b, _| {
             b.iter(|| {
-                let mut p = SecurePolicy::new(Uniform::new(span), AreaCost { cr }, 1.0);
+                let table = IncrementTable::new(AreaCost { cr }, 1.0);
+                let mut p = SecurePolicy::new(&table, Uniform::new(span));
                 black_box(progressive_upper_bound(&values, 0.0, 0.0, &mut p))
             })
         });

@@ -27,10 +27,14 @@
 //! the reuse rate over a cold start — the CI guard for the serving
 //! determinism, liveness, and carry-over contracts.
 //!
+//! The root file records its provenance (git revision, cores, profile,
+//! knobs). A run whose `NELA_USERS` overrides the default population
+//! prints its tables and leaves the root file alone.
+//!
 //! Environment: `NELA_USERS`, `NELA_RESULTS_DIR` (optional JSON dump).
 
 use nela::netsim::NetworkConfig;
-use nela_bench::{fmt, print_table, ExpConfig};
+use nela_bench::{fmt, print_table, ExpConfig, Knob, Provenance, DEFAULT_USERS};
 use nela_serve::{run_session, run_with_system, QueryMix, ServeConfig, ServeReport, Transport};
 use serde::Serialize;
 use std::time::Duration;
@@ -89,8 +93,9 @@ struct SatRow {
 
 #[derive(Debug, Clone, Serialize)]
 struct Report {
-    /// Logical CPUs available (sustained throughput needs real cores).
-    cores: usize,
+    /// The run's git revision, cores (sustained throughput needs real
+    /// cores), profile and knobs.
+    provenance: Provenance,
     population: usize,
     rows: Vec<Row>,
     netsim_rows: Vec<Row>,
@@ -321,7 +326,21 @@ fn main() {
         std::process::exit(smoke());
     }
     let cfg = ExpConfig::from_env();
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let provenance = Provenance::of_run(
+        &root,
+        vec![
+            Knob::new("NELA_USERS", cfg.users),
+            Knob::new("requests", REQUESTS),
+            Knob::new("rates", format!("{RATES:?}")),
+            Knob::new("workers", format!("{WORKERS:?}")),
+            Knob::new("net_loss", NET_LOSS),
+            Knob::new("sat_queue", SAT_QUEUE),
+            Knob::new("sat_deadline_ms", SAT_DEADLINE.as_millis()),
+        ],
+        false,
+    );
+    let cores = provenance.cores;
     let system = cfg.build(&cfg.params());
     let mut rows = Vec::new();
     for (label, query) in [
@@ -464,18 +483,25 @@ fn main() {
     );
 
     let report = Report {
-        cores,
+        provenance,
         population: system.points.len(),
         rows,
         netsim_rows,
         carry_over,
         saturation,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json");
-    std::fs::write(&root, &json).expect("write BENCH_serve.json");
-    eprintln!("[results] wrote {}", root.display());
+    // Only the default population backs the committed file.
+    if cfg.users == DEFAULT_USERS {
+        let json = serde_json::to_string_pretty(&report).expect("serialize report");
+        let path = root.join("BENCH_serve.json");
+        std::fs::write(&path, &json).expect("write BENCH_serve.json");
+        eprintln!("[results] wrote {}", path.display());
+    } else {
+        eprintln!(
+            "[results] NELA_USERS={} overrides the default {DEFAULT_USERS}; \
+             BENCH_serve.json left unchanged",
+            cfg.users
+        );
+    }
     cfg.write_json("exp_serve", &report);
 }

@@ -14,6 +14,10 @@
 
 use nela::{Params, System};
 use serde::Serialize;
+use std::path::Path;
+
+/// Population of an experiment run when `NELA_USERS` is unset.
+pub const DEFAULT_USERS: usize = 20_000;
 
 /// Experiment-wide configuration from the environment.
 #[derive(Debug, Clone)]
@@ -30,7 +34,7 @@ impl ExpConfig {
         let users = std::env::var("NELA_USERS")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000);
+            .unwrap_or(DEFAULT_USERS);
         let results_dir = std::env::var_os("NELA_RESULTS_DIR").map(Into::into);
         ExpConfig { users, results_dir }
     }
@@ -66,6 +70,81 @@ impl ExpConfig {
         std::fs::write(&path, json).expect("write results");
         eprintln!("[results] wrote {}", path.display());
     }
+}
+
+/// One knob of a run: an environment variable or a constant of the sweep.
+#[derive(Debug, Clone, Serialize)]
+pub struct Knob {
+    /// The variable's or constant's name.
+    pub name: String,
+    /// Its value as the run used it.
+    pub value: String,
+}
+
+impl Knob {
+    /// A knob from its name and displayed value.
+    pub fn new(name: &str, value: impl std::fmt::Display) -> Self {
+        Knob {
+            name: name.to_string(),
+            value: value.to_string(),
+        }
+    }
+}
+
+/// Where a committed `BENCH_*.json` came from: the fields the serving
+/// benchmark's provenance line prints.
+#[derive(Debug, Clone, Serialize)]
+pub struct Provenance {
+    /// Git revision of the checkout (`unknown` outside a repository).
+    pub git_rev: String,
+    /// Logical CPUs available to the run.
+    pub cores: usize,
+    /// Build profile, `release` or `debug`.
+    pub profile: String,
+    /// The run's knobs.
+    pub knobs: Vec<Knob>,
+    /// True for a `--smoke` run.
+    pub smoke: bool,
+}
+
+impl Provenance {
+    /// The provenance of this process's run of the repository at `root`.
+    pub fn of_run(root: &Path, knobs: Vec<Knob>, smoke: bool) -> Self {
+        Provenance {
+            git_rev: git_rev(root),
+            cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }
+            .to_string(),
+            knobs,
+            smoke,
+        }
+    }
+}
+
+/// The revision `root`'s git checkout has out, read from `.git` without
+/// running git (`unknown` outside a repository).
+fn git_rev(root: &Path) -> String {
+    let read = |p: &str| std::fs::read_to_string(root.join(".git").join(p)).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(name) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    read(name)
+        .map(|s| s.trim().to_string())
+        .or_else(|| {
+            read("packed-refs")?
+                .lines()
+                .find(|l| l.ends_with(name))
+                .and_then(|l| l.split_whitespace().next().map(str::to_string))
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Prints an aligned table: a title line, a header row, then rows of

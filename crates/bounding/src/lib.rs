@@ -47,7 +47,7 @@ pub use baselines::{optimal_bound, ExponentialPolicy, LinearPolicy};
 pub use bbox::{bounding_box, BboxOutcome};
 pub use cost::{AreaCost, CostParams, LengthCost, RequestCost};
 pub use distribution::{ExcessDistribution, Exponential, Uniform};
-pub use nbound::{exact_dp_increment, n_bounding_increment, SecurePolicy};
+pub use nbound::{exact_dp_increment, n_bounding_increment, IncrementTable, SecurePolicy};
 pub use privacy::{
     collusion_exposed_interval, collusion_leak_report, leak_report, CollusionLeakReport, LeakReport,
 };

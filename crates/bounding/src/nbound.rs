@@ -14,10 +14,12 @@
 //! exact bottom-up DP are implemented; the test suite validates the
 //! approximation against the DP at small N.
 
-use crate::cost::RequestCost;
-use crate::distribution::ExcessDistribution;
+use crate::cost::{AreaCost, RequestCost};
+use crate::distribution::{ExcessDistribution, Uniform};
 use crate::protocol::IncrementPolicy;
 use crate::unary::{golden_section_min, unary_optimal};
+use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 
 /// Approximate optimal N-bounding increment (Equation 5), solved generically
 /// by minimizing the approximate cost of Equation 4 over `(0, span]`.
@@ -149,6 +151,74 @@ pub fn exact_dp_increment(
     ExactDp { cost, increment }
 }
 
+/// The shared table of secure-bounding increments for one cost model: the
+/// floored Equation 4–5 optimum per (widened span, disagreeing count).
+///
+/// Every input of a solve is public — the modeled span U·2^w, the
+/// disagreeing count N, `Cr` and `Cb` — so every host bounding a cluster of
+/// the same size solves the same optimizations. One table serves every
+/// directional run, request and worker of an engine. The key is the exact
+/// input of the solve (the widened span's bits and N) and
+/// [`n_bounding_increment`] is a pure function, so a hit returns the bits a
+/// fresh solve would.
+///
+/// The table fills lazily and is safe to share across threads. No lock is
+/// held while solving: racing writers of one key compute equal bits, and
+/// the first one stored wins.
+#[derive(Debug)]
+pub struct IncrementTable {
+    cost: AreaCost,
+    cb: f64,
+    solved: RwLock<HashMap<(u64, usize), f64>>,
+}
+
+impl IncrementTable {
+    /// An empty table for the request cost `cost` and per-user verification
+    /// cost `cb`.
+    pub fn new(cost: AreaCost, cb: f64) -> Self {
+        IncrementTable {
+            cost,
+            cb,
+            solved: RwLock::new(HashMap::new()),
+        }
+    }
+
+    /// The increment for `n_disagreeing` users under `model` widened
+    /// `widenings` times: the Equation 5 optimum, floored at a thousandth
+    /// of the widened span.
+    pub fn increment(&self, model: Uniform, widenings: u32, n_disagreeing: usize) -> f64 {
+        let dist = model.widened(f64::powi(2.0, widenings as i32));
+        let key = (dist.span.to_bits(), n_disagreeing);
+        // Every write inserts one finished value, so a map behind a
+        // poisoned lock is still whole.
+        let cached = self
+            .solved
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .copied();
+        if let Some(inc) = cached {
+            return inc;
+        }
+        let inc = n_bounding_increment(n_disagreeing, &dist, &self.cost, self.cb)
+            .max(dist.effective_span() * 1e-3);
+        *self
+            .solved
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_insert(inc)
+    }
+
+    /// Number of distinct solves stored so far.
+    pub fn entries(&self) -> usize {
+        self.solved
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+}
+
 /// The secure bounding increment policy (paper Algorithm 4): each round's
 /// increment is the N-bounding optimum for the current number of disagreeing
 /// users.
@@ -160,47 +230,42 @@ pub fn exact_dp_increment(
 /// therefore *recalibrates*: whenever a round ends with zero new agreements
 /// (the count of disagreeing users did not drop), the modeled span doubles
 /// and increments are re-derived — the optimal-increment structure is kept,
-/// anchored to a span consistent with the evidence. Increments are memoized
-/// per (N, recalibration level).
-pub struct SecurePolicy<D, R> {
-    dist: D,
-    cost: R,
-    cb: f64,
+/// anchored to a span consistent with the evidence. The policy keeps only
+/// that per-run state; the increments come from a shared
+/// [`IncrementTable`]. A clone of a new policy starts a fresh run.
+#[derive(Debug, Clone)]
+pub struct SecurePolicy<'t> {
+    table: &'t IncrementTable,
+    /// The run's unwidened excess model.
+    model: Uniform,
     /// Doublings applied so far.
     widenings: u32,
     /// `n_disagreeing` seen in the previous round (zero-progress detector).
     last_n: Option<usize>,
-    memo: std::collections::HashMap<(usize, u32), f64>,
 }
 
-impl<D: ExcessDistribution, R: RequestCost> SecurePolicy<D, R> {
-    /// Creates the policy from the excess model and cost model.
-    pub fn new(dist: D, cost: R, cb: f64) -> Self {
+impl<'t> SecurePolicy<'t> {
+    /// Creates the policy for one run under the excess model `model`,
+    /// reading its increments from `table`.
+    pub fn new(table: &'t IncrementTable, model: Uniform) -> Self {
         SecurePolicy {
-            dist,
-            cost,
-            cb,
+            table,
+            model,
             widenings: 0,
             last_n: None,
-            memo: std::collections::HashMap::new(),
         }
     }
 }
 
-impl<D: ExcessDistribution, R: RequestCost> IncrementPolicy for SecurePolicy<D, R> {
+impl IncrementPolicy for SecurePolicy<'_> {
     fn increment(&mut self, n_disagreeing: usize, _round: usize, _current_excess: f64) -> f64 {
         if self.last_n == Some(n_disagreeing) {
             // No one agreed last round: the modeled span is too small.
             self.widenings += 1;
         }
         self.last_n = Some(n_disagreeing);
-        let dist = self.dist.widened(f64::powi(2.0, self.widenings as i32));
-        let floor = dist.effective_span() * 1e-3;
-        let inc = *self
-            .memo
-            .entry((n_disagreeing, self.widenings))
-            .or_insert_with(|| n_bounding_increment(n_disagreeing, &dist, &self.cost, self.cb));
-        inc.max(floor)
+        self.table
+            .increment(self.model, self.widenings, n_disagreeing)
     }
 }
 
@@ -332,20 +397,40 @@ mod tests {
 
     #[test]
     fn secure_policy_widens_on_stall_and_floors() {
-        let mut p = SecurePolicy::new(Uniform::new(0.2), AreaCost { cr: 100.0 }, 1.0);
+        let table = IncrementTable::new(AreaCost { cr: 100.0 }, 1.0);
+        let mut p = SecurePolicy::new(&table, Uniform::new(0.2));
         let a = p.increment(4, 1, 0.0);
         assert!(a >= 0.2 * 1e-3, "floored increment");
         // Same N again = nobody agreed: the span doubles, increments grow.
         let b = p.increment(4, 2, a);
         assert!(b > a, "stalled round must widen the model: {a} -> {b}");
-        // Progress (smaller N) does not widen further; increments for the
-        // same (N, widening level) are memoized.
+        // Progress (smaller N) does not widen further; the increment is the
+        // table's solve against the widened model.
         let c1 = p.increment(2, 3, a + b);
         let c2 = {
             let dist = Uniform::new(0.2).widened(2.0);
             n_bounding_increment(2, &dist, &AreaCost { cr: 100.0 }, 1.0)
                 .max(dist.effective_span() * 1e-3)
         };
-        assert!((c1 - c2).abs() < 1e-12, "memoized against widened model");
+        assert_eq!(c1.to_bits(), c2.to_bits());
+        assert_eq!(table.entries(), 3);
+    }
+
+    #[test]
+    fn table_hits_return_the_solved_bits() {
+        let table = IncrementTable::new(AreaCost { cr: 2.0e7 }, 1.0);
+        let model = Uniform::new(1e-4);
+        let first = table.increment(model, 1, 7);
+        assert_eq!(table.entries(), 1);
+        assert_eq!(table.increment(model, 1, 7).to_bits(), first.to_bits());
+        assert_eq!(table.entries(), 1, "a hit solves nothing new");
+        // The key is the widened span: U widened once is 2U unwidened.
+        let doubled = table.increment(Uniform::new(2e-4), 0, 7);
+        assert_eq!(doubled.to_bits(), first.to_bits());
+        assert_eq!(table.entries(), 1);
+        // Another N or another span is another solve.
+        table.increment(model, 1, 6);
+        table.increment(model, 0, 7);
+        assert_eq!(table.entries(), 3);
     }
 }

@@ -215,8 +215,10 @@ pub fn progressive_upper_bound_with(
         x += inc;
         bounds.push(x);
         messages += disagreeing.len() as u64;
-        let mut still = Vec::with_capacity(disagreeing.len());
-        for &i in &disagreeing {
+        // Compact the still-disagreeing users to the front, in order.
+        let mut still = 0;
+        for j in 0..disagreeing.len() {
+            let i = disagreeing[j];
             match transport.verify(i, x) {
                 Some(true) => records.push(AgreementRecord {
                     index: i,
@@ -224,11 +226,14 @@ pub fn progressive_upper_bound_with(
                     lower: if rounds == 1 { domain_min } else { prev },
                     upper: x,
                 }),
-                Some(false) => still.push(i),
+                Some(false) => {
+                    disagreeing[still] = i;
+                    still += 1;
+                }
                 None => return Err(BoundingError::Unreachable { index: i }),
             }
         }
-        disagreeing = still;
+        disagreeing.truncate(still);
     }
     records.sort_by_key(|r| r.index);
     Ok(BoundingRun {
@@ -295,21 +300,21 @@ impl VerifyTransport for SurvivorView<'_, '_> {
 
 /// Crash-resilient progressive bounding: whenever a participant becomes
 /// unreachable mid-run, it is dropped and the protocol **restarts over the
-/// survivors** (with a fresh policy from `policy_factory`) instead of
-/// aborting the whole request. The returned bound covers every survivor;
-/// the dropped peers are reported so the caller can decide whether the
-/// shrunken cluster still meets its anonymity requirement.
+/// survivors** (with a fresh clone of `policy`) instead of aborting the
+/// whole request. The returned bound covers every survivor; the dropped
+/// peers are reported so the caller can decide whether the shrunken
+/// cluster still meets its anonymity requirement.
 ///
 /// # Errors
 /// [`BoundingError::EmptyCluster`] when the input is empty or every
 /// participant crashed; policy errors ([`BoundingError::InvalidIncrement`],
 /// [`BoundingError::RoundLimitExceeded`]) propagate unchanged. Never
 /// returns [`BoundingError::Unreachable`] and never panics.
-pub fn progressive_upper_bound_resilient(
+pub fn progressive_upper_bound_resilient<P: IncrementPolicy + Clone>(
     transport: &mut dyn VerifyTransport,
     x0: f64,
     domain_min: f64,
-    policy_factory: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+    policy: &P,
 ) -> Result<ResilientOutcome, BoundingError> {
     let mut alive: Vec<usize> = (0..transport.len()).collect();
     let mut dropped: Vec<usize> = Vec::new();
@@ -325,8 +330,8 @@ pub fn progressive_upper_bound_resilient(
             inner: &mut counting,
             map: &alive,
         };
-        let mut policy = policy_factory();
-        match progressive_upper_bound_with(&mut view, x0, domain_min, policy.as_mut()) {
+        let mut attempt = policy.clone();
+        match progressive_upper_bound_with(&mut view, x0, domain_min, &mut attempt) {
             Ok(mut run) => {
                 for r in &mut run.records {
                     r.index = alive[r.index];
@@ -356,6 +361,7 @@ mod tests {
     use super::*;
 
     /// Fixed-step policy for tests.
+    #[derive(Clone)]
     struct Step(f64);
     impl IncrementPolicy for Step {
         fn increment(&mut self, _n: usize, _round: usize, _excess: f64) -> f64 {
@@ -480,10 +486,7 @@ mod tests {
         let values = [0.31, 0.12, 0.48, 0.05];
         let plain = progressive_upper_bound(&values, 0.0, 0.0, &mut Step(0.1)).unwrap();
         let mut transport = LocalValues::new(&values);
-        let out = progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &mut || {
-            Box::new(Step(0.1))
-        })
-        .unwrap();
+        let out = progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &Step(0.1)).unwrap();
         assert!(out.dropped.is_empty());
         assert_eq!(out.restarts, 0);
         assert_eq!(out.run.bound, plain.bound);
@@ -498,10 +501,7 @@ mod tests {
         // Index 1 (the largest value) crashes at round 2: the re-run covers
         // the two survivors only.
         let mut transport = CrashingValues::new(&values, &[1], 2);
-        let out = progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &mut || {
-            Box::new(Step(0.1))
-        })
-        .unwrap();
+        let out = progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &Step(0.1)).unwrap();
         assert_eq!(out.dropped, vec![1]);
         assert_eq!(out.restarts, 1);
         assert_eq!(out.run.records.len(), 2);
@@ -520,10 +520,8 @@ mod tests {
         use crate::adversary::CrashingValues;
         let values = [0.3, 0.6];
         let mut transport = CrashingValues::new(&values, &[0, 1], 1);
-        let err = progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &mut || {
-            Box::new(Step(0.1))
-        })
-        .unwrap_err();
+        let err =
+            progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &Step(0.1)).unwrap_err();
         assert_eq!(err, BoundingError::EmptyCluster);
     }
 
@@ -541,10 +539,8 @@ mod tests {
             for crasher in 0..values.len() {
                 let crashers = [crasher];
                 let mut transport = CrashingValues::new(&values, &crashers, r);
-                let out = progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &mut || {
-                    Box::new(Step(0.05))
-                })
-                .unwrap_or_else(|e| panic!("crash@{r} of {crasher}: unexpected {e}"));
+                let out = progressive_upper_bound_resilient(&mut transport, 0.0, 0.0, &Step(0.05))
+                    .unwrap_or_else(|e| panic!("crash@{r} of {crasher}: unexpected {e}"));
                 if out.dropped.is_empty() {
                     // Crasher agreed before round r: full honest outcome.
                     assert_eq!(out.run.bound, honest.bound, "crash@{r} of {crasher}");

@@ -3,7 +3,7 @@
 use nela_bounding::baselines::{ExponentialPolicy, LinearPolicy};
 use nela_bounding::cost::{AreaCost, LengthCost, RequestCost};
 use nela_bounding::distribution::{ExcessDistribution, Exponential, Uniform};
-use nela_bounding::nbound::{n_bounding_increment, SecurePolicy};
+use nela_bounding::nbound::{n_bounding_increment, IncrementTable, SecurePolicy};
 use nela_bounding::protocol::progressive_upper_bound;
 use nela_bounding::unary::{unary_exponential_length, unary_optimal};
 use proptest::prelude::*;
@@ -59,10 +59,11 @@ proptest! {
         span in 1e-3f64..0.1,
     ) {
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let table = IncrementTable::new(AreaCost { cr: 1e6 }, 1.0);
         let mut policies: Vec<Box<dyn nela_bounding::protocol::IncrementPolicy>> = vec![
             Box::new(LinearPolicy::new(span / 4.0)),
             Box::new(ExponentialPolicy::new(span)),
-            Box::new(SecurePolicy::new(Uniform::new(span), AreaCost { cr: 1e6 }, 1.0)),
+            Box::new(SecurePolicy::new(&table, Uniform::new(span))),
         ];
         for p in policies.iter_mut() {
             let run = progressive_upper_bound(&values, 0.0, 0.0, p.as_mut()).unwrap();

@@ -23,13 +23,11 @@
 //! session) and over the transport carrying the protocol phases (in-process
 //! or a per-request simulated network).
 
-use crate::params::Params;
 use crate::system::System;
 use nela_bounding::baselines::{ExponentialPolicy, LinearPolicy};
 use nela_bounding::bbox::{bounding_box, BboxOutcome};
-use nela_bounding::cost::AreaCost;
 use nela_bounding::distribution::Uniform;
-use nela_bounding::nbound::SecurePolicy;
+use nela_bounding::nbound::{IncrementTable, SecurePolicy};
 use nela_bounding::protocol::{
     progressive_upper_bound_with, BoundingError, IncrementPolicy, LocalValues,
 };
@@ -178,8 +176,11 @@ pub struct CloakingResult {
     pub required_k: usize,
     /// True when both phases were skipped entirely.
     pub reused: bool,
-    /// CPU time spent computing bounding increments and running the
-    /// protocol logic (the paper's Fig. 13(d) metric).
+    /// The serving process's phase-2 CPU time for this request: the
+    /// protocol logic plus the increments, read from (or solved into) the
+    /// engine's shared increment table. One device solving its own
+    /// increments pays more; that per-device cost is the paper's
+    /// Fig. 13(d) metric, which `exp_fig13` times separately.
     pub bounding_cpu: Duration,
 }
 
@@ -200,6 +201,9 @@ pub struct CloakingEngine<'a> {
     /// Personalized per-user anonymity levels (`k_of[u]` is user u's
     /// `k_i`); `None` serves everyone at the uniform `Params::k`.
     k_of: Option<Vec<usize>>,
+    /// Secure-bounding increments for this system's cost model, shared by
+    /// every directional run, request and session worker.
+    increments: IncrementTable,
 }
 
 /// Per-thread scratch reused across requests: the lookup fills `members`
@@ -242,14 +246,15 @@ pub(crate) trait Transport {
 
     /// Phase 2: the four directional bounding runs over the members
     /// (`members[i]` sits at `points[i]`), anchored at the host and
-    /// assembled by [`bounding_box`].
-    fn bound_box(
+    /// assembled by [`bounding_box`]. Every run bounds with its own copy of
+    /// `policy`.
+    fn bound_box<P: IncrementPolicy + Clone>(
         &mut self,
         host: UserId,
         host_point: Point,
         members: &[UserId],
         points: &[Point],
-        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+        policy: &P,
     ) -> Result<BboxOutcome, BoundingError>;
 
     /// Ends one claim attempt; the next attempt's phases start afresh.
@@ -261,20 +266,20 @@ pub(crate) trait Transport {
 struct Local;
 
 impl Transport for Local {
-    fn bound_box(
+    fn bound_box<P: IncrementPolicy + Clone>(
         &mut self,
         _host: UserId,
         host_point: Point,
         _members: &[UserId],
         points: &[Point],
-        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+        policy: &P,
     ) -> Result<BboxOutcome, BoundingError> {
         let mut values = Vec::with_capacity(points.len());
         bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
             values.clear();
             values.extend(points.iter().map(|p| dir.value(p)));
             let mut transport = LocalValues::new(&values);
-            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut *policy())
+            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut policy.clone())
         })
     }
 }
@@ -341,13 +346,13 @@ impl Transport for Radio<'_> {
         distributed_k_clustering_with_policy(&mut fetch, host, kp, removed)
     }
 
-    fn bound_box(
+    fn bound_box<P: IncrementPolicy + Clone>(
         &mut self,
         host: UserId,
         host_point: Point,
         members: &[UserId],
         points: &[Point],
-        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+        policy: &P,
     ) -> Result<BboxOutcome, BoundingError> {
         let net = self.net();
         let mut values = Vec::with_capacity(members.len());
@@ -355,7 +360,7 @@ impl Transport for Radio<'_> {
             values.clear();
             values.extend(members.iter().zip(points).map(|(&u, p)| (u, dir.value(p))));
             let mut transport = SimVerify::new(&mut *net, host, &values);
-            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut *policy())
+            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut policy.clone())
         })
     }
 
@@ -415,6 +420,7 @@ impl<'a> CloakingEngine<'a> {
             carried_messages: 0,
             knn_taken: vec![false; system.points.len()],
             k_of: None,
+            increments: system.params.increment_table(),
         }
     }
 
@@ -506,11 +512,11 @@ impl<'a> CloakingEngine<'a> {
     /// the serial `for h in hosts { engine.request(h) }` loop, result for
     /// result. With more threads and [`ClusteringAlgo::TConnDistributed`],
     /// the batch runs as an [`EngineSession`] with [`auto_shard_axis`]-many
-    /// shards per axis (or the count pinned by [`Params::shards`]), one
-    /// scoped worker per contiguous chunk of hosts: requests lock only the
-    /// grid shards their cluster touches, conflicts trigger a bounded
-    /// recompute, and a starved request reports
-    /// [`RequestError::Contention`] instead of deadlocking.
+    /// shards per axis (or the count pinned by
+    /// [`Params::shards`](crate::Params::shards)), one scoped worker per
+    /// contiguous chunk of hosts: requests lock only the grid shards their
+    /// cluster touches, conflicts trigger a bounded recompute, and a starved
+    /// request reports [`RequestError::Contention`] instead of deadlocking.
     pub fn request_many(
         &mut self,
         hosts: &[UserId],
@@ -530,6 +536,7 @@ impl<'a> CloakingEngine<'a> {
             registry: ClusterRegistry::new(0),
             knn_taken: Vec::new(),
             k_of: None,
+            increments: self.system.params.increment_table(),
             ..*self
         };
         let session = std::mem::replace(self, placeholder).into_session(axis);
@@ -697,34 +704,31 @@ impl<'a> CloakingEngine<'a> {
         members: &[UserId],
         points: &[Point],
     ) -> Result<BboxOutcome, BoundingError> {
-        let p: &Params = &self.system.params;
-        let span = p.uniform_span(members.len());
-        let policy: fn(&Params, f64) -> Box<dyn IncrementPolicy> = match self.bounding {
+        let span = self.system.params.uniform_span(members.len());
+        let host_point = self.system.points[host as usize];
+        match self.bounding {
             BoundingAlgo::Optimal => {
                 let rect = Rect::bounding(points).ok_or(BoundingError::EmptyCluster)?;
-                return Ok(BboxOutcome {
+                Ok(BboxOutcome {
                     rect,
                     messages: members.len() as u64,
                     rounds: 1,
                     runs: optimal_runs(points, rect),
-                });
+                })
             }
-            // Per-dimension request-cost coefficient: a bound of extent x on
-            // each axis transfers ≈ Cr · n · x² message units.
-            BoundingAlgo::Secure => |p, span| {
-                Box::new(SecurePolicy::new(
-                    Uniform::new(span),
-                    AreaCost {
-                        cr: p.cr * p.n_users as f64,
-                    },
-                    p.cb,
-                ))
-            },
-            BoundingAlgo::Linear => |_, span| Box::new(LinearPolicy::new(span / 4.0)),
-            BoundingAlgo::Exponential => |_, span| Box::new(ExponentialPolicy::new(span)),
-        };
-        let host_point = self.system.points[host as usize];
-        transport.bound_box(host, host_point, members, points, &mut || policy(p, span))
+            BoundingAlgo::Secure => {
+                let policy = SecurePolicy::new(&self.increments, Uniform::new(span));
+                transport.bound_box(host, host_point, members, points, &policy)
+            }
+            BoundingAlgo::Linear => {
+                let policy = LinearPolicy::new(span / 4.0);
+                transport.bound_box(host, host_point, members, points, &policy)
+            }
+            BoundingAlgo::Exponential => {
+                let policy = ExponentialPolicy::new(span);
+                transport.bound_box(host, host_point, members, points, &policy)
+            }
+        }
     }
 
     /// Serves a kNN-baseline request: a fresh group of the host plus its
@@ -1163,8 +1167,9 @@ pub fn auto_shard_axis(threads: usize) -> usize {
     (((4 * threads.max(1)) as f64).sqrt().ceil() as usize).clamp(1, 64)
 }
 
-/// Shards-per-axis for a user-pinned *total* shard count ([`Params::shards`]):
-/// the smallest square grid with at least that many shards.
+/// Shards-per-axis for a user-pinned *total* shard count
+/// ([`Params::shards`](crate::Params::shards)): the smallest square grid
+/// with at least that many shards.
 pub fn shard_axis_for_total(shards: usize) -> usize {
     ((shards.max(1) as f64).sqrt().ceil() as usize).clamp(1, 64)
 }
@@ -1190,6 +1195,7 @@ fn optimal_runs(members: &[Point], rect: Rect) -> [nela_bounding::protocol::Boun
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Params;
     use nela_cluster::distributed::distributed_k_clustering;
 
     fn small_system() -> System {

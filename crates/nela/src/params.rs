@@ -1,5 +1,7 @@
 //! System parameters (paper Table I).
 
+use nela_bounding::cost::AreaCost;
+use nela_bounding::nbound::IncrementTable;
 use nela_geo::SpatialDistribution;
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +80,18 @@ impl Params {
     /// users (Table I: U = N/104770).
     pub fn uniform_span(&self, cluster_size: usize) -> f64 {
         cluster_size as f64 / self.n_users as f64
+    }
+
+    /// An empty secure-bounding increment table for this deployment's cost
+    /// model. The request cost is per dimension: a bound of extent x on
+    /// each axis transfers ≈ Cr · n · x² message units.
+    pub fn increment_table(&self) -> IncrementTable {
+        IncrementTable::new(
+            AreaCost {
+                cr: self.cr * self.n_users as f64,
+            },
+            self.cb,
+        )
     }
 }
 

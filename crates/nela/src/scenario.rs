@@ -341,13 +341,13 @@ impl Transport for Adversarial<'_> {
     /// typed bounding failure, or [`BoundingError::Unreachable`] naming the
     /// first dropped member when crash recovery left fewer survivors than
     /// the anonymity requirement.
-    fn bound_box(
+    fn bound_box<P: IncrementPolicy + Clone>(
         &mut self,
         host: UserId,
         host_point: Point,
         members: &[UserId],
         points: &[Point],
-        policy: &mut dyn FnMut() -> Box<dyn IncrementPolicy>,
+        policy: &P,
     ) -> Result<BboxOutcome, BoundingError> {
         let adversary = self.spec.adversary;
         let cluster_size = members.len();
@@ -372,16 +372,15 @@ impl Transport for Adversarial<'_> {
             match adversary {
                 Adversary::Honest | Adversary::Colluders { .. } => {
                     let mut t = LocalValues::new(&values);
-                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut *policy())
+                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut policy.clone())
                 }
                 Adversary::Liars { .. } => {
                     let mut t = LyingValues::new(&values, &roles, LieMode::AgreeEarly);
-                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut *policy())
+                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut policy.clone())
                 }
                 Adversary::Crash { round, .. } => {
                     let mut t = CrashingValues::new(&values, &roles, round);
-                    let out =
-                        progressive_upper_bound_resilient(&mut t, x0, domain_min, &mut *policy)?;
+                    let out = progressive_upper_bound_resilient(&mut t, x0, domain_min, policy)?;
                     for &i in &out.dropped {
                         dropped[i] = true;
                     }

@@ -8,7 +8,6 @@
 //! ```
 
 use nela::bounding::baselines::{optimal_bound, ExponentialPolicy, LinearPolicy};
-use nela::bounding::cost::AreaCost;
 use nela::bounding::distribution::Uniform;
 use nela::bounding::nbound::SecurePolicy;
 use nela::bounding::privacy::leak_report;
@@ -42,18 +41,13 @@ fn main() {
     println!("true maximum (never revealed to anyone): {true_max:.6}\n");
 
     let span = params.uniform_span(xs.len());
+    let table = params.increment_table();
     let mut policies: Vec<(&str, Box<dyn IncrementPolicy>)> = vec![
         ("linear", Box::new(LinearPolicy::new(span))),
         ("exponential", Box::new(ExponentialPolicy::new(span))),
         (
             "secure",
-            Box::new(SecurePolicy::new(
-                Uniform::new(span),
-                AreaCost {
-                    cr: params.cr * params.n_users as f64,
-                },
-                params.cb,
-            )),
+            Box::new(SecurePolicy::new(&table, Uniform::new(span))),
         ),
     ];
 

@@ -3,7 +3,7 @@
 use nela::bounding::baselines::LinearPolicy;
 use nela::bounding::cost::AreaCost;
 use nela::bounding::distribution::Uniform;
-use nela::bounding::nbound::SecurePolicy;
+use nela::bounding::nbound::{IncrementTable, SecurePolicy};
 use nela::bounding::protocol::progressive_upper_bound;
 use nela::bounding::unary::{unary_optimal, unary_uniform_area};
 use nela::cluster::centralized::centralized_k_clustering;
@@ -152,11 +152,8 @@ proptest! {
         span_exp in 1u32..8,
     ) {
         let span = 2f64.powi(-(span_exp as i32)); // 0.5 .. 0.0078
-        let mut policy = SecurePolicy::new(
-            Uniform::new(span),
-            AreaCost { cr: 1.0e7 },
-            1.0,
-        );
+        let table = IncrementTable::new(AreaCost { cr: 1.0e7 }, 1.0);
+        let mut policy = SecurePolicy::new(&table, Uniform::new(span));
         let run = progressive_upper_bound(&values, 0.0, 0.0, &mut policy).unwrap();
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(run.bound >= max);
