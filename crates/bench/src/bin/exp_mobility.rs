@@ -9,25 +9,31 @@
 //! validity, and the incremental-vs-rebuild speedup.
 //!
 //! **Part B — maintenance sweep.** Times one incremental tick (staged moves
-//! folded into the sharded grid + dirty-set rescore + in-place graph
+//! folded into the sharded grid and pushed into the candidate lists, or
+//! every user re-probed past the mover crossover, plus the in-place graph
 //! refill) against a from-scratch `WpgBuilder::build` across populations
 //! and move fractions, asserting graph equality outside the timed region
-//! every tick. Writes `BENCH_mobility.json` at the repository root.
+//! every tick. The default fractions fall on both sides of the crossover.
+//!
+//! A default run writes `BENCH_mobility.json` at the repository root, with
+//! a `provenance` block (git rev, cores, profile, knobs). A run that sets
+//! any of the knobs below prints its tables and leaves that file alone.
 //!
 //! Environment: `NELA_USERS` (Part A population, default 20,000),
 //! `NELA_TICKS` (default 25), `NELA_RATE` (requests/tick, default 40),
 //! `NELA_STATIONARY` (stationary fraction, default 0.9), `NELA_THREADS`,
 //! `NELA_SWEEP_USERS` (comma-separated Part B populations, default
 //! `10000,100000`), `NELA_SWEEP_FRACTIONS` (comma-separated move fractions,
-//! default `0.05,0.25,0.5,1.0`), `NELA_SWEEP_TICKS` (timed ticks per cell,
-//! default 8), `NELA_RESULTS_DIR` (optional JSON dump).
+//! default `0.01,0.05,0.1,0.15,0.2,0.25,0.5,1.0`), `NELA_SWEEP_TICKS`
+//! (timed ticks per cell, default 8), `NELA_RESULTS_DIR` (optional JSON
+//! dump, not a knob).
 //!
 //! Flags: `--metrics` enables the `nela-obs` recorder and writes
 //! `BENCH_obs.json`; `--smoke` runs a small CI-sized sweep (equality
 //! asserts intact, no files written) and exits.
 
 use nela::{BoundingAlgo, ClusteringAlgo, Params};
-use nela_bench::{fmt, print_table, ExpConfig};
+use nela_bench::{fmt, print_table, ExpConfig, Knob, Provenance};
 use nela_geo::{DatasetSpec, Point};
 use nela_mobility::{run_continuous, DriverConfig, MobilityConfig};
 use nela_wpg::{IncrementalWpg, InverseDistanceRss, Wpg, WpgBuilder};
@@ -35,6 +41,22 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::Instant;
+
+/// The environment knobs of a full run; setting any of them keeps the run
+/// from rewriting the committed `BENCH_mobility.json`.
+const KNOBS: &[&str] = &[
+    "NELA_USERS",
+    "NELA_TICKS",
+    "NELA_RATE",
+    "NELA_STATIONARY",
+    "NELA_THREADS",
+    "NELA_SWEEP_USERS",
+    "NELA_SWEEP_FRACTIONS",
+    "NELA_SWEEP_TICKS",
+];
+
+/// Part B's default move fractions: both sides of the mover crossover.
+const SWEEP_FRACTIONS: [f64; 8] = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0];
 
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
@@ -54,7 +76,8 @@ struct SweepRow {
     move_fraction: f64,
     ticks: usize,
     movers_per_tick: usize,
-    /// Mean users rescored per tick (dirty-region superset).
+    /// Mean users whose candidate list a tick touched (every user on a tick
+    /// past the mover crossover).
     mean_dirty: f64,
     /// Mean users whose rank list actually changed per tick.
     mean_changed: f64,
@@ -175,9 +198,9 @@ fn print_sweep(rows: &[SweepRow]) {
 }
 
 fn smoke() -> i32 {
-    // CI-sized: tiny populations, both acceptance fractions, equality
-    // asserted inside sweep_cell every tick.
-    let rows = run_sweep(&[2_000], &[0.25, 0.5, 1.0], 3);
+    // CI-sized: a tiny population, fractions on both sides of the mover
+    // crossover, equality asserted inside sweep_cell every tick.
+    let rows = run_sweep(&[2_000], &[0.05, 0.1, 0.25, 0.5, 1.0], 3);
     print_sweep(&rows);
     println!("\nsmoke OK: {} cells, equality held every tick", rows.len());
     0
@@ -192,6 +215,11 @@ fn main() {
         nela_obs::enable();
     }
     let cfg = ExpConfig::from_env();
+    let overrides: Vec<&str> = KNOBS
+        .iter()
+        .copied()
+        .filter(|k| std::env::var_os(k).is_some())
+        .collect();
 
     // ---- Part A: the continuous pipeline.
     let params = Params {
@@ -280,32 +308,52 @@ fn main() {
         .ok()
         .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
         .filter(|v: &Vec<f64>| !v.is_empty())
-        .unwrap_or_else(|| vec![0.05, 0.25, 0.5, 1.0]);
+        .unwrap_or_else(|| SWEEP_FRACTIONS.to_vec());
     let sweep_ticks = env_or("NELA_SWEEP_TICKS", 8usize);
     let sweep = run_sweep(&populations, &fractions, sweep_ticks);
     print_sweep(&sweep);
 
     #[derive(Serialize)]
     struct Report {
+        provenance: Provenance,
         continuous: nela_mobility::RunSummary,
         sweep: Vec<SweepRow>,
     }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let provenance = Provenance::of_run(
+        &root,
+        vec![
+            Knob::new("NELA_USERS", params.n_users),
+            Knob::new("NELA_TICKS", driver.ticks),
+            Knob::new("NELA_RATE", driver.rate),
+            Knob::new("NELA_STATIONARY", mobility.stationary_frac),
+            Knob::new("NELA_THREADS", driver.threads),
+            Knob::new("NELA_SWEEP_USERS", format!("{populations:?}")),
+            Knob::new("NELA_SWEEP_FRACTIONS", format!("{fractions:?}")),
+            Knob::new("NELA_SWEEP_TICKS", sweep_ticks),
+        ],
+        false,
+    );
     let report = Report {
+        provenance,
         continuous: summary,
         sweep,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_mobility.json");
-    std::fs::write(&root, &json).expect("write BENCH_mobility.json");
-    eprintln!("[results] wrote {}", root.display());
+    // Only a run at every default backs the committed file.
+    if overrides.is_empty() {
+        let json = serde_json::to_string_pretty(&report).expect("serialize report");
+        let path = root.join("BENCH_mobility.json");
+        std::fs::write(&path, &json).expect("write BENCH_mobility.json");
+        eprintln!("[results] wrote {}", path.display());
+    } else {
+        eprintln!(
+            "[results] {overrides:?} override the defaults; BENCH_mobility.json left unchanged"
+        );
+    }
     cfg.write_json("exp_mobility", &report);
 
     if record_metrics {
-        let obs_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_obs.json");
+        let obs_path = root.join("BENCH_obs.json");
         std::fs::write(&obs_path, nela_obs::snapshot().to_json()).expect("write BENCH_obs.json");
         eprintln!("[results] wrote {}", obs_path.display());
     }

@@ -398,7 +398,6 @@ pub fn mobility(raw: Vec<String>) -> Result<(), ArgError> {
         "metrics",
     ];
     let args = Args::parse(raw, FLAGS)?;
-    let _metrics = MetricsSink::from(&args);
     let mut params = {
         let users: usize = args.num_or("users", 20_000)?;
         let mut p = Params::scaled(users);
@@ -408,6 +407,15 @@ pub fn mobility(raw: Vec<String>) -> Result<(), ArgError> {
         p.threads = args.num_or("threads", 1usize)?.max(1);
         p
     };
+    for (flag, value) in [
+        ("users", params.n_users),
+        ("k", params.k),
+        ("m", params.max_peers),
+    ] {
+        if value == 0 {
+            return Err(ArgError(format!("--{flag} 0: must be at least 1")));
+        }
+    }
     params.requests = 0; // requests arrive as a Poisson stream, not a batch
     let stationary: f64 = args.num_or("stationary", 0.9)?;
     if !(0.0..=1.0).contains(&stationary) {
@@ -426,6 +434,9 @@ pub fn mobility(raw: Vec<String>) -> Result<(), ArgError> {
         measure_rebuild: true,
         threads: params.threads,
     };
+    // "--rate 800 must be finite and in [0, 700)".
+    driver.validate().map_err(|e| ArgError(format!("--{e}")))?;
+    let _metrics = MetricsSink::from(&args);
     let summary = nela_mobility::run_continuous(
         &params,
         &mobility_cfg,
@@ -734,6 +745,26 @@ fn mark(ok: bool) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mobility_rejects_bad_driver_values_as_arg_errors() {
+        for (flag, value) in [
+            ("rate", "800"),
+            ("rate", "-1"),
+            ("rate", "nan"),
+            ("m", "0"),
+            ("k", "0"),
+            ("users", "0"),
+        ] {
+            let raw = vec![format!("--{flag}"), value.to_string()];
+            let err = mobility(raw).expect_err("bad value must be rejected");
+            assert!(
+                err.0.starts_with(&format!("--{flag} ")),
+                "--{flag} {value}: {}",
+                err.0
+            );
+        }
+    }
 
     #[test]
     fn robustness_rejects_bad_matrix_values_as_arg_errors() {

@@ -48,6 +48,66 @@ pub(crate) fn cell_id_of(p: &Point, cell_side: f64, cells: usize) -> usize {
     cell_coord(p.y, cell_side, cells) * cells + cell_coord(p.x, cell_side, cells)
 }
 
+/// The inclusive cell block `(cols, rows)` a ball of `radius` around `q`
+/// overlaps on a `cells × cells` grid, or `None` for a radius of minus one
+/// cell or less.
+#[inline]
+pub(crate) fn ball_block(
+    q: Point,
+    radius: f64,
+    cell_side: f64,
+    cells: usize,
+) -> Option<((usize, usize), (usize, usize))> {
+    let span = usize::try_from((radius / cell_side).ceil() as isize).ok()?;
+    let qcx = cell_coord(q.x, cell_side, cells);
+    let qcy = cell_coord(q.y, cell_side, cells);
+    let last = cells - 1;
+    Some((
+        (qcx.saturating_sub(span), qcx.saturating_add(span).min(last)),
+        (qcy.saturating_sub(span), qcy.saturating_add(span).min(last)),
+    ))
+}
+
+/// The δ-probe kernel both grids share: appends to `out` every
+/// `(id, squared distance)` of `runs` within `radius` of `q`, skipping
+/// `exclude`, in run order.
+///
+/// Each run is split into blocks: a branch-free squared-distance kernel over
+/// the SoA streams (which autovectorizes), then a compare-and-select pass
+/// over the distances. Both the per-lane arithmetic and the push order
+/// match the fused scalar loop exactly, so results are bit-identical to it.
+pub(crate) fn scan_runs<'a>(
+    runs: impl Iterator<Item = (&'a [UserId], &'a [f64], &'a [f64])>,
+    q: Point,
+    radius: f64,
+    exclude: UserId,
+    out: &mut Vec<(UserId, f64)>,
+) {
+    let r_sq = radius * radius;
+    // Stack scratch for one block of squared distances — no heap.
+    let mut d = [0.0f64; KERNEL_BLOCK];
+    for (ids, xs, ys) in runs {
+        let mut base = 0;
+        while base < ids.len() {
+            let m = (ids.len() - base).min(KERNEL_BLOCK);
+            dist_sq_block(
+                q.x,
+                q.y,
+                &xs[base..base + m],
+                &ys[base..base + m],
+                &mut d[..m],
+            );
+            for (j, &d_sq) in d[..m].iter().enumerate() {
+                let id = ids[base + j];
+                if d_sq <= r_sq && id != exclude {
+                    out.push((id, d_sq));
+                }
+            }
+            base += m;
+        }
+    }
+}
+
 /// A static uniform-grid index over a set of points in the unit square.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
@@ -246,46 +306,13 @@ impl GridIndex {
     /// `query_id` itself. Results are appended to `out` (cleared first) as
     /// `(id, squared distance)` pairs in arbitrary order.
     ///
-    /// The scan is split into two loops per coordinate block: a branch-free
-    /// squared-distance kernel over the cell-grouped SoA streams (which
-    /// autovectorizes), then a compare-and-select pass over the distances.
-    /// Both the per-lane arithmetic and the push order match the fused
-    /// scalar loop exactly, so results are bit-identical to it.
+    /// One run per cell row of the ball's cell block feeds the shared
+    /// blocked distance kernel ([`scan_runs`]).
     pub fn neighbors_within(&self, query_id: UserId, radius: f64, out: &mut Vec<(UserId, f64)>) {
         out.clear();
         let q = self.points[query_id as usize];
-        let r_sq = radius * radius;
-        // Cells overlapping the query ball (none for a radius of minus one
-        // cell or less).
-        let Ok(span) = usize::try_from((radius / self.cell_side).ceil() as isize) else {
-            return;
-        };
-        let qcx = cell_coord(q.x, self.cell_side, self.cells);
-        let qcy = cell_coord(q.y, self.cell_side, self.cells);
-        let last = self.cells - 1;
-        let cols = (qcx.saturating_sub(span), qcx.saturating_add(span).min(last));
-        let rows = (qcy.saturating_sub(span), qcy.saturating_add(span).min(last));
-        // Stack scratch for one block of squared distances — no heap.
-        let mut d = [0.0f64; KERNEL_BLOCK];
-        for (ids, xs, ys) in self.row_runs(cols, rows) {
-            let mut base = 0;
-            while base < ids.len() {
-                let m = (ids.len() - base).min(KERNEL_BLOCK);
-                dist_sq_block(
-                    q.x,
-                    q.y,
-                    &xs[base..base + m],
-                    &ys[base..base + m],
-                    &mut d[..m],
-                );
-                for (j, &d_sq) in d[..m].iter().enumerate() {
-                    let id = ids[base + j];
-                    if d_sq <= r_sq && id != query_id {
-                        out.push((id, d_sq));
-                    }
-                }
-                base += m;
-            }
+        if let Some((cols, rows)) = ball_block(q, radius, self.cell_side, self.cells) {
+            scan_runs(self.row_runs(cols, rows), q, radius, query_id, out);
         }
     }
 

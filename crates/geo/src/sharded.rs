@@ -1,4 +1,4 @@
-//! Region-sharded mutable grid with per-shard dirty queues.
+//! Region-sharded mutable grid for batched moves.
 //!
 //! Under mobility a full O(n) grid rebuild per tick wastes work when only
 //! some users move. [`ShardedDynamicGrid`] is the maintained grid behind
@@ -18,25 +18,21 @@
 //!   their cells refresh coordinates in place; untouched shards do nothing —
 //!   a tick's structural cost is proportional to the regions containing
 //!   movers, not to the grid.
-//! - Every staged move marks its old and new cell as a **source cell** in the
-//!   owning shard's epoch-stamped dirty queue.
-//!   [`ShardedDynamicGrid::collect_dirty_users`] expands those queues by one
-//!   cell ring (3×3 blocks): because the cell side is ≥ δ, any user within δ
-//!   of a mover's old or new position lives in that dilation, so the result
-//!   is a conservative superset of the users whose δ-neighborhood changed.
-//!   Rescoring a user whose neighborhood did *not* change is idempotent, so
-//!   consumers stay exact while the marking costs O(movers), not
-//!   O(movers · δ-ball occupancy).
+//! - A δ-probe ([`ShardedDynamicGrid::neighbors_of_point`]) walks one run
+//!   per cell row: a row's cells are adjacent in its shard's CSR, so each
+//!   row of the probe's cell block is one contiguous slice, scanned by the
+//!   same kernel as [`GridIndex::neighbors_within`].
 //!
 //! Entries within a cell are kept in ascending id order (members are sorted
 //! and each rebuild scatters them in order), which makes
 //! [`ShardedDynamicGrid::to_grid_index`] a pure concatenation that is
-//! **bit-identical** to `GridIndex::build` over the same positions — pinned
-//! by the tests below.
+//! **bit-identical** to `GridIndex::build` over the same positions, and
+//! every probe bit-identical to the same probe of that index — pinned by
+//! the tests below.
 
-use crate::grid::GridIndex;
+use crate::grid::{ball_block, scan_runs, GridIndex};
 use crate::point::Point;
-use crate::soa::{dist_sq_block, PointsSoA, KERNEL_BLOCK};
+use crate::soa::PointsSoA;
 use crate::UserId;
 
 /// Typed rejection of an out-of-range user id. Ids are dense indices fixed
@@ -71,7 +67,7 @@ impl std::error::Error for GridError {}
 /// Default number of row-band shards (clamped to the number of cell rows).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// One band of consecutive cell rows with its own CSR and dirty queue.
+/// One band of consecutive cell rows with its own CSR.
 #[derive(Debug, Clone)]
 struct Shard {
     /// First global cell id covered by this shard.
@@ -87,8 +83,6 @@ struct Shard {
     entries: Vec<UserId>,
     /// Coordinates of `entries[i]`, the cell-grouped SoA mirror.
     coords: PointsSoA,
-    /// Source cells (global ids) marked this epoch, in marking order.
-    source_cells: Vec<u32>,
     /// Membership or cell assignment changed: the CSR must be rebuilt.
     needs_rebuild: bool,
     /// Movers that stayed in their cell: only their mirror coords refresh.
@@ -100,8 +94,8 @@ struct Shard {
     membership_dirty: bool,
 }
 
-/// A mutable uniform-grid index sharded into row bands with per-shard dirty
-/// queues. See the module docs for the maintenance contract.
+/// A mutable uniform-grid index sharded into row bands. See the module docs
+/// for the maintenance contract.
 #[derive(Debug, Clone)]
 pub struct ShardedDynamicGrid {
     /// Cells per axis.
@@ -117,16 +111,10 @@ pub struct ShardedDynamicGrid {
     /// Current cell of every point, indexed by id.
     cell_of: Vec<u32>,
     shards: Vec<Shard>,
-    /// Tick epoch; all `*_mark` arrays compare against it.
+    /// Tick epoch; `departed_mark` compares against it.
     epoch: u32,
-    /// Per-cell epoch stamp: cell is a source cell this epoch.
-    source_mark: Vec<u32>,
-    /// Per-cell epoch stamp: cell already visited by the dilation pass.
-    dilated_mark: Vec<u32>,
     /// Scratch write cursors for shard rebuilds (sized to the largest shard).
     cursor_scratch: Vec<u32>,
-    /// Scratch list of this epoch's dilated (dirty) cells.
-    dirty_cells: Vec<u32>,
     /// Per-user epoch stamp: user left its tick-start shard this epoch.
     /// Cleared on re-insertion by the commit, which also dedups multi-hop
     /// arrival queue entries.
@@ -175,7 +163,6 @@ impl ShardedDynamicGrid {
                     offsets: Vec::new(),
                     entries: Vec::new(),
                     coords: PointsSoA::default(),
-                    source_cells: Vec::new(),
                     needs_rebuild: true,
                     coord_moves: Vec::new(),
                     incoming: Vec::new(),
@@ -197,14 +184,11 @@ impl ShardedDynamicGrid {
             points: points.to_vec(),
             cell_of,
             shards: shard_vec,
-            // Epoch 0 is the "never" stamp of every mark array; starting at 1
+            // Epoch 0 is the "never" stamp of `departed_mark`; starting at 1
             // keeps a stage/commit batch correct even before the first
             // `begin_tick`.
             epoch: 1,
-            source_mark: vec![0; cells * cells],
-            dilated_mark: vec![0; cells * cells],
             cursor_scratch: vec![0; max_shard_cells],
-            dirty_cells: Vec::new(),
             departed_mark: vec![0; points.len()],
             staged: false,
         };
@@ -250,6 +234,16 @@ impl ShardedDynamicGrid {
         self.min_cell_side
     }
 
+    /// The flat (row-major) cell id of `id`'s current position — its staged
+    /// position between a stage and the commit.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    #[inline]
+    pub fn cell_of(&self, id: UserId) -> usize {
+        self.cell_of[id as usize] as usize
+    }
+
     /// Current position of `id`, or [`GridError::UnknownId`] when `id` is not
     /// part of the indexed population.
     #[inline]
@@ -279,38 +273,21 @@ impl ShardedDynamicGrid {
         (cell / self.cells) / self.rows_per_shard
     }
 
-    /// Marks `cell` as a source cell of the current epoch, enqueueing it on
-    /// the owning shard's dirty queue the first time.
-    #[inline]
-    fn mark_source(&mut self, cell: u32) {
-        if self.source_mark[cell as usize] != self.epoch {
-            self.source_mark[cell as usize] = self.epoch;
-            let s = self.shard_of_cell(cell as usize);
-            self.shards[s].source_cells.push(cell);
-        }
-    }
-
-    /// Opens a new tick: advances the epoch and clears every shard's dirty
-    /// queue. Call once before a batch of [`ShardedDynamicGrid::stage_move`]s.
+    /// Opens a new tick: advances the epoch. Call once before a batch of
+    /// [`ShardedDynamicGrid::stage_move`]s.
     pub fn begin_tick(&mut self) {
-        // Epoch 0 is the "never marked" state of the mark arrays; skip it on
+        // Epoch 0 is the "never marked" state of `departed_mark`; skip it on
         // wraparound so stale stamps can never alias a live epoch.
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.source_mark.iter_mut().for_each(|m| *m = 0);
-            self.dilated_mark.iter_mut().for_each(|m| *m = 0);
             self.departed_mark.iter_mut().for_each(|m| *m = 0);
             self.epoch = 1;
         }
-        for shard in &mut self.shards {
-            shard.source_cells.clear();
-        }
     }
 
-    /// Stages a move of `id` to `new_pos`: the position updates immediately,
-    /// the old and new cells are marked as this epoch's source cells, and the
-    /// structural work is deferred to [`ShardedDynamicGrid::commit_moves`].
-    /// Returns the previous position.
+    /// Stages a move of `id` to `new_pos`: the position updates immediately
+    /// and the structural work is deferred to
+    /// [`ShardedDynamicGrid::commit_moves`]. Returns the previous position.
     ///
     /// Range queries are **stale** between a stage and the commit (they scan
     /// the pre-move cell structure); debug builds assert that no query runs
@@ -324,8 +301,6 @@ impl ShardedDynamicGrid {
         self.staged = true;
         let old_cell = self.cell_of[id as usize];
         let new_cell = crate::grid::cell_id_of(&new_pos, self.cell_side, self.cells) as u32;
-        self.mark_source(old_cell);
-        self.mark_source(new_cell);
         if old_cell == new_cell {
             let s = self.shard_of_cell(old_cell as usize);
             let shard = &mut self.shards[s];
@@ -465,74 +440,6 @@ impl ShardedDynamicGrid {
         self.staged = false;
     }
 
-    /// Appends to `out` every user in the one-ring dilation (3×3 cell blocks)
-    /// of this epoch's source cells — a superset of every user whose
-    /// δ-neighborhood a staged move could have changed (cell side ≥ δ).
-    /// `out` is cleared first. Each user appears exactly once, in **ascending
-    /// cell order** (topology-independent): a rescore sweeping the result
-    /// probes consecutive grid rows, so its 3×3-cell lookups slide through a
-    /// cache-resident window instead of striding the whole grid the way an
-    /// id-order pass does. Call after [`ShardedDynamicGrid::commit_moves`].
-    pub fn collect_dirty_users(&mut self, out: &mut Vec<UserId>) {
-        debug_assert!(!self.staged, "collect_dirty_users on a staged grid");
-        out.clear();
-        let cells = self.cells as isize;
-        let mut dirty_cells = std::mem::take(&mut self.dirty_cells);
-        dirty_cells.clear();
-        for s in 0..self.shards.len() {
-            for i in 0..self.shards[s].source_cells.len() {
-                let c = self.shards[s].source_cells[i] as isize;
-                let cy = c / cells;
-                let cx = c % cells;
-                for ny in (cy - 1).max(0)..=(cy + 1).min(cells - 1) {
-                    for nx in (cx - 1).max(0)..=(cx + 1).min(cells - 1) {
-                        let nc = (ny * cells + nx) as usize;
-                        if self.dilated_mark[nc] != self.epoch {
-                            self.dilated_mark[nc] = self.epoch;
-                            dirty_cells.push(nc as u32);
-                        }
-                    }
-                }
-            }
-        }
-        // Emit in ascending cell order. Both branches produce the same
-        // output; the cutover only picks the cheaper way to get there
-        // (sorting the dirty-cell list vs scanning every cell in order) and
-        // depends only on the dilation — not the shard layout — so the
-        // order stays topology-independent.
-        if dirty_cells.len() * 4 >= self.source_mark.len() {
-            // Consecutive cells slice contiguous entry ranges, so a run of
-            // dirty cells is one copy.
-            for shard in &self.shards {
-                let marks = &self.dilated_mark[shard.cell_base..shard.cell_base + shard.n_cells];
-                let mut lc = 0;
-                while lc < shard.n_cells {
-                    if marks[lc] != self.epoch {
-                        lc += 1;
-                        continue;
-                    }
-                    let start = lc;
-                    while lc < shard.n_cells && marks[lc] == self.epoch {
-                        lc += 1;
-                    }
-                    let lo = shard.offsets[start] as usize;
-                    let hi = shard.offsets[lc] as usize;
-                    out.extend_from_slice(&shard.entries[lo..hi]);
-                }
-            }
-        } else {
-            dirty_cells.sort_unstable();
-            for &nc in &dirty_cells {
-                let shard = &self.shards[self.shard_of_cell(nc as usize)];
-                let lc = nc as usize - shard.cell_base;
-                let lo = shard.offsets[lc] as usize;
-                let hi = shard.offsets[lc + 1] as usize;
-                out.extend_from_slice(&shard.entries[lo..hi]);
-            }
-        }
-        self.dirty_cells = dirty_cells;
-    }
-
     /// All point ids within Euclidean distance `radius` (inclusive) of
     /// `center`, excluding `exclude` (pass an out-of-range id such as
     /// `u32::MAX` to exclude nothing). Results are appended to `out` (cleared
@@ -549,40 +456,29 @@ impl ShardedDynamicGrid {
     ) {
         debug_assert!(!self.staged, "range query on a staged grid");
         out.clear();
-        let r_sq = radius * radius;
-        let span = (radius / self.cell_side).ceil() as isize;
-        let qcx = crate::grid::cell_coord(center.x, self.cell_side, self.cells) as isize;
-        let qcy = crate::grid::cell_coord(center.y, self.cell_side, self.cells) as isize;
-        let mut d = [0.0f64; KERNEL_BLOCK];
-        for cy in (qcy - span).max(0)..=(qcy + span).min(self.cells as isize - 1) {
-            let shard = &self.shards[cy as usize / self.rows_per_shard];
-            for cx in (qcx - span).max(0)..=(qcx + span).min(self.cells as isize - 1) {
-                let lc = cy as usize * self.cells + cx as usize - shard.cell_base;
-                let lo = shard.offsets[lc] as usize;
-                let hi = shard.offsets[lc + 1] as usize;
-                let ids = &shard.entries[lo..hi];
-                let xs = &shard.coords.xs[lo..hi];
-                let ys = &shard.coords.ys[lo..hi];
-                let mut base = 0;
-                while base < ids.len() {
-                    let m = (ids.len() - base).min(KERNEL_BLOCK);
-                    dist_sq_block(
-                        center.x,
-                        center.y,
-                        &xs[base..base + m],
-                        &ys[base..base + m],
-                        &mut d[..m],
-                    );
-                    for (j, &d_sq) in d[..m].iter().enumerate() {
-                        let id = ids[base + j];
-                        if d_sq <= r_sq && id != exclude {
-                            out.push((id, d_sq));
-                        }
-                    }
-                    base += m;
-                }
-            }
+        if let Some((cols, rows)) = ball_block(center, radius, self.cell_side, self.cells) {
+            scan_runs(self.row_runs(cols, rows), center, radius, exclude, out);
         }
+    }
+
+    /// One run per row of the inclusive cell block `cols × rows`: a row's
+    /// cells all live in one shard and are adjacent in its CSR.
+    fn row_runs(
+        &self,
+        (lo_cx, hi_cx): (usize, usize),
+        (lo_cy, hi_cy): (usize, usize),
+    ) -> impl Iterator<Item = (&[UserId], &[f64], &[f64])> + '_ {
+        (lo_cy..=hi_cy).map(move |cy| {
+            let shard = &self.shards[cy / self.rows_per_shard];
+            let row = cy * self.cells - shard.cell_base;
+            let lo = shard.offsets[row + lo_cx] as usize;
+            let hi = shard.offsets[row + hi_cx + 1] as usize;
+            (
+                &shard.entries[lo..hi],
+                &shard.coords.xs[lo..hi],
+                &shard.coords.ys[lo..hi],
+            )
+        })
     }
 
     /// All point ids within distance `radius` (inclusive) of point
@@ -686,90 +582,6 @@ mod tests {
             g.commit_moves();
             assert_index_identical(&g.to_grid_index(), &GridIndex::build(g.points(), 0.04));
         }
-    }
-
-    #[test]
-    fn dirty_users_cover_every_changed_neighborhood() {
-        // Every user within δ of a mover's old or new position must be in
-        // the dirty set (supersets are fine, misses are not).
-        let delta = 0.05;
-        let pts = sample_points(600, 11);
-        let mut g = ShardedDynamicGrid::build_with_shards(&pts, delta, 5);
-        let before = pts.clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        g.begin_tick();
-        let movers: Vec<(UserId, Point)> = (0..30)
-            .map(|_| (rng.gen_range(0..600u32), Point::new(rng.gen(), rng.gen())))
-            .collect();
-        let mut olds = Vec::new();
-        for &(id, p) in &movers {
-            olds.push((id, g.stage_move(id, p)));
-        }
-        g.commit_moves();
-        let mut dirty = Vec::new();
-        g.collect_dirty_users(&mut dirty);
-        let dirty_set: std::collections::HashSet<UserId> = dirty.iter().copied().collect();
-        assert_eq!(dirty_set.len(), dirty.len(), "dirty list has duplicates");
-        let r_sq = delta * delta;
-        for u in 0..600u32 {
-            let pu_now = g.points()[u as usize];
-            let pu_before = before[u as usize];
-            let touched = movers.iter().any(|&(m, _)| m == u)
-                || olds.iter().any(|&(m, old)| {
-                    m != u
-                        && (old.dist_sq(&pu_before) <= r_sq
-                            || g.points()[m as usize].dist_sq(&pu_now) <= r_sq)
-                });
-            if touched {
-                assert!(dirty_set.contains(&u), "user {u} missed by dirty marking");
-            }
-        }
-    }
-
-    #[test]
-    fn dirty_queues_stay_local_to_moved_regions() {
-        // One mover in a corner must not dirty cells (or users) elsewhere.
-        let pts = sample_points(2000, 14);
-        let mut g = ShardedDynamicGrid::build_with_shards(&pts, 0.02, 10);
-        g.begin_tick();
-        let from = g.points()[0];
-        g.stage_move(
-            0,
-            Point::new(
-                (from.x + 0.001).clamp(0.0, 1.0),
-                (from.y + 0.001).clamp(0.0, 1.0),
-            ),
-        );
-        g.commit_moves();
-        let mut dirty = Vec::new();
-        g.collect_dirty_users(&mut dirty);
-        assert!(
-            dirty.len() < 100,
-            "a 0.001 nudge dirtied {} of 2000 users",
-            dirty.len()
-        );
-        let queued: usize = (0..g.shard_count())
-            .map(|s| g.shards[s].source_cells.len())
-            .sum();
-        assert!(queued <= 2, "one nudge queued {queued} source cells");
-    }
-
-    #[test]
-    fn epoch_separates_ticks() {
-        let pts = sample_points(200, 8);
-        let mut g = ShardedDynamicGrid::build(&pts, 0.05);
-        g.begin_tick();
-        g.stage_move(0, Point::new(0.9, 0.9));
-        g.commit_moves();
-        let mut dirty = Vec::new();
-        g.collect_dirty_users(&mut dirty);
-        assert!(!dirty.is_empty());
-        // A tick with no moves has an empty dirty set — stale marks from the
-        // previous epoch must not leak.
-        g.begin_tick();
-        g.commit_moves();
-        g.collect_dirty_users(&mut dirty);
-        assert!(dirty.is_empty(), "stale source cells leaked across ticks");
     }
 
     #[test]

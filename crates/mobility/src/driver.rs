@@ -13,8 +13,8 @@
 //!
 //! - **cluster-reuse rate** — how often a request is answered from a still-
 //!   valid registered cluster (the paper's zero-cost ® path) despite motion,
-//! - **incremental-vs-rebuild speedup** — wall-clock of the dirty-region WPG
-//!   update against a from-scratch `WpgBuilder::build`,
+//! - **incremental-vs-rebuild speedup** — wall-clock of the mover-driven
+//!   WPG update against a from-scratch `WpgBuilder::build`,
 //! - **anonymity validity** — whether served regions still cover ≥ k users
 //!   at the positions current when they were served.
 
@@ -44,12 +44,46 @@ pub struct DriverConfig {
     /// Also time a from-scratch WPG rebuild each tick for the speedup
     /// metric (doubles the per-tick cost; disable for long runs).
     pub measure_rebuild: bool,
-    /// Worker threads for the incremental maintenance (dirty-set rescore).
-    /// `1` (the default) rescores serially; higher counts produce a
-    /// bit-identical graph in parallel, so the run stays deterministic for
-    /// any value.
+    /// Worker threads for the incremental maintenance (whole-population
+    /// probes and snapshots). `1` (the default) runs serially; higher
+    /// counts produce a bit-identical graph in parallel, so the run stays
+    /// deterministic for any value.
     pub threads: usize,
 }
+
+impl DriverConfig {
+    /// Checks the knobs `run_continuous` cannot run with: the per-tick
+    /// request rate must be finite and in `[0, 700)` (the Poisson sampler's
+    /// `e^{−rate}` underflows past that).
+    pub fn validate(&self) -> Result<(), DriverConfigError> {
+        if !(self.rate.is_finite() && (0.0..MAX_RATE).contains(&self.rate)) {
+            return Err(DriverConfigError::BadRate(self.rate));
+        }
+        Ok(())
+    }
+}
+
+/// Exclusive upper bound of [`DriverConfig::rate`].
+const MAX_RATE: f64 = 700.0;
+
+/// A rejected [`DriverConfig`] with the offending field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DriverConfigError {
+    /// `rate` was negative, NaN, infinite or at least 700.
+    BadRate(f64),
+}
+
+impl std::fmt::Display for DriverConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DriverConfigError::BadRate(r) => {
+                write!(f, "rate {r} must be finite and in [0, {MAX_RATE})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DriverConfigError {}
 
 impl Default for DriverConfig {
     fn default() -> Self {
@@ -69,7 +103,8 @@ pub struct TickMetrics {
     pub tick: usize,
     /// Unique users that moved.
     pub moved: usize,
-    /// Users re-scored by the incremental WPG update.
+    /// Users whose candidate list the incremental WPG update touched (every
+    /// user on a tick past the mover crossover).
     pub dirty: usize,
     /// Users whose rank list actually changed.
     pub changed: usize,
@@ -135,8 +170,8 @@ const ARRIVAL_STREAM: u64 = 0x4152_5249_5645; // "ARRIVE"
 const HOST_STREAM: u64 = 0x484f_5354; // "HOST"
 
 /// Knuth's product method; exact for the small per-tick rates used here.
+/// `rate` is checked by [`DriverConfig::validate`].
 fn poisson(rng: &mut ChaCha8Rng, rate: f64) -> usize {
-    assert!((0.0..700.0).contains(&rate), "rate out of supported range");
     let l = (-rate).exp();
     let mut k = 0usize;
     let mut p = 1.0;
@@ -151,6 +186,11 @@ fn poisson(rng: &mut ChaCha8Rng, rate: f64) -> usize {
 
 /// Runs the continuous workload. Fully deterministic for fixed
 /// `params.seed`, `mobility.seed`, and `config.seed`.
+///
+/// # Panics
+/// Panics if `config` fails [`DriverConfig::validate`], or if `params` has
+/// no users, `k = 0` or `max_peers = 0`; callers holding untrusted values
+/// check them first (the CLI turns them into usage errors).
 pub fn run_continuous(
     params: &Params,
     mobility: &MobilityConfig,
@@ -158,6 +198,9 @@ pub fn run_continuous(
     clustering: ClusteringAlgo,
     bounding: BoundingAlgo,
 ) -> RunSummary {
+    if let Err(e) = config.validate() {
+        panic!("run_continuous: {e}");
+    }
     let mut world = MobileWorld::new(params, mobility);
     world.set_threads(config.threads);
     let mut registry = ClusterRegistry::new(params.n_users);
@@ -321,8 +364,9 @@ mod tests {
 
     #[test]
     fn threaded_maintenance_keeps_run_identical() {
-        // The `threads` knob only parallelizes the dirty-set rescore, which
-        // is bit-identical to serial — so the whole run must be too.
+        // The `threads` knob only parallelizes whole-population probes and
+        // snapshots, which are bit-identical to serial — so the whole run
+        // must be too.
         let serial = small_run_threads(7, 1);
         for threads in [2usize, 4] {
             let par = small_run_threads(7, threads);
@@ -438,6 +482,27 @@ mod tests {
         // The rebuild was measured, so the speedup series exists.
         assert!(s.mean_speedup.is_some());
         assert!(s.per_tick.iter().all(|m| m.rebuild_ns > 0));
+    }
+
+    #[test]
+    fn validate_rejects_rates_the_sampler_cannot_draw() {
+        for rate in [700.0, 800.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = DriverConfig {
+                rate,
+                ..DriverConfig::default()
+            };
+            assert!(
+                matches!(config.validate(), Err(DriverConfigError::BadRate(_))),
+                "rate {rate} accepted"
+            );
+        }
+        for rate in [0.0, 25.0, 699.5] {
+            let config = DriverConfig {
+                rate,
+                ..DriverConfig::default()
+            };
+            assert_eq!(config.validate(), Ok(()), "rate {rate} rejected");
+        }
     }
 
     #[test]

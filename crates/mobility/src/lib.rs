@@ -30,7 +30,7 @@ pub mod lifetime;
 pub mod model;
 pub mod world;
 
-pub use driver::{run_continuous, DriverConfig, RunSummary, TickMetrics};
+pub use driver::{run_continuous, DriverConfig, DriverConfigError, RunSummary, TickMetrics};
 pub use lifetime::{cluster_still_valid, invalidate_broken_clusters, InvalidationReport};
 pub use model::{MobilityConfig, MobilityField};
 pub use world::{MobileWorld, TickStats};

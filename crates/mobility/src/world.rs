@@ -10,7 +10,8 @@ use nela_wpg::{IncrementalWpg, InverseDistanceRss, UpdateStats, Wpg, WpgBuilder}
 pub struct TickStats {
     /// Unique users that moved this tick.
     pub moved: usize,
-    /// Users whose WPG rank list was recomputed (dirty-region superset).
+    /// Users whose WPG candidate list this tick touched (every user on a
+    /// tick past the mover crossover).
     pub dirty: usize,
     /// Users whose rank list actually changed — the only users whose
     /// incident edges (and hence cluster certificates) can differ from the
@@ -41,8 +42,8 @@ impl MobileWorld {
 
     /// Attaches motion and incremental maintenance to an existing snapshot.
     /// `params.shards` picks the region-shard layout (0 = default) and
-    /// `params.threads` the dirty-set rescore workers; both only affect
-    /// performance, never the maintained graph.
+    /// `params.threads` the workers of whole-population probes; both only
+    /// affect performance, never the maintained graph.
     pub fn from_points(params: &Params, mobility: &MobilityConfig, points: &[Point]) -> Self {
         let builder = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss);
         let shards = if params.shards > 0 {

@@ -17,7 +17,7 @@
 use crate::event::EventQueue;
 use crate::network::ConfigError;
 use nela_geo::{GridIndex, Point, UserId};
-use nela_wpg::{Edge, Wpg};
+use nela_wpg::{keep_strongest, Edge, Wpg};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -182,8 +182,7 @@ pub fn run_discovery(
             .iter()
             .map(|(&peer, &(sum, count))| (sum / count as f64, peer))
             .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.truncate(cfg.max_peers);
+        keep_strongest(&mut scored, cfg.max_peers);
         rank_of[u] = scored
             .iter()
             .enumerate()

@@ -60,12 +60,19 @@ pub mod stage {
     pub const MOBILITY_INCREMENTAL: &str = "mobility.tick.incremental";
     /// Incremental sub-stage: staging the move batch into the sharded grid.
     pub const INC_STAGE: &str = "wpg.inc.stage";
-    /// Incremental sub-stage: committing dirty shards (CSR rebuild).
+    /// Incremental sub-stage: committing the staged shards (CSR rebuild).
     pub const INC_COMMIT: &str = "wpg.inc.commit";
-    /// Incremental sub-stage: dirty-set collection (3×3 dilation gather).
-    pub const INC_COLLECT: &str = "wpg.inc.collect";
-    /// Incremental sub-stage: dirty-set rank rescore.
-    pub const INC_RESCORE: &str = "wpg.inc.rescore";
+    /// Incremental push pass: probing around each mover's tick-start
+    /// position for the lists it departs.
+    pub const INC_DEPART: &str = "wpg.inc.depart";
+    /// Incremental push pass: re-probing each mover at its new position,
+    /// rebuilding its list and recording its arrivals.
+    pub const INC_ARRIVE: &str = "wpg.inc.arrive";
+    /// Incremental push pass: applying each receiver's departures and
+    /// arrivals, underflow re-probes and top-M row writes.
+    pub const INC_MERGE: &str = "wpg.inc.merge";
+    /// Incremental tick past the mover crossover: every user re-probed.
+    pub const INC_REPROBE: &str = "wpg.inc.reprobe";
     /// Incremental snapshot: mutual-edge emission from maintained ranks.
     pub const INC_EMIT: &str = "wpg.inc.emit";
     /// Incremental snapshot: in-place CSR refill.

@@ -11,6 +11,32 @@
 use crate::graph::{Edge, Wpg};
 use crate::rss::RssModel;
 use nela_geo::{GridIndex, Point, UserId};
+use std::cmp::Ordering;
+
+/// The rank order of scored peers: strongest RSS first, ties to the lower
+/// id. A total order over `(rss, id)` keys with distinct ids, so the rank
+/// list it sorts is unique.
+#[inline]
+pub(crate) fn rank_order(a: &(f64, UserId), b: &(f64, UserId)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// Cuts `scored` (distinct ids) down to its `keep` strongest entries, sorted
+/// strongest first in `(rss desc, id asc)` order, and returns the strongest
+/// entry it cut, if any.
+///
+/// The order is total, so selecting the top `keep` and sorting only them
+/// gives the same list as stably sorting everything and truncating — in
+/// place, without the merge sort's buffer for lists longer than 20.
+pub fn keep_strongest(scored: &mut Vec<(f64, UserId)>, keep: usize) -> Option<(f64, UserId)> {
+    let cut = (scored.len() > keep).then(|| {
+        let (_, &mut cut, _) = scored.select_nth_unstable_by(keep, rank_order);
+        scored.truncate(keep);
+        cut
+    });
+    scored.sort_unstable_by(rank_order);
+    cut
+}
 
 /// Flat CSR-style per-user rank lists: user `u`'s retained peers are
 /// `peers[offsets[u]..offsets[u+1]]`, strongest first, and a peer's 1-based
@@ -137,8 +163,7 @@ impl<R: RssModel> WpgBuilder<R> {
                 }));
                 // Strongest first; tie-break on id so the build is
                 // deterministic.
-                scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                scored.truncate(self.max_peers);
+                keep_strongest(&mut scored, self.max_peers);
                 peers.extend(scored.iter().map(|&(_, v)| v));
                 lens.push(scored.len() as u32);
             }
@@ -286,6 +311,39 @@ mod tests {
             let par = b.build_threads(&pts, threads);
             let par_edges: Vec<_> = par.edges().collect();
             assert_eq!(par_edges, serial_edges, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn keep_strongest_matches_stable_sort_and_truncate() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for len in [0usize, 1, 5, 19, 20, 21, 64] {
+            // Few distinct scores (ties resolve by id) plus a negative zero.
+            let scored: Vec<(f64, UserId)> = (0..len)
+                .map(|i| {
+                    let rss = match next() % 5 {
+                        0 => -0.0,
+                        k => -(k as f64),
+                    };
+                    (rss, (next() % 1000) as UserId * 100 + i as UserId)
+                })
+                .collect();
+            for keep in [0usize, 1, 3, 10, 20, 70] {
+                let mut expect = scored.clone();
+                expect.sort_by(rank_order);
+                let cut = expect.get(keep).copied();
+                expect.truncate(keep);
+                let mut got = scored.clone();
+                let got_cut = keep_strongest(&mut got, keep);
+                assert_eq!(got, expect, "len {len} keep {keep}");
+                assert_eq!(got_cut, cut, "len {len} keep {keep}");
+            }
         }
     }
 

@@ -1,41 +1,56 @@
 //! Incremental WPG maintenance under user mobility.
 //!
 //! [`crate::WpgBuilder`] recomputes every user's δ-range query, RSS scores,
-//! and top-M rank list on each call — O(n · m log m) per snapshot. When only
-//! a fraction of the population moves between snapshots, almost all of that
-//! work is redundant: a user's rank list can only change when some *mover*
-//! was within radio range of it before the move or is within range after.
+//! and top-M rank list on each call. When only a fraction of the population
+//! moves between snapshots, almost all of that work is redundant: a user's
+//! in-range peer set changes only by the movers that left or entered its
+//! radio range, and every other peer keeps its RSS.
 //!
-//! [`IncrementalWpg`] exploits that locality. It owns a
-//! [`nela_geo::ShardedDynamicGrid`] — region-sharded with per-shard dirty
-//! queues — plus flat per-user rank arenas, and on
-//! [`IncrementalWpg::apply_moves`]:
+//! [`IncrementalWpg`] therefore maintains the graph from the movers. Beside
+//! its published top-M row, each user keeps a **candidate list** of up to 2M
+//! `(id, rss)` pairs in `(rss desc, id asc)` order plus an optional
+//! **floor** key, under one invariant: the list holds exactly the user's
+//! in-range peers that rank above the floor (with no floor, the whole
+//! in-range set). A list with a floor and at least M entries thus starts
+//! with the user's top M. On [`IncrementalWpg::apply_moves`]:
 //!
-//! 1. stages every move in the grid and commits the batch in one pass (only
-//!    shards containing movers rebuild their cell structure),
-//! 2. computes the **dirty set** from the grid's source-cell queues: the 3×3
-//!    cell dilation of every cell a mover left or entered. Marking costs
-//!    O(movers + dirty cells), not a δ-probe per mover,
-//! 3. re-runs the δ-query + RSS-sort + truncate-to-M pipeline for dirty
-//!    users only — optionally chunked over `threads` workers, bit-identical
-//!    to the serial order — and records which users' rank lists *actually*
-//!    changed (clean users survive the tick with their epoch's lists).
+//! 1. every move is staged in the [`nela_geo::ShardedDynamicGrid`] and the
+//!    batch is committed in one pass; the first staging of an id returns its
+//!    tick-start position;
+//! 2. **departures** — a δ-probe around each unique mover's tick-start
+//!    position removes the mover from every non-mover's list;
+//! 3. **arrivals** — a δ-probe around each mover's new position rebuilds the
+//!    mover's own list and inserts the mover into each in-range non-mover's
+//!    list if it ranks above that list's floor; a full list evicts its tail
+//!    entry, which becomes the new floor;
+//! 4. **underflow** — a non-mover with a floor left holding fewer than M
+//!    entries is re-probed in full;
+//! 5. **publish** — each touched user's top-M row is written, and the user
+//!    enters [`IncrementalWpg::changed_users`] only if its ids changed.
 //!
-//! **Exactness.** Cell side ≥ δ, so any user within δ of a mover's old or
-//! new position lives in the 3×3 dilation of the mover's old or new cell:
-//! the dirty set is a conservative superset of every user whose in-range
-//! peer set could have changed. A user outside it retains the same peers at
-//! unchanged positions, and the sort key `(rss desc, id asc)` is a total
-//! order, so its rank list is bit-identical to a from-scratch build; a dirty
-//! user is recomputed by the builder's exact pipeline. The rescore of a user
-//! whose neighborhood did not change is idempotent, so over-approximation
-//! never changes the result. [`IncrementalWpg::snapshot`] therefore
-//! reconstructs a graph equal (vertices, edges, weights) to
-//! `WpgBuilder::build(current positions)`; the property tests in
-//! `tests/incremental_equivalence.rs` check this on random move batches
-//! across shard and thread counts.
+//! A tick's work thus follows the movers, not the density around them. When
+//! many users move, two probes per mover cost more than one per user: a tick
+//! with at least `n /` [`REPROBE_ALL_DIVISOR`] unique movers runs the
+//! constructor's own loop over every user instead, chunked over `threads`
+//! workers and bit-identical to serial.
+//!
+//! **Exactness.** A pushed RSS has the same bits as the receiver's own
+//! probe: the kernel's squared distance is the same bits from either end
+//! (`dx = qx − x` negates exactly), and the [`RssModel`] contract makes
+//! `rss_from_dist_sq` equal `rss` at that distance, computed with the
+//! non-mover as receiver. For the same reason a probe around a mover finds
+//! exactly the non-movers whose own probe finds it, so the two probes see
+//! every pair whose range or RSS changed; a pair of non-movers keeps both.
+//! The final lists do not depend on the order movers are processed in:
+//! every departure runs before any arrival and only removes, and inserting a
+//! set of keys into a capped list leaves the same top entries and the same
+//! floor (the strongest key ever evicted) in any order. The rank key is a
+//! total order, so every published row equals `WpgBuilder::build`'s at the
+//! current positions and [`IncrementalWpg::snapshot`] reconstructs the same
+//! graph (vertices, edges, weights); `tests/incremental_equivalence.rs`
+//! checks every CSR row and the changed set on every tick.
 
-use crate::builder::WpgBuilder;
+use crate::builder::{keep_strongest, rank_order, WpgBuilder};
 use crate::graph::{Edge, Wpg};
 use crate::rss::RssModel;
 use nela_geo::{GridError, Point, ShardedDynamicGrid, UserId};
@@ -46,11 +61,177 @@ pub struct UpdateStats {
     /// Unique users moved (duplicate ids in the batch count once; the last
     /// position per id wins).
     pub moved: usize,
-    /// Users whose rank list was recomputed (dirty-region superset).
+    /// Users whose candidate list this tick touched: the movers plus every
+    /// non-mover whose list lost or gained a mover or raised its floor — or
+    /// every user, on a tick that re-probes everyone.
     pub dirty: usize,
     /// Users whose rank list actually changed — the exact set of users whose
     /// incident edges may differ from the previous tick.
     pub changed: usize,
+}
+
+/// A tick whose unique movers reach `n / REPROBE_ALL_DIVISOR` re-probes every
+/// user instead of pushing the movers: past that point two probes per mover
+/// cost more than one probe per user (the sweep in DESIGN.md, "Mover-driven
+/// WPG maintenance", puts the crossover there).
+pub const REPROBE_ALL_DIVISOR: usize = 3;
+
+/// Candidate-list capacity in units of M. Spare room past M lets departures
+/// shrink a list without a re-probe: at 2M underflow re-probes are rare
+/// (DESIGN.md) while the lists cost 12 bytes per entry.
+const CAPACITY_PER_PEER: usize = 2;
+
+/// Length and floor of one candidate list.
+#[derive(Debug, Clone, Copy, Default)]
+struct ListHead {
+    /// Entries in use.
+    len: u32,
+    /// Every in-range peer missing from the list ranks at or below this
+    /// `(rss, id)` key; `None` when the list holds the whole in-range set.
+    floor: Option<(f64, UserId)>,
+}
+
+/// Every user's candidate list in flat arenas: user `u`'s list is
+/// `ids/rss[u·cap .. u·cap + heads[u].len]`, strongest first.
+#[derive(Debug, Clone)]
+struct Candidates {
+    cap: usize,
+    ids: Vec<UserId>,
+    rss: Vec<f64>,
+    heads: Vec<ListHead>,
+}
+
+/// Writes a strongest-first list and its floor into one user's slots.
+fn write_list(
+    ids: &mut [UserId],
+    rss: &mut [f64],
+    head: &mut ListHead,
+    list: &[(f64, UserId)],
+    floor: Option<(f64, UserId)>,
+) {
+    for (i, &(r, v)) in list.iter().enumerate() {
+        ids[i] = v;
+        rss[i] = r;
+    }
+    *head = ListHead {
+        len: list.len() as u32,
+        floor,
+    };
+}
+
+impl Candidates {
+    fn new(n: usize, cap: usize) -> Self {
+        Candidates {
+            cap,
+            ids: vec![0; n * cap],
+            rss: vec![0.0; n * cap],
+            heads: vec![ListHead::default(); n],
+        }
+    }
+
+    /// Replaces `u`'s list.
+    fn set(&mut self, u: UserId, list: &[(f64, UserId)], floor: Option<(f64, UserId)>) {
+        let lo = u as usize * self.cap;
+        write_list(
+            &mut self.ids[lo..lo + self.cap],
+            &mut self.rss[lo..lo + self.cap],
+            &mut self.heads[u as usize],
+            list,
+            floor,
+        );
+    }
+
+    /// Removes `v` from `u`'s list; true when it was there.
+    fn remove(&mut self, u: UserId, v: UserId) -> bool {
+        let lo = u as usize * self.cap;
+        let head = &mut self.heads[u as usize];
+        let hi = lo + head.len as usize;
+        let Some(at) = self.ids[lo..hi].iter().position(|&p| p == v) else {
+            return false;
+        };
+        self.ids.copy_within(lo + at + 1..hi, lo + at);
+        self.rss.copy_within(lo + at + 1..hi, lo + at);
+        head.len -= 1;
+        true
+    }
+
+    /// Inserts `key` into `u`'s list if it ranks above the floor; a full
+    /// list's tail becomes the new floor. True when the list or its floor
+    /// changed.
+    fn insert(&mut self, u: UserId, key: (f64, UserId)) -> bool {
+        let head = &mut self.heads[u as usize];
+        if head.floor.is_some_and(|f| rank_order(&key, &f).is_ge()) {
+            return false;
+        }
+        let lo = u as usize * self.cap;
+        let ids = &mut self.ids[lo..lo + self.cap];
+        let rss = &mut self.rss[lo..lo + self.cap];
+        let len = head.len as usize;
+        let at = (0..len)
+            .find(|&i| rank_order(&key, &(rss[i], ids[i])).is_lt())
+            .unwrap_or(len);
+        let last = self.cap - 1;
+        if len == self.cap {
+            if at == self.cap {
+                head.floor = Some(key);
+                return true;
+            }
+            head.floor = Some((rss[last], ids[last]));
+            ids.copy_within(at..last, at + 1);
+            rss.copy_within(at..last, at + 1);
+        } else {
+            ids.copy_within(at..len, at + 1);
+            rss.copy_within(at..len, at + 1);
+            head.len += 1;
+        }
+        ids[at] = key.1;
+        rss[at] = key.0;
+        true
+    }
+
+    /// `u`'s top `m` peers, strongest first. Exact when the list has no
+    /// floor or holds at least `m` entries.
+    fn top(&self, u: UserId, m: usize) -> &[UserId] {
+        let lo = u as usize * self.cap;
+        &self.ids[lo..lo + m.min(self.heads[u as usize].len as usize)]
+    }
+}
+
+/// `u`'s full δ-probe: every in-range peer scored with `u` as receiver (the
+/// grid's squared distance feeds the RSS fast path, as in the builder), cut
+/// to the `cap` strongest in `scored`. Returns the list's floor; `buf` keeps
+/// the probe's `(peer, d_sq)` pairs.
+fn probe<R: RssModel>(
+    grid: &ShardedDynamicGrid,
+    builder: &WpgBuilder<R>,
+    u: UserId,
+    cap: usize,
+    buf: &mut Vec<(UserId, f64)>,
+    scored: &mut Vec<(f64, UserId)>,
+) -> Option<(f64, UserId)> {
+    grid.neighbors_within(u, builder.delta, buf);
+    let points = grid.points();
+    let pu = points[u as usize];
+    scored.clear();
+    scored.extend(buf.iter().map(|&(v, d_sq)| {
+        (
+            builder
+                .rss
+                .rss_from_dist_sq(u, pu, v, points[v as usize], d_sq),
+            v,
+        )
+    }));
+    keep_strongest(scored, cap)
+}
+
+/// One mover's effect on a non-mover's candidate list.
+#[derive(Debug, Clone, Copy)]
+enum Push {
+    /// The mover left the receiver's range from its tick-start position.
+    Depart(UserId),
+    /// The mover is in range at its new position, with this `(rss, id)` key
+    /// at the receiver.
+    Arrive((f64, UserId)),
 }
 
 /// A WPG kept up to date under a stream of position updates.
@@ -58,33 +239,41 @@ pub struct UpdateStats {
 pub struct IncrementalWpg<R: RssModel> {
     builder: WpgBuilder<R>,
     grid: ShardedDynamicGrid,
-    /// Worker threads for the dirty-set rescore and threaded snapshots.
+    /// Worker threads for whole-population probes and threaded snapshots.
     threads: usize,
-    /// Flat rank arena: user `u`'s retained peers, strongest first, are
+    /// Flat rank arena: user `u`'s published peers, strongest first, are
     /// `rank_peers[u·M .. u·M + rank_len[u]]`; a peer's 1-based rank is its
     /// position in that row plus one (`M = builder.max_peers`).
     rank_peers: Vec<UserId>,
     rank_len: Vec<u32>,
+    /// Candidate lists behind the published rows (see the module docs).
+    lists: Candidates,
+    /// This tick's unique movers with their tick-start positions.
+    movers: Vec<(UserId, Point)>,
+    /// This tick's `(receiver, push)` records, then the pushes grouped by
+    /// receiver: `u`'s run ends at `push_ends[u]`.
+    pushes: Vec<(UserId, Push)>,
+    grouped: Vec<Push>,
+    push_ends: Vec<u32>,
     /// Scratch buffers reused across updates.
     buf: Vec<(UserId, f64)>,
     scored: Vec<(f64, UserId)>,
-    dirty_ids: Vec<UserId>,
     changed_ids: Vec<UserId>,
     edges_scratch: Vec<Edge>,
-    /// Epoch-stamped per-user marks for unique-mover counting.
-    seen_mark: Vec<u32>,
-    seen_epoch: u32,
+    /// Epoch-stamped per-user mark: moved this tick.
+    mover_mark: Vec<u32>,
+    epoch: u32,
 }
 
 impl<R: RssModel> IncrementalWpg<R> {
     /// Builds the initial state from scratch over `points` with the default
-    /// shard layout, rescoring serially.
+    /// shard layout, probing serially.
     pub fn new(builder: WpgBuilder<R>, points: &[Point]) -> Self {
         Self::with_topology(builder, points, nela_geo::sharded::DEFAULT_SHARDS, 1)
     }
 
     /// Builds the initial state with an explicit region-shard count and
-    /// rescore thread count. Both only affect performance: the maintained
+    /// probe thread count. Both only affect performance: the maintained
     /// graph is bit-identical for every `(shards, threads)` combination.
     pub fn with_topology(
         builder: WpgBuilder<R>,
@@ -101,16 +290,19 @@ impl<R: RssModel> IncrementalWpg<R> {
             threads: threads.max(1),
             rank_peers: vec![0; n * m],
             rank_len: vec![0; n],
+            lists: Candidates::new(n, CAPACITY_PER_PEER * m),
+            movers: Vec::new(),
+            pushes: Vec::new(),
+            grouped: Vec::new(),
+            push_ends: Vec::new(),
             buf: Vec::new(),
             scored: Vec::new(),
-            dirty_ids: Vec::new(),
             changed_ids: Vec::new(),
             edges_scratch: Vec::new(),
-            seen_mark: vec![0; n],
-            seen_epoch: 0,
+            mover_mark: vec![0; n],
+            epoch: 0,
         };
-        let all: Vec<UserId> = (0..n as UserId).collect();
-        this.rescore_batch(&all);
+        this.reprobe_all();
         this.changed_ids.clear();
         this
     }
@@ -145,7 +337,8 @@ impl<R: RssModel> IncrementalWpg<R> {
         self.builder.delta
     }
 
-    /// Sets the rescore/snapshot worker-thread count (1 = serial; results
+    /// Sets the worker-thread count of whole-population probes (construction
+    /// and ticks that re-probe everyone) and snapshots (1 = serial; results
     /// are bit-identical for any value).
     #[inline]
     pub fn set_threads(&mut self, threads: usize) {
@@ -169,115 +362,169 @@ impl<R: RssModel> IncrementalWpg<R> {
         &self.changed_ids
     }
 
-    /// Recomputes the rank rows of every user in `dirty` (serially or
-    /// chunked over `self.threads` — bit-identical either way since each
-    /// user's pipeline reads only the committed grid), appending the users
-    /// whose rows actually changed to `self.changed_ids`.
-    fn rescore_batch(&mut self, dirty: &[UserId]) {
-        if self.threads <= 1 || dirty.len() < 2 {
-            for &u in dirty {
-                self.rescore_serial(u);
-            }
-            return;
-        }
-        // Parallel: chunks compute fresh rank rows into per-chunk arenas
-        // against the shared immutable grid; the write-back below runs on
-        // the caller thread in chunk (= dirty) order.
-        let grid = &self.grid;
-        let builder = &self.builder;
-        let chunk_rows: Vec<(Vec<UserId>, Vec<u32>)> =
-            nela_par::map_chunks(self.threads, dirty.len(), move |range| {
-                let mut buf: Vec<(UserId, f64)> = Vec::new();
-                let mut scored: Vec<(f64, UserId)> = Vec::new();
-                let mut peers: Vec<UserId> = Vec::new();
-                let mut lens: Vec<u32> = Vec::with_capacity(range.len());
-                let points = grid.points();
-                for i in range {
-                    let u = dirty[i];
-                    grid.neighbors_within(u, builder.delta, &mut buf);
-                    let pu = points[u as usize];
-                    scored.clear();
-                    scored.extend(buf.iter().map(|&(v, d_sq)| {
-                        (
-                            builder
-                                .rss
-                                .rss_from_dist_sq(u, pu, v, points[v as usize], d_sq),
-                            v,
-                        )
-                    }));
-                    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                    scored.truncate(builder.max_peers);
-                    peers.extend(scored.iter().map(|&(_, v)| v));
-                    lens.push(scored.len() as u32);
-                }
-                (peers, lens)
-            });
-        let mut i = 0;
-        for (peers, lens) in chunk_rows {
-            let mut lo = 0usize;
-            for len in lens {
-                let u = dirty[i];
-                i += 1;
-                self.store_row(u, &peers[lo..lo + len as usize]);
-                lo += len as usize;
-            }
-        }
-    }
-
-    /// Serial rescore of `u`: the exact `WpgBuilder::build_with_index`
-    /// pipeline (δ-query with grid-computed squared distances → RSS fast
-    /// path → `(rss desc, id asc)` sort → truncate to M).
-    fn rescore_serial(&mut self, u: UserId) {
-        self.grid
-            .neighbors_within(u, self.builder.delta, &mut self.buf);
-        let points = self.grid.points();
-        let pu = points[u as usize];
-        self.scored.clear();
-        // The grid query yields each peer's squared distance from `u`'s
-        // current position with the same operand order as `rss` would use,
-        // so the d_sq fast path stays bit-identical to the full-build
-        // pipeline.
-        self.scored.extend(self.buf.iter().map(|&(v, d_sq)| {
-            (
-                self.builder
-                    .rss
-                    .rss_from_dist_sq(u, pu, v, points[v as usize], d_sq),
-                v,
-            )
-        }));
-        self.scored
-            .sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        self.scored.truncate(self.builder.max_peers);
-        let lo = u as usize * self.builder.max_peers;
-        let old_len = self.rank_len[u as usize] as usize;
-        let unchanged = old_len == self.scored.len()
-            && self
-                .scored
-                .iter()
-                .zip(&self.rank_peers[lo..lo + old_len])
-                .all(|(&(_, v), &p)| v == p);
-        if unchanged {
-            return;
-        }
-        for (i, &(_, v)) in self.scored.iter().enumerate() {
-            self.rank_peers[lo + i] = v;
-        }
-        self.rank_len[u as usize] = self.scored.len() as u32;
-        self.changed_ids.push(u);
-    }
-
-    /// Writes `peers` (strongest first) as `u`'s rank row if it differs from
-    /// the current one, maintaining the changed list.
-    fn store_row(&mut self, u: UserId, peers: &[UserId]) {
+    /// Writes `u`'s top-M row from its candidate list if its ids differ from
+    /// the published row, recording `u` as changed.
+    fn publish(&mut self, u: UserId) {
         let m = self.builder.max_peers;
+        let row = self.lists.top(u, m);
         let lo = u as usize * m;
         let old_len = self.rank_len[u as usize] as usize;
-        if old_len == peers.len() && &self.rank_peers[lo..lo + old_len] == peers {
+        if old_len == row.len() && self.rank_peers[lo..lo + old_len] == *row {
             return;
         }
-        self.rank_peers[lo..lo + peers.len()].copy_from_slice(peers);
-        self.rank_len[u as usize] = peers.len() as u32;
+        self.rank_peers[lo..lo + row.len()].copy_from_slice(row);
+        self.rank_len[u as usize] = row.len() as u32;
         self.changed_ids.push(u);
+    }
+
+    /// Re-probes every user (chunked over `self.threads`, bit-identical to
+    /// serial since each list reads only the committed grid) and publishes
+    /// every row.
+    fn reprobe_all(&mut self) {
+        let cap = self.lists.cap;
+        let (grid, builder) = (&self.grid, &self.builder);
+        let Candidates {
+            ids, rss, heads, ..
+        } = &mut self.lists;
+        let mut users: Vec<_> = ids
+            .chunks_mut(cap)
+            .zip(rss.chunks_mut(cap))
+            .zip(heads.iter_mut())
+            .collect();
+        nela_par::for_each_chunk_mut(self.threads, &mut users, |first, chunk| {
+            let mut buf = Vec::new();
+            let mut scored = Vec::new();
+            for (i, ((ids, rss), head)) in chunk.iter_mut().enumerate() {
+                let u = (first + i) as UserId;
+                let floor = probe(grid, builder, u, cap, &mut buf, &mut scored);
+                write_list(ids, rss, head, &scored, floor);
+            }
+        });
+        for u in 0..self.len() as UserId {
+            self.publish(u);
+        }
+    }
+
+    /// The push passes of one tick (module docs, steps 2–5) over
+    /// `self.movers`. Returns the number of users whose candidate list it
+    /// touched.
+    ///
+    /// The two probe passes only record each mover's effect on the
+    /// non-movers around it; one merge pass then visits each receiver once,
+    /// in id order, applying its departures before its arrivals. Lists are
+    /// independent, so this is the order the module docs describe, while
+    /// every list is touched once per tick and the arena is swept in
+    /// address order instead of hit at random once per mover.
+    fn push_moves(&mut self) -> usize {
+        let delta = self.builder.delta;
+        let cap = self.lists.cap;
+        let mut movers = std::mem::take(&mut self.movers);
+        let mut pushes = std::mem::take(&mut self.pushes);
+        let mut buf = std::mem::take(&mut self.buf);
+        pushes.clear();
+        // Row-major cell order keeps consecutive probes on neighbouring
+        // grid rows.
+        movers.sort_unstable_by_key(|&(v, _)| (self.grid.cell_of(v), v));
+        let mut touched = movers.len();
+
+        let depart_span = nela_obs::span(nela_obs::stage::INC_DEPART);
+        for &(v, start) in &movers {
+            self.grid.neighbors_of_point(start, v, delta, &mut buf);
+            pushes.extend(
+                buf.iter()
+                    .filter(|&&(u, _)| self.mover_mark[u as usize] != self.epoch)
+                    .map(|&(u, _)| (u, Push::Depart(v))),
+            );
+        }
+        drop(depart_span);
+
+        let arrive_span = nela_obs::span(nela_obs::stage::INC_ARRIVE);
+        for &(v, _) in &movers {
+            let floor = probe(
+                &self.grid,
+                &self.builder,
+                v,
+                cap,
+                &mut buf,
+                &mut self.scored,
+            );
+            self.lists.set(v, &self.scored, floor);
+            self.publish(v);
+            let points = self.grid.points();
+            let pv = points[v as usize];
+            for &(w, d_sq) in &buf {
+                if self.mover_mark[w as usize] != self.epoch {
+                    // `w` is the receiver, exactly as in its own probe.
+                    let rss = self
+                        .builder
+                        .rss
+                        .rss_from_dist_sq(w, points[w as usize], v, pv, d_sq);
+                    pushes.push((w, Push::Arrive((rss, v))));
+                }
+            }
+        }
+        drop(arrive_span);
+
+        let _merge_span = nela_obs::span(nela_obs::stage::INC_MERGE);
+        // Counting sort by receiver. Scattering in record order keeps each
+        // receiver's departures (recorded first) ahead of its arrivals.
+        let n = self.len();
+        let ends = &mut self.push_ends;
+        ends.clear();
+        ends.resize(n + 1, 0);
+        for &(u, _) in &pushes {
+            ends[u as usize + 1] += 1;
+        }
+        for u in 0..n {
+            ends[u + 1] += ends[u];
+        }
+        let grouped = &mut self.grouped;
+        grouped.clear();
+        grouped.resize(pushes.len(), Push::Depart(0));
+        for &(u, push) in &pushes {
+            grouped[ends[u as usize] as usize] = push;
+            ends[u as usize] += 1;
+        }
+        // `ends[u]` is now the end of `u`'s run, which starts where `u − 1`'s
+        // ends.
+        let m = self.builder.max_peers;
+        let mut lo = 0;
+        for u in 0..n {
+            let hi = self.push_ends[u] as usize;
+            if hi == lo {
+                continue;
+            }
+            let u = u as UserId;
+            let mut changed = false;
+            for &push in &self.grouped[lo..hi] {
+                changed |= match push {
+                    Push::Depart(v) => self.lists.remove(u, v),
+                    Push::Arrive(key) => self.lists.insert(u, key),
+                };
+            }
+            lo = hi;
+            if !changed {
+                continue;
+            }
+            let head = self.lists.heads[u as usize];
+            if head.floor.is_some() && (head.len as usize) < m {
+                let floor = probe(
+                    &self.grid,
+                    &self.builder,
+                    u,
+                    cap,
+                    &mut buf,
+                    &mut self.scored,
+                );
+                self.lists.set(u, &self.scored, floor);
+            }
+            touched += 1;
+            self.publish(u);
+        }
+        self.buf = buf;
+        self.pushes = pushes;
+        self.movers = movers;
+        touched
     }
 
     /// Applies a batch of position updates and restores WPG exactness.
@@ -296,29 +543,29 @@ impl<R: RssModel> IncrementalWpg<R> {
 
     /// [`IncrementalWpg::apply_moves`] that rejects out-of-range ids with a
     /// typed error. Moves preceding the offending entry are already staged
-    /// and are committed (with their neighborhoods rescored) before
-    /// returning the error, so the graph stays exact for the applied prefix.
+    /// and are committed (with the graph updated for them) before returning
+    /// the error, so the graph stays exact for the applied prefix.
     pub fn try_apply_moves(&mut self, moves: &[(UserId, Point)]) -> Result<UpdateStats, GridError> {
-        // Phase 1: stage every move. Staging updates positions immediately
-        // and marks old/new cells as this epoch's source cells; the δ-range
-        // structure is committed once below, so the rescores all run against
-        // final positions and a mover probed near another mover's old spot
-        // cannot be missed.
+        // Stage every move. Staging updates positions immediately; the
+        // δ-range structure is committed once below, so every probe runs
+        // against final positions.
         let stage_span = nela_obs::span(nela_obs::stage::INC_STAGE);
         self.grid.begin_tick();
-        self.seen_epoch = self.seen_epoch.wrapping_add(1);
-        if self.seen_epoch == 0 {
-            self.seen_mark.iter_mut().for_each(|m| *m = 0);
-            self.seen_epoch = 1;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mover_mark.iter_mut().for_each(|m| *m = 0);
+            self.epoch = 1;
         }
-        let mut moved = 0usize;
+        self.movers.clear();
         let mut first_error: Option<GridError> = None;
         for &(id, pos) in moves {
             match self.grid.try_stage_move(id, pos) {
-                Ok(_) => {
-                    if self.seen_mark[id as usize] != self.seen_epoch {
-                        self.seen_mark[id as usize] = self.seen_epoch;
-                        moved += 1;
+                Ok(start) => {
+                    // The first staging of an id returns its tick-start
+                    // position: the one its old neighbours listed it at.
+                    if self.mover_mark[id as usize] != self.epoch {
+                        self.mover_mark[id as usize] = self.epoch;
+                        self.movers.push((id, start));
                     }
                 }
                 Err(e) => {
@@ -328,26 +575,24 @@ impl<R: RssModel> IncrementalWpg<R> {
             }
         }
         drop(stage_span);
-        // Phase 2: commit — only shards containing movers rebuild.
         let commit_span = nela_obs::span(nela_obs::stage::INC_COMMIT);
         self.grid.commit_moves();
         drop(commit_span);
 
-        // Phase 3: rescore the dirty-region users against the committed grid.
-        let collect_span = nela_obs::span(nela_obs::stage::INC_COLLECT);
-        let mut dirty = std::mem::take(&mut self.dirty_ids);
-        self.grid.collect_dirty_users(&mut dirty);
-        drop(collect_span);
-        let rescore_span = nela_obs::span(nela_obs::stage::INC_RESCORE);
         self.changed_ids.clear();
-        self.rescore_batch(&dirty);
-        drop(rescore_span);
+        let moved = self.movers.len();
+        let dirty = if moved * REPROBE_ALL_DIVISOR >= self.len() {
+            let _span = nela_obs::span(nela_obs::stage::INC_REPROBE);
+            self.reprobe_all();
+            self.len()
+        } else {
+            self.push_moves()
+        };
         let stats = UpdateStats {
             moved,
-            dirty: dirty.len(),
+            dirty,
             changed: self.changed_ids.len(),
         };
-        self.dirty_ids = dirty;
         match first_error {
             Some(e) => Err(e),
             None => Ok(stats),
@@ -358,7 +603,7 @@ impl<R: RssModel> IncrementalWpg<R> {
     /// `users` — the exact emission order of `WpgBuilder`'s edge pass (u
     /// ascending, peers in rank order). The reverse rank is a linear probe of
     /// the peer's ≤ M-entry rank row, the same scan the builder's `rank_of`
-    /// uses — cheaper than maintaining an id-sorted mirror in every rescore.
+    /// uses — cheaper than maintaining an id-sorted mirror in every update.
     fn emit_edges(&self, users: std::ops::Range<usize>, edges: &mut Vec<Edge>) {
         let m = self.builder.max_peers;
         for u in users {

@@ -13,7 +13,7 @@
 //! - [`builder`] — construction of a WPG from user positions under a radio
 //!   range δ and a peer cap M, with the paper's mutual-rank edge weights,
 //! - [`incremental`] — incremental maintenance of the WPG under mobility:
-//!   only users in the δ-neighborhood of a move are re-scored, with an
+//!   rank lists are updated from the users who moved, with an
 //!   exact-equivalence guarantee against a from-scratch build,
 //! - [`connectivity`] — t-connectivity primitives (Definition 4.1) and a
 //!   union-find used by the clustering algorithms,
@@ -28,7 +28,7 @@ pub mod incremental;
 pub mod rss;
 pub mod topology;
 
-pub use builder::WpgBuilder;
+pub use builder::{keep_strongest, WpgBuilder};
 pub use connectivity::DisjointSets;
 pub use graph::{Edge, Wpg};
 pub use incremental::{IncrementalWpg, UpdateStats};

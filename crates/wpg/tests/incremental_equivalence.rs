@@ -2,9 +2,15 @@
 //! from-scratch rebuild — same vertices, same edges, same weights — after
 //! any seeded batch of moves. This is the correctness contract the
 //! `nela-mobility` continuous pipeline relies on.
+//!
+//! The clustered cases below move a California-like population with the
+//! mobility crate's models and compare every CSR row and the changed set on
+//! every tick, on both sides of the mover crossover.
 
-use nela_geo::Point;
-use nela_wpg::{IncrementalWpg, InverseDistanceRss, WpgBuilder};
+use nela_geo::{DatasetSpec, Point, SpatialDistribution, UserId};
+use nela_mobility::{MobilityConfig, MobilityField};
+use nela_wpg::incremental::REPROBE_ALL_DIVISOR;
+use nela_wpg::{IncrementalWpg, InverseDistanceRss, LogDistanceRss, RssModel, WpgBuilder};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -182,5 +188,181 @@ proptest! {
         inc.apply_moves(&moves);
         let rebuilt = builder.build(inc.points());
         prop_assert_eq!(edges_of(&inc.snapshot()), edges_of(&rebuilt));
+    }
+}
+
+/// A California-like clustered population of `n` users.
+fn clustered_points(n: usize, seed: u64) -> Vec<Point> {
+    DatasetSpec {
+        n,
+        seed,
+        distribution: SpatialDistribution::california(),
+    }
+    .generate()
+}
+
+/// The paper's radio range (δ = 2×10⁻³ at 104,770 users) scaled to `n`
+/// users at the same density.
+fn scaled_delta(n: usize) -> f64 {
+    2e-3 * (104_770.0 / n as f64).sqrt()
+}
+
+/// Asserts that every CSR row of `inc`'s snapshot equals the rebuild's, in
+/// order and with weights.
+fn assert_rows_match_rebuild<R: RssModel + Clone>(
+    inc: &IncrementalWpg<R>,
+    builder: &WpgBuilder<R>,
+    what: &str,
+) {
+    let snap = inc.snapshot();
+    let rebuilt = builder.build(inc.points());
+    assert_eq!(snap.n(), rebuilt.n(), "{what}");
+    for u in 0..snap.n() as UserId {
+        assert!(
+            snap.neighbors(u).eq(rebuilt.neighbors(u)),
+            "{what}: row {u} differs: {:?} vs rebuilt {:?}",
+            snap.neighbors(u).collect::<Vec<_>>(),
+            rebuilt.neighbors(u).collect::<Vec<_>>()
+        );
+    }
+}
+
+/// Asserts that `changed_users()` is exactly the set of users whose rank
+/// row differs from `before`, then refreshes `before`.
+fn assert_changed_exact<R: RssModel>(
+    inc: &IncrementalWpg<R>,
+    before: &mut [Vec<UserId>],
+    what: &str,
+) {
+    let mut changed = inc.changed_users().to_vec();
+    changed.sort_unstable();
+    let len = changed.len();
+    changed.dedup();
+    assert_eq!(changed.len(), len, "{what}: a user reported twice");
+    let mut expect = Vec::new();
+    for (u, row) in before.iter_mut().enumerate() {
+        let now = inc.peers_of(u as UserId);
+        if now != &row[..] {
+            expect.push(u as UserId);
+            row.clear();
+            row.extend_from_slice(now);
+        }
+    }
+    assert_eq!(
+        changed, expect,
+        "{what}: changed_users is not the changed set"
+    );
+}
+
+/// One tick's batch from `field`, with duplicate ids mixed in: every fifth
+/// mover is first staged at a detour, so its last staged position differs
+/// from its tick-start one and the last position wins.
+fn batch_with_duplicates(field: &mut MobilityField, points: &[Point]) -> Vec<(UserId, Point)> {
+    let mut moves = Vec::new();
+    for (i, (id, to)) in field.step(points).into_iter().enumerate() {
+        if i % 5 == 0 {
+            let from = points[id as usize];
+            moves.push((id, Point::new((from.x + to.x) * 0.5, 1.0 - from.y)));
+        }
+        moves.push((id, to));
+    }
+    moves
+}
+
+/// Runs ≥ 10 mobility ticks over a clustered population under `rss`, for
+/// every M ∈ {3, 5, 10} and stationary share ∈ {0.9, 0.5, 0.2}. Each tick's
+/// batch goes to one instance whole (the stationary shares fall on both
+/// sides of the crossover) and to another in slices below the crossover
+/// (the push path under heavy churn); every tick, both must match the
+/// rebuild row by row and report exactly the changed users.
+fn clustered_mobility_matches_rebuild<R: RssModel + Clone>(rss: R) {
+    let n = 3_000;
+    let points = clustered_points(n, 41);
+    let slice = n.div_ceil(REPROBE_ALL_DIVISOR) - 1;
+    for m in [3usize, 5, 10] {
+        for stationary in [0.9, 0.5, 0.2] {
+            let builder = WpgBuilder::new(scaled_delta(n), m, rss.clone());
+            let mut whole = IncrementalWpg::new(builder.clone(), &points);
+            let mut sliced = IncrementalWpg::new(builder.clone(), &points);
+            let mut whole_rows: Vec<Vec<UserId>> = (0..n as UserId)
+                .map(|u| whole.peers_of(u).to_vec())
+                .collect();
+            let mut sliced_rows = whole_rows.clone();
+            let mut field = MobilityField::new(
+                n,
+                &MobilityConfig {
+                    seed: 7 + m as u64,
+                    ..MobilityConfig::with_stationary(stationary)
+                },
+            );
+            for tick in 0..10 {
+                let what = format!("M={m} stationary={stationary} tick {tick}");
+                let moves = batch_with_duplicates(&mut field, whole.points());
+                whole.apply_moves(&moves);
+                assert_rows_match_rebuild(&whole, &builder, &what);
+                assert_changed_exact(&whole, &mut whole_rows, &what);
+                for part in moves.chunks(slice) {
+                    let stats = sliced.apply_moves(part);
+                    assert!(stats.dirty < n, "{what}: slice took the full path");
+                    assert_changed_exact(&sliced, &mut sliced_rows, &what);
+                }
+                assert_eq!(sliced.points(), whole.points(), "{what}");
+                assert_rows_match_rebuild(&sliced, &builder, &format!("{what} (sliced)"));
+            }
+        }
+    }
+}
+
+#[test]
+fn clustered_mobility_matches_rebuild_inverse_distance() {
+    clustered_mobility_matches_rebuild(InverseDistanceRss);
+}
+
+#[test]
+fn clustered_mobility_matches_rebuild_log_distance() {
+    clustered_mobility_matches_rebuild(LogDistanceRss::default());
+}
+
+/// A batch one mover below the crossover (push path) and the same batch
+/// plus one user staged at its own position (every user re-probed) reach
+/// the same positions, so they must give identical graphs and changed sets.
+#[test]
+fn one_below_and_at_the_crossover_agree() {
+    let n = 3_000;
+    let points = clustered_points(n, 43);
+    let builder = WpgBuilder::new(scaled_delta(n), 5, InverseDistanceRss);
+    let at = n.div_ceil(REPROBE_ALL_DIVISOR);
+    let mut below_inc = IncrementalWpg::new(builder.clone(), &points);
+    let mut at_inc = IncrementalWpg::new(builder.clone(), &points);
+    let mut field = MobilityField::new(n, &MobilityConfig::with_stationary(0.2));
+    for tick in 0..6 {
+        let mut below: Vec<(UserId, Point)> = field.step(below_inc.points());
+        below.truncate(at - 1);
+        let mut moved: Vec<bool> = vec![false; n];
+        below.iter().for_each(|&(id, _)| moved[id as usize] = true);
+        let still = (0..n as UserId).find(|&u| !moved[u as usize]).unwrap();
+        let mut at_batch = below.clone();
+        at_batch.push((still, at_inc.points()[still as usize]));
+
+        let below_stats = below_inc.apply_moves(&below);
+        let at_stats = at_inc.apply_moves(&at_batch);
+        assert_eq!(below_stats.moved, at - 1, "tick {tick}");
+        assert_eq!(at_stats.moved, at, "tick {tick}");
+        assert!(
+            below_stats.dirty < n,
+            "tick {tick}: below took the full path"
+        );
+        assert_eq!(at_stats.dirty, n, "tick {tick}: at pushed movers");
+        assert_eq!(below_inc.points(), at_inc.points(), "tick {tick}");
+        let (a, b) = (below_inc.snapshot(), at_inc.snapshot());
+        for u in 0..n as UserId {
+            assert!(a.neighbors(u).eq(b.neighbors(u)), "tick {tick} row {u}");
+        }
+        let mut ca = below_inc.changed_users().to_vec();
+        let mut cb = at_inc.changed_users().to_vec();
+        ca.sort_unstable();
+        cb.sort_unstable();
+        assert_eq!(ca, cb, "tick {tick}: changed sets differ");
+        assert_rows_match_rebuild(&below_inc, &builder, &format!("tick {tick}"));
     }
 }
