@@ -4,8 +4,9 @@
 //!
 //! Full mode sweeps n ∈ {10k, 50k, 100k} × threads ∈ {1, 2, 4, 8}, checks
 //! every parallel result against the single-threaded one, and writes the
-//! timing series to `BENCH_parallel.json` at the repository root. Speedups
-//! require real cores (the JSON records how many were available); on any
+//! timing series to `BENCH_parallel.json` at the repository root, under a
+//! `provenance` block (git rev, cores, profile, the sweep's knobs). Speedups
+//! require real cores (the block records how many were available); on any
 //! machine the bit-identity checks are exact.
 //!
 //! `--smoke` runs a small population with 2 threads and exits non-zero on
@@ -23,7 +24,7 @@ use nela::{
     auto_shard_axis, BoundingAlgo, CloakingEngine, CloakingResult, ClusteringAlgo, Params,
     RequestError, System,
 };
-use nela_bench::{fmt, print_table, ExpConfig};
+use nela_bench::{fmt, print_table, ExpConfig, Knob, Provenance};
 use nela_geo::{DatasetSpec, GridIndex, Point};
 use nela_wpg::connectivity::{components_under, components_under_threads, nothing_removed};
 use nela_wpg::{Edge, InverseDistanceRss, Wpg, WpgBuilder};
@@ -31,6 +32,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+const POPULATIONS: [usize; 3] = [10_000, 50_000, 100_000];
 
 #[derive(Debug, Clone, Serialize)]
 struct Cell {
@@ -52,8 +54,9 @@ struct Cell {
 
 #[derive(Debug, Clone, Serialize)]
 struct Report {
-    /// Logical CPUs available to this run (speedups need > 1).
-    cores: usize,
+    /// Where the numbers came from; `cores` are the logical CPUs available
+    /// to the run (speedups need > 1).
+    provenance: Provenance,
     rows: Vec<Cell>,
 }
 
@@ -248,9 +251,18 @@ fn main() {
     // instrumented (untimed) pipeline afterwards to populate the snapshot.
     let record_metrics = std::env::args().any(|a| a == "--metrics");
     let cfg = ExpConfig::from_env();
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let provenance = Provenance::of_run(
+        &root,
+        vec![
+            Knob::new("users", format!("{POPULATIONS:?}")),
+            Knob::new("threads", format!("{THREADS:?}")),
+        ],
+        false,
+    );
+    let cores = provenance.cores;
     let mut rows = Vec::new();
-    for n in [10_000usize, 50_000, 100_000] {
+    for n in POPULATIONS {
         let (points, params) = population(n);
         eprintln!("[parallel] n = {n}, sweeping {THREADS:?} threads");
         let mut reference = None;
@@ -304,13 +316,11 @@ fn main() {
         &table,
     );
 
-    let report = Report { cores, rows };
+    let report = Report { provenance, rows };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_parallel.json");
-    std::fs::write(&root, &json).expect("write BENCH_parallel.json");
-    eprintln!("[results] wrote {}", root.display());
+    let path = root.join("BENCH_parallel.json");
+    std::fs::write(&path, &json).expect("write BENCH_parallel.json");
+    eprintln!("[results] wrote {}", path.display());
     cfg.write_json("exp_parallel", &report);
 
     if record_metrics {
@@ -322,9 +332,7 @@ fn main() {
         let _ = measure(&points, &params, cores, None);
         eprintln!("[parallel] lossy-network clustering stage for RPC counters");
         netsim_stage();
-        let obs_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_obs.json");
+        let obs_path = root.join("BENCH_obs.json");
         std::fs::write(&obs_path, nela_obs::snapshot().to_json()).expect("write BENCH_obs.json");
         eprintln!("[results] wrote {}", obs_path.display());
     }

@@ -23,7 +23,7 @@
 //! expansion, so the cost equals the number of settled vertices (host
 //! excluded).
 
-use crate::fetch::{AdjCache, LocalFetch, PeerFetch};
+use crate::fetch::{AdjCache, LocalFetch, PeerFetch, ADJ_TABLES};
 use crate::{Cluster, ClusterError};
 use nela_geo::UserId;
 use nela_wpg::Wpg;
@@ -77,6 +77,8 @@ pub fn knn_cluster(
 ///   (host included) are reachable at all.
 /// - [`ClusterError::PeerUnreachable`] when a required peer cannot be
 ///   contacted (only possible with fallible transports).
+/// - [`ClusterError::Inconsistent`] when the host or a listed peer lies
+///   outside the transport's population.
 pub fn knn_cluster_with(
     fetch: &mut dyn PeerFetch,
     host: UserId,
@@ -85,9 +87,24 @@ pub fn knn_cluster_with(
     tie: TieBreak,
 ) -> Result<KnnOutcome, ClusterError> {
     assert!(k >= 1, "anonymity level must be at least 1");
+    if host as usize >= fetch.population() {
+        return Err(ClusterError::Inconsistent { user: host });
+    }
     assert!(!removed(host), "host must not be already clustered");
-    let mut adj = AdjCache::new(fetch, host);
+    crate::with_scratch(&ADJ_TABLES, |tables| {
+        let adj = AdjCache::new(fetch, host, tables);
+        knn_cluster_cached(adj, host, k, removed, tie)
+    })
+}
 
+/// The body of [`knn_cluster_with`] over its host-side cache.
+fn knn_cluster_cached(
+    mut adj: AdjCache<'_>,
+    host: UserId,
+    k: usize,
+    removed: &dyn Fn(UserId) -> bool,
+    tie: TieBreak,
+) -> Result<KnnOutcome, ClusterError> {
     let mut dist: HashMap<UserId, u64> = HashMap::from([(host, 0)]);
     let mut settled: HashSet<UserId> = HashSet::new();
     // The degree tie-break needs the candidate's adjacency; by the time a

@@ -68,6 +68,12 @@ pub enum RequestError {
     /// graph). The request fails; nothing is registered, so the engine
     /// stays usable.
     HostNotClustered,
+    /// The host id names no user of the engine's system. Rejected before
+    /// any registry probe or protocol message.
+    UnknownHost {
+        /// The id that was asked for.
+        host: UserId,
+    },
 }
 
 impl From<ClusterError> for RequestError {
@@ -93,6 +99,9 @@ impl std::fmt::Display for RequestError {
             RequestError::HostNotClustered => {
                 write!(f, "clustering returned a partition that misses the host")
             }
+            RequestError::UnknownHost { host } => {
+                write!(f, "host {host} is not a user of this system")
+            }
         }
     }
 }
@@ -102,7 +111,9 @@ impl std::error::Error for RequestError {
         match self {
             RequestError::Cluster(e) => Some(e),
             RequestError::Bounding(e) => Some(e),
-            RequestError::Contention { .. } | RequestError::HostNotClustered => None,
+            RequestError::Contention { .. }
+            | RequestError::HostNotClustered
+            | RequestError::UnknownHost { .. } => None,
         }
     }
 }
@@ -451,6 +462,11 @@ impl<'a> CloakingEngine<'a> {
         self
     }
 
+    /// True when `host` is a user of the engine's system.
+    fn knows(&self, host: UserId) -> bool {
+        (host as usize) < self.system.points.len()
+    }
+
     /// The effective anonymity policy of this engine.
     fn kp(&self) -> KPolicy<'_> {
         match &self.k_of {
@@ -481,7 +497,8 @@ impl<'a> CloakingEngine<'a> {
     /// # Errors
     /// [`RequestError::Cluster`] when the host cannot reach k users in the
     /// remaining WPG (paper Fig. 5's disconnected problem);
-    /// [`RequestError::Bounding`] when phase 2 fails on a malformed cluster.
+    /// [`RequestError::Bounding`] when phase 2 fails on a malformed cluster;
+    /// [`RequestError::UnknownHost`] when `host` is not a user of the system.
     pub fn request(&mut self, host: UserId) -> Result<CloakingResult, RequestError> {
         self.request_over(&mut Local, host)
     }
@@ -495,6 +512,7 @@ impl<'a> CloakingEngine<'a> {
         host: UserId,
     ) -> Result<CloakingResult, RequestError> {
         let result = match self.clustering {
+            _ if !self.knows(host) => Err(RequestError::UnknownHost { host }),
             ClusteringAlgo::TConnDistributed => self.serve_serial(transport, host),
             ClusteringAlgo::TConnCentralized | ClusteringAlgo::HilbAsr => self.request_global(host),
             // The kNN baseline forms a fresh group per request (no reuse).
@@ -1002,6 +1020,7 @@ impl<'a> EngineSession<'a> {
     /// — clustering/bounding failures caused by exhausted RPC retries.
     pub fn request(&self, host: UserId) -> Result<CloakingResult, RequestError> {
         let result = match &self.net {
+            _ if !self.engine.knows(host) => Err(RequestError::UnknownHost { host }),
             None => self.engine.serve(&mut &self.sharded, &mut Local, host),
             Some(net) => {
                 let mut radio = Radio::new(net, host);
@@ -1143,19 +1162,20 @@ fn record_outcome(result: &Result<CloakingResult, RequestError>) {
     if !nela_obs::enabled() {
         return;
     }
+    for name in outcome_counters(result) {
+        nela_obs::add(name, 1);
+    }
+}
+
+/// The request counters one outcome adds 1 to: every error — an unknown
+/// host included — is a failure.
+fn outcome_counters(result: &Result<CloakingResult, RequestError>) -> &'static [&'static str] {
+    use nela_obs::counter::{REQ_CONTENTION, REQ_FAILED, REQ_REUSED, REQ_SERVED};
     match result {
-        Ok(r) => {
-            nela_obs::add(nela_obs::counter::REQ_SERVED, 1);
-            if r.reused {
-                nela_obs::add(nela_obs::counter::REQ_REUSED, 1);
-            }
-        }
-        Err(e) => {
-            nela_obs::add(nela_obs::counter::REQ_FAILED, 1);
-            if matches!(e, RequestError::Contention { .. }) {
-                nela_obs::add(nela_obs::counter::REQ_CONTENTION, 1);
-            }
-        }
+        Ok(r) if r.reused => &[REQ_SERVED, REQ_REUSED],
+        Ok(_) => &[REQ_SERVED],
+        Err(RequestError::Contention { .. }) => &[REQ_FAILED, REQ_CONTENTION],
+        Err(_) => &[REQ_FAILED],
     }
 }
 
@@ -1601,6 +1621,80 @@ mod tests {
                 _ => panic!("zero-survivor resume diverged from cold at host {h}"),
             }
         }
+    }
+
+    /// Asserts `r` is the typed unknown-host error for `host`.
+    fn assert_unknown(r: &Result<CloakingResult, RequestError>, host: UserId) {
+        assert!(
+            matches!(r, Err(RequestError::UnknownHost { host: h }) if *h == host),
+            "host {host}: {r:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_host_is_typed_on_the_serial_path() {
+        let s = small_system();
+        let mut e = CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
+        let n = s.points.len() as UserId;
+        for host in [n, UserId::MAX] {
+            assert_unknown(&e.request(host), host);
+        }
+        for clustering in [
+            ClusteringAlgo::TConnCentralized,
+            ClusteringAlgo::HilbAsr,
+            ClusteringAlgo::Knn(TieBreak::Id),
+        ] {
+            let mut other = CloakingEngine::new(&s, clustering, BoundingAlgo::Optimal);
+            assert_unknown(&other.request(n), n);
+        }
+        // The engine stays usable.
+        assert!(e.request(servable_host(&s, 16)).is_ok());
+    }
+
+    #[test]
+    fn unknown_host_is_typed_in_request_many() {
+        let s = small_system();
+        let host = servable_host(&s, 17);
+        let n = s.points.len() as UserId;
+        for threads in [1, 2] {
+            let mut e =
+                CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure);
+            let results = e.request_many(&[n, host, UserId::MAX], threads);
+            assert_unknown(&results[0], n);
+            assert!(results[1].is_ok(), "threads {threads}");
+            assert_unknown(&results[2], UserId::MAX);
+        }
+    }
+
+    #[test]
+    fn unknown_host_is_typed_in_a_session() {
+        let s = small_system();
+        let session =
+            CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure)
+                .into_session(2);
+        assert_unknown(&session.request(UserId::MAX), UserId::MAX);
+        assert!(session.request(servable_host(&s, 18)).is_ok());
+        assert_eq!(session.finish().registry().reciprocity_violation(), None);
+    }
+
+    #[test]
+    fn unknown_host_is_typed_over_netsim_without_radio_traffic() {
+        let s = small_system();
+        let session =
+            CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure)
+                .into_session(2)
+                .with_network(NetworkConfig::default())
+                .unwrap();
+        let n = s.points.len() as UserId;
+        assert_unknown(&session.request(n), n);
+        assert_eq!(session.net_stats().unwrap().transmissions, 0);
+        assert!(session.request(servable_host(&s, 19)).is_ok());
+    }
+
+    #[test]
+    fn unknown_host_counts_as_a_failed_request() {
+        let unknown = Err(RequestError::UnknownHost { host: 7 });
+        assert_eq!(outcome_counters(&unknown), &[nela_obs::counter::REQ_FAILED]);
     }
 
     #[test]

@@ -30,6 +30,10 @@ impl<'a> SimFetch<'a> {
 }
 
 impl PeerFetch for SimFetch<'_> {
+    fn population(&self) -> usize {
+        self.g.n()
+    }
+
     fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
         if u == self.host {
             // The host's own adjacency is local knowledge.

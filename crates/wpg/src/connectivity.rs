@@ -19,7 +19,7 @@ use crate::Weight;
 use nela_geo::UserId;
 
 /// Classic union-find with path halving and union by size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DisjointSets {
     parent: Vec<u32>,
     size: Vec<u32>,
@@ -28,10 +28,18 @@ pub struct DisjointSets {
 impl DisjointSets {
     /// `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        DisjointSets {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-        }
+        let mut ds = DisjointSets::default();
+        ds.reset(n);
+        ds
+    }
+
+    /// Makes this `n` singleton sets again, reusing the allocations — for
+    /// callers that keep one union-find across many runs.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.size.clear();
+        self.size.resize(n, 1);
     }
 
     /// Representative of `x`'s set.
