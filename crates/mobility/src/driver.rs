@@ -320,6 +320,7 @@ pub fn run_continuous(
 mod tests {
     use super::*;
     use crate::lifetime::invalidate_broken_clusters;
+    use nela_cluster::knn::TieBreak;
 
     fn small_run(seed: u64) -> RunSummary {
         small_run_threads(seed, 1)
@@ -344,6 +345,38 @@ mod tests {
             ClusteringAlgo::TConnDistributed,
             BoundingAlgo::Optimal,
         )
+    }
+
+    #[test]
+    fn every_baseline_serves_across_ticks() {
+        // The baselines re-enter the engine every tick over the carried
+        // registry: the partition must skip the carried clusters.
+        let params = Params {
+            k: 5,
+            ..Params::scaled(1_000)
+        };
+        let config = DriverConfig {
+            ticks: 4,
+            rate: 8.0,
+            seed: 3,
+            measure_rebuild: false,
+            threads: 1,
+        };
+        for clustering in [
+            ClusteringAlgo::TConnCentralized,
+            ClusteringAlgo::HilbAsr,
+            ClusteringAlgo::Knn(TieBreak::Id),
+        ] {
+            let s = run_continuous(
+                &params,
+                &MobilityConfig::default(),
+                &config,
+                clustering,
+                BoundingAlgo::Optimal,
+            );
+            assert_eq!(s.requests, s.served + s.failed, "{clustering:?}");
+            assert!(s.served > 0, "{clustering:?} served nothing");
+        }
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub mod verify;
 pub use attack::{anonymity_of, center_attack, intersection_attack};
 pub use engine::{
     auto_shard_axis, shard_axis_for_total, BoundingAlgo, CarryOver, CloakingEngine, CloakingResult,
-    ClusteringAlgo, EngineSession, RequestError, SessionCheckpoint, SessionNetStats,
+    ClusteringAlgo, EngineSession, PersonalizedKError, RequestError, SessionCheckpoint,
+    SessionNetStats,
 };
 pub use metrics::{service_request_cost, WorkloadStats};
 pub use params::Params;

@@ -126,8 +126,9 @@ pub fn run_workload(
     run_workload_threads(system, clustering, bounding, hosts, 1)
 }
 
-/// [`run_workload`] over a batched engine: with `threads > 1` the requests
-/// are served concurrently through [`CloakingEngine::request_many`]. The
+/// [`run_workload`] over a batched engine: with `threads > 1` the
+/// distributed algorithm's requests are served concurrently through
+/// [`CloakingEngine::request_many`] (the baselines stay serial). The
 /// aggregate counters (served / failed / reuse and message totals) match the
 /// serial run whenever the requests are independent; per-request attribution
 /// of a reuse may differ, since whichever racing host registers the cluster

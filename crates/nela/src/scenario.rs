@@ -289,7 +289,9 @@ pub fn run_scenario_on(
     let kp = match &levels {
         None => KPolicy::Uniform(system.params.k),
         Some(ls) => {
-            engine = engine.with_personalized_k(ls.clone());
+            engine = engine
+                .with_personalized_k(ls.clone())
+                .expect("one level of at least 1 per user on the distributed engine");
             KPolicy::PerUser(ls)
         }
     };

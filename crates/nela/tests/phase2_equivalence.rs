@@ -313,7 +313,7 @@ fn two_worker_session_bounds_like_the_oracle() {
 fn personalized_k_requests_bound_like_the_oracle() {
     let system = engine_system();
     let levels = personalized_k_levels(system.points.len(), system.params.k, 13);
-    let mut engine = secure_engine(&system).with_personalized_k(levels);
+    let mut engine = secure_engine(&system).with_personalized_k(levels).unwrap();
     let results: Vec<_> = system
         .host_sequence(400, 13)
         .into_iter()

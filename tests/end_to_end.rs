@@ -18,6 +18,7 @@ fn every_algorithm_combination_passes_audit() {
     let clusterings = [
         ClusteringAlgo::TConnDistributed,
         ClusteringAlgo::TConnCentralized,
+        ClusteringAlgo::HilbAsr,
         ClusteringAlgo::Knn(TieBreak::Id),
         ClusteringAlgo::Knn(TieBreak::SmallestDegree),
     ];

@@ -151,7 +151,7 @@ fn session_workload(
         BoundingAlgo::Secure,
     );
     if let Some(k_of) = k_of {
-        engine = engine.with_personalized_k(k_of);
+        engine = engine.with_personalized_k(k_of).unwrap();
     }
     let session = engine.into_session(2);
     let results = system
@@ -226,7 +226,8 @@ fn personalized_required_k_reflects_the_strict_member() {
         ClusteringAlgo::TConnDistributed,
         BoundingAlgo::Secure,
     )
-    .with_personalized_k(levels.clone());
+    .with_personalized_k(levels.clone())
+    .unwrap();
     let session = engine.into_session(2);
     let mut served = 0;
     let mut strict_served = 0;
