@@ -28,12 +28,13 @@
 //! (timed ticks per cell, default 8), `NELA_RESULTS_DIR` (optional JSON
 //! dump, not a knob).
 //!
-//! Flags: `--metrics` enables the `nela-obs` recorder and writes
-//! `BENCH_obs.json`; `--smoke` runs a small CI-sized sweep (equality
-//! asserts intact, no files written) and exits.
+//! Flags: `--metrics` enables the `nela-obs` recorder and writes its
+//! snapshot to `BENCH_obs.json` under the same provenance; `--smoke` runs a
+//! small CI-sized sweep (equality asserts intact, no files written) and
+//! exits.
 
 use nela::{BoundingAlgo, ClusteringAlgo, Params};
-use nela_bench::{fmt, print_table, ExpConfig, Knob, Provenance};
+use nela_bench::{fmt, print_table, write_obs_snapshot, ExpConfig, Knob, Provenance};
 use nela_geo::{DatasetSpec, Point};
 use nela_mobility::{run_continuous, DriverConfig, MobilityConfig};
 use nela_wpg::{IncrementalWpg, InverseDistanceRss, Wpg, WpgBuilder};
@@ -353,8 +354,6 @@ fn main() {
     cfg.write_json("exp_mobility", &report);
 
     if record_metrics {
-        let obs_path = root.join("BENCH_obs.json");
-        std::fs::write(&obs_path, nela_obs::snapshot().to_json()).expect("write BENCH_obs.json");
-        eprintln!("[results] wrote {}", obs_path.display());
+        write_obs_snapshot(&root, report.provenance);
     }
 }

@@ -13,10 +13,11 @@
 //! any parallel/serial divergence — the CI guard for the determinism
 //! contract.
 //!
-//! `--metrics` additionally enables the `nela-obs` recorder for the whole
-//! sweep (plus a lossy-network clustering stage, so the RPC retransmission
-//! counters are populated) and writes the snapshot to `BENCH_obs.json` at
-//! the repository root.
+//! `--metrics` additionally replays an instrumented pipeline (plus a
+//! lossy-network clustering stage, so the RPC retransmission counters are
+//! populated) and writes the `nela-obs` snapshot to `BENCH_obs.json` at the
+//! repository root, under the same `provenance` block. `nela stats --file
+//! BENCH_obs.json` renders it.
 //!
 //! Environment: `NELA_RESULTS_DIR` (optional extra JSON dump location).
 
@@ -24,7 +25,7 @@ use nela::{
     auto_shard_axis, BoundingAlgo, CloakingEngine, CloakingResult, ClusteringAlgo, Params,
     RequestError, System,
 };
-use nela_bench::{fmt, print_table, ExpConfig, Knob, Provenance};
+use nela_bench::{fmt, print_table, write_obs_snapshot, ExpConfig, Knob, Provenance};
 use nela_geo::{DatasetSpec, GridIndex, Point};
 use nela_wpg::connectivity::{components_under, components_under_threads, nothing_removed};
 use nela_wpg::{Edge, InverseDistanceRss, Wpg, WpgBuilder};
@@ -33,6 +34,10 @@ use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const POPULATIONS: [usize; 3] = [10_000, 50_000, 100_000];
+/// `--metrics`: the instrumented pipeline replay's population, and the
+/// lossy-network clustering stage's.
+const REPLAY_USERS: usize = 10_000;
+const NETSIM_USERS: usize = 2_000;
 
 #[derive(Debug, Clone, Serialize)]
 struct Cell {
@@ -221,7 +226,7 @@ fn netsim_stage() {
     use nela::netsim::network::{Network, NetworkConfig};
     use nela::netsim::proto::SimFetch;
 
-    let (points, params) = population(2_000);
+    let (points, params) = population(NETSIM_USERS);
     let grid = GridIndex::build(&points, params.delta);
     let wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
         .build_with_index(&points, &grid);
@@ -316,7 +321,10 @@ fn main() {
         &table,
     );
 
-    let report = Report { provenance, rows };
+    let report = Report {
+        provenance: provenance.clone(),
+        rows,
+    };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     let path = root.join("BENCH_parallel.json");
     std::fs::write(&path, &json).expect("write BENCH_parallel.json");
@@ -328,12 +336,21 @@ fn main() {
         // Instrumented replay of one mid-size pipeline so the snapshot
         // carries the stage histograms the timed sweep no longer records.
         eprintln!("[parallel] instrumented pipeline replay for stage histograms");
-        let (points, params) = population(10_000);
+        let (points, params) = population(REPLAY_USERS);
         let _ = measure(&points, &params, cores, None);
         eprintln!("[parallel] lossy-network clustering stage for RPC counters");
         netsim_stage();
-        let obs_path = root.join("BENCH_obs.json");
-        std::fs::write(&obs_path, nela_obs::snapshot().to_json()).expect("write BENCH_obs.json");
-        eprintln!("[results] wrote {}", obs_path.display());
+        let knobs = vec![
+            Knob::new("replay_users", REPLAY_USERS),
+            Knob::new("replay_threads", cores),
+            Knob::new("netsim_users", NETSIM_USERS),
+        ];
+        write_obs_snapshot(
+            &root,
+            Provenance {
+                knobs,
+                ..provenance
+            },
+        );
     }
 }

@@ -125,6 +125,33 @@ impl Provenance {
     }
 }
 
+/// `BENCH_obs.json`: the global recorder's snapshot under the run's
+/// provenance. `MetricsSnapshot::from_json` skips the extra block, so
+/// `nela stats --file BENCH_obs.json` still renders the file.
+#[derive(Debug, Clone, Serialize)]
+struct ObsReport {
+    provenance: Provenance,
+    enabled: bool,
+    histograms: Vec<nela_obs::HistogramSnapshot>,
+    counters: Vec<nela_obs::CounterSnapshot>,
+}
+
+/// Writes the global recorder's snapshot to `BENCH_obs.json` at `root`,
+/// under `provenance`.
+pub fn write_obs_snapshot(root: &Path, provenance: Provenance) {
+    let snapshot = nela_obs::snapshot();
+    let report = ObsReport {
+        provenance,
+        enabled: snapshot.enabled,
+        histograms: snapshot.histograms,
+        counters: snapshot.counters,
+    };
+    let json = serde_json::to_string_pretty(&report).expect("serialize snapshot");
+    let path = root.join("BENCH_obs.json");
+    std::fs::write(&path, json).expect("write BENCH_obs.json");
+    eprintln!("[results] wrote {}", path.display());
+}
+
 /// The revision `root`'s git checkout has out, read from `.git` without
 /// running git (`unknown` outside a repository).
 fn git_rev(root: &Path) -> String {

@@ -301,6 +301,13 @@ impl GridIndex {
         &self.points
     }
 
+    /// Side length of one cell, `1 / cells`: at least the requested minimum
+    /// unless the cap of 4096 cells per axis applies.
+    #[inline]
+    pub fn cell_side(&self) -> f64 {
+        self.cell_side
+    }
+
     /// All point ids within Euclidean distance `radius` (inclusive: peers at
     /// exactly `radius` are in range) of point `query_id`, excluding
     /// `query_id` itself. Results are appended to `out` (cleared first) as

@@ -1,6 +1,6 @@
 //! The LBS server façade with transfer accounting.
 
-use crate::query::{cloaked_krnn, cloaked_range};
+use crate::query::{krnn_query, range_query};
 use crate::store::PoiStore;
 use nela_geo::Rect;
 use serde::{Deserialize, Serialize};
@@ -59,9 +59,9 @@ impl LbsServer {
     /// Handles one cloaked query.
     pub fn handle(&self, region: &Rect, query: &CloakedQuery) -> Response {
         let _span = nela_obs::span(nela_obs::stage::LBS_HANDLE);
-        let candidates = match query {
-            CloakedQuery::Range { radius } => cloaked_range(&self.store, region, *radius),
-            CloakedQuery::Knn { k } => cloaked_krnn(&self.store, region, *k),
+        let (candidates, scanned) = match query {
+            CloakedQuery::Range { radius } => range_query(&self.store, region, *radius),
+            CloakedQuery::Knn { k } => krnn_query(&self.store, region, *k),
         };
         let transfer_units = self.store.transfer_units(&candidates);
         self.queries_served.fetch_add(1, Ordering::Relaxed);
@@ -69,6 +69,7 @@ impl LbsServer {
             .fetch_add(transfer_units, Ordering::Relaxed);
         nela_obs::add(nela_obs::counter::LBS_QUERIES, 1);
         nela_obs::add(nela_obs::counter::LBS_CANDIDATES, candidates.len() as u64);
+        nela_obs::add(nela_obs::counter::LBS_SCANNED, scanned as u64);
         Response {
             candidates,
             transfer_units,

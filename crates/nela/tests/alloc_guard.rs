@@ -11,7 +11,8 @@
 //! The counter is process-global, so everything runs inside ONE `#[test]`
 //! (the default harness would interleave allocations from sibling tests).
 
-use nela::geo::UserId;
+use nela::geo::{Rect, UserId};
+use nela::lbs::{CloakedQuery, LbsServer, PoiStore};
 use nela::{BoundingAlgo, CloakingEngine, ClusteringAlgo, Params, System};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,6 +83,7 @@ fn warm_request_paths_do_not_allocate() {
     let results = engine.request_many(&steady, 1);
     let batch_allocs = allocs() - before;
     assert!(results.iter().all(|r| r.as_ref().is_ok_and(|c| c.reused)));
+    let regions: Vec<Rect> = results.iter().flatten().map(|c| c.region).collect();
     drop(results);
     // The whole batch may allocate its result Vec (exact-size collect) and
     // nothing else — i.e. zero allocations *per request*.
@@ -122,4 +124,30 @@ fn warm_request_paths_do_not_allocate() {
          (contract: zero per request)",
         steady.len()
     );
+
+    // --- LBS: LbsServer::handle -----------------------------------------
+    // The kernel's buffers live per thread. One warm-up call over the whole
+    // square grows them to the population; after it each call allocates
+    // only the candidate list it returns.
+    let server = LbsServer::new(PoiStore::from_points(&system.points, 1000));
+    for query in [
+        CloakedQuery::Range { radius: 0.02 },
+        CloakedQuery::Knn { k: 5 },
+    ] {
+        drop(server.handle(&Rect::new(0.0, 0.0, 1.0, 1.0), &query));
+        for region in &regions {
+            let before = allocs();
+            let response = server.handle(region, &query);
+            let handle_allocs = allocs() - before;
+            assert!(
+                !response.candidates.is_empty(),
+                "{query:?} answered nothing"
+            );
+            assert_eq!(
+                handle_allocs, 1,
+                "{query:?} over {region:?} made {handle_allocs} allocations \
+                 (contract: the returned candidate list only)"
+            );
+        }
+    }
 }

@@ -133,6 +133,10 @@ pub mod counter {
     pub const LBS_QUERIES: &str = "lbs.query.served";
     /// Candidate POIs returned across all cloaked queries.
     pub const LBS_CANDIDATES: &str = "lbs.query.candidates";
+    /// Grid entries the cloaked-query kernel read to find those candidates:
+    /// the range rows, plus each kRNN corner's growth windows and cover
+    /// square. Candidates over scanned is the kernel's useful fraction.
+    pub const LBS_SCANNED: &str = "lbs.query.scanned";
     /// Serve mode: requests admitted into the queue.
     pub const SERVE_ADMITTED: &str = "serve.request.admitted";
     /// Serve mode: arrivals dropped because the queue was full.

@@ -1,5 +1,6 @@
 //! Serializable freeze of a [`Registry`](crate::Registry).
 
+use crate::counter;
 use crate::hist::{quantile_from_buckets, Histogram, N_BUCKETS};
 use serde::{Deserialize, Serialize};
 
@@ -186,6 +187,16 @@ impl MetricsSnapshot {
                 out.push_str(&format!("  {:<28} {:>9}\n", c.name, c.value));
             }
         }
+        if let (Some(candidates), Some(scanned)) = (
+            self.counter(counter::LBS_CANDIDATES),
+            self.counter(counter::LBS_SCANNED),
+        ) {
+            out.push_str(&format!(
+                "\n  {:<28} {:>9.3}  (candidates / scanned)\n",
+                "lbs.query.scan_yield",
+                candidates as f64 / scanned.max(1) as f64
+            ));
+        }
         out
     }
 }
@@ -288,6 +299,24 @@ mod tests {
         assert!(text.contains("stage.x"));
         assert!(text.contains("ctr.y"));
         assert!(text.contains("42"));
+    }
+
+    #[test]
+    fn render_derives_the_lbs_scan_yield() {
+        let ctr = |name: &str, value| CounterSnapshot {
+            name: name.to_string(),
+            value,
+        };
+        let mut snap = MetricsSnapshot {
+            enabled: true,
+            histograms: vec![],
+            counters: vec![ctr(counter::LBS_CANDIDATES, 300)],
+        };
+        assert!(!snap.render().contains("scan_yield"));
+        snap.counters.push(ctr(counter::LBS_SCANNED, 400));
+        assert!(snap
+            .render()
+            .contains("lbs.query.scan_yield             0.750"));
     }
 
     #[test]
