@@ -9,7 +9,7 @@
 
 use crate::Stamped;
 use nela_geo::UserId;
-use nela_wpg::{Edge, Weight, Wpg};
+use nela_wpg::{Edge, RankRows, Weight, Wpg};
 use std::cell::RefCell;
 
 /// Source of peer adjacency lists. One `fetch` per distinct peer corresponds
@@ -48,6 +48,34 @@ impl PeerFetch for LocalFetch<'_> {
 
     fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
         Some(self.g.neighbors(u).collect())
+    }
+}
+
+/// Infallible in-memory fetch straight from an incremental WPG's rank rows:
+/// each list is the snapshot's CSR row, computed from the two endpoints'
+/// rows ([`RankRows::row_into`]), so serving a few hosts per tick never
+/// builds the whole graph.
+impl PeerFetch for RankRows<'_> {
+    fn population(&self) -> usize {
+        self.n()
+    }
+
+    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
+        let mut row = Vec::with_capacity(self.peers_of(u).len());
+        self.row_into(u, &mut row);
+        Some(row)
+    }
+}
+
+/// A borrowed transport is a transport, so wrappers such as the simulated
+/// radio can take the in-memory fetch they answer from by reference.
+impl<F: PeerFetch + ?Sized> PeerFetch for &mut F {
+    fn population(&self) -> usize {
+        (**self).population()
+    }
+
+    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
+        (**self).fetch(u)
     }
 }
 

@@ -12,12 +12,18 @@
 //! k ∈ {2, 5, 10}, personalized k, a dead peer, a cold request stream over
 //! a 20k-user geometric WPG, one thread alternating between a small graph
 //! and that WPG, and whole-graph `centralized_k_clustering` on that WPG.
+//!
+//! The rank rows an incremental WPG maintains are a transport too: fetched
+//! through them, Algorithm 2 and the kNN baseline must give the outcome and
+//! the fetch sequence of `LocalFetch` over the same tick's snapshot.
 
 use nela_cluster::centralized::centralized_k_clustering;
 use nela_cluster::distributed::{distributed_k_clustering_with_policy, DistributedOutcome};
-use nela_cluster::{Cluster, ClusterError, KPolicy, LocalFetch, PeerFetch};
-use nela_geo::{DatasetSpec, SpatialDistribution, UserId};
-use nela_wpg::{topology, InverseDistanceRss, Weight, Wpg, WpgBuilder};
+use nela_cluster::{
+    knn_cluster_with, Cluster, ClusterError, KPolicy, LocalFetch, PeerFetch, TieBreak,
+};
+use nela_geo::{DatasetSpec, Point, SpatialDistribution, UserId};
+use nela_wpg::{topology, IncrementalWpg, InverseDistanceRss, Weight, Wpg, WpgBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::OnceLock;
@@ -756,16 +762,22 @@ mod oracle {
 }
 
 /// Records every fetch, and fails the ones for `dead`.
-struct Recording<'a> {
-    inner: LocalFetch<'a>,
+struct Recording<F> {
+    inner: F,
     dead: Option<UserId>,
     fetched: Vec<UserId>,
 }
 
-impl<'a> Recording<'a> {
+impl<'a> Recording<LocalFetch<'a>> {
     fn new(g: &'a Wpg, dead: Option<UserId>) -> Self {
+        Recording::over(LocalFetch::new(g), dead)
+    }
+}
+
+impl<F: PeerFetch> Recording<F> {
+    fn over(inner: F, dead: Option<UserId>) -> Self {
         Recording {
-            inner: LocalFetch::new(g),
+            inner,
             dead,
             fetched: Vec::new(),
         }
@@ -778,7 +790,7 @@ impl<'a> Recording<'a> {
     }
 }
 
-impl PeerFetch for Recording<'_> {
+impl<F: PeerFetch> PeerFetch for Recording<F> {
     fn population(&self) -> usize {
         self.inner.population()
     }
@@ -1040,5 +1052,88 @@ fn one_thread_alternating_populations_leaks_no_state() {
     assert!(
         small_served > 20 && big_served > 20,
         "too few served requests: {small_served} small, {big_served} geometric"
+    );
+}
+
+#[test]
+fn rank_row_fetch_matches_the_snapshot_across_mobility_ticks() {
+    // A clustered population whose incremental WPG follows drifting movers.
+    // Each tick, a cold request stream runs Algorithm 2 and the kNN
+    // baseline twice: fetching from the rank rows, and from `LocalFetch`
+    // over that tick's snapshot. Outcomes and fetch sequences (in call
+    // order, since the radio draws in that order) must be equal.
+    let n = 6_000;
+    let delta = 2e-3 * (104_770.0f64 / n as f64).sqrt();
+    let points = DatasetSpec {
+        n,
+        seed: 20090331,
+        distribution: SpatialDistribution::california(),
+    }
+    .generate();
+    let mut inc = IncrementalWpg::new(WpgBuilder::new(delta, 10, InverseDistanceRss), &points);
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let (mut served, mut absorbed, mut knn_served) = (0usize, 0usize, 0usize);
+    for tick in 0..4 {
+        if tick > 0 {
+            let moves: Vec<(UserId, Point)> = (0..n / 10)
+                .map(|_| {
+                    let id = rng.gen_range(0..n as UserId);
+                    let p = inc.points()[id as usize];
+                    let q = Point::new(
+                        (p.x + rng.gen_range(-delta..delta)).clamp(0.0, 1.0),
+                        (p.y + rng.gen_range(-delta..delta)).clamp(0.0, 1.0),
+                    );
+                    (id, q)
+                })
+                .collect();
+            inc.apply_moves(&moves);
+        }
+        let snap = inc.snapshot();
+        let mut taken = vec![false; n];
+        for request in 0..120 {
+            let host = rng.gen_range(0..n as UserId);
+            if taken[host as usize] {
+                continue;
+            }
+            let ctx = format!("tick {tick} request {request} host {host}");
+            let removed = |u: UserId| u != host && taken[u as usize];
+            let mut rows = Recording::over(inc.rows(), None);
+            let mut csr = Recording::new(&snap, None);
+            let kp = KPolicy::Uniform(10);
+            let by_rows = outcome(distributed_k_clustering_with_policy(
+                &mut rows, host, kp, &removed,
+            ));
+            let by_csr = outcome(distributed_k_clustering_with_policy(
+                &mut csr, host, kp, &removed,
+            ));
+            assert_eq!(by_rows, by_csr, "{ctx}");
+            assert_eq!(rows.fetched, csr.fetched, "{ctx}: fetch sequences differ");
+
+            let mut rows = Recording::over(inc.rows(), None);
+            let mut csr = Recording::new(&snap, None);
+            let knn = |f: &mut dyn PeerFetch| {
+                knn_cluster_with(f, host, 10, &removed, TieBreak::SmallestDegree)
+                    .map(|o| (o.cluster, o.involved_users, o.max_distance))
+            };
+            let knn_rows = knn(&mut rows);
+            assert_eq!(knn_rows, knn(&mut csr), "{ctx} kNN");
+            assert_eq!(
+                rows.fetched, csr.fetched,
+                "{ctx} kNN: fetch sequences differ"
+            );
+            knn_served += usize::from(knn_rows.is_ok());
+
+            if let Ok((_, pieces, sc, ..)) = by_rows {
+                served += 1;
+                absorbed += usize::from(sc.len() > 10);
+                for m in pieces.iter().flat_map(|c| &c.members) {
+                    taken[*m as usize] = true;
+                }
+            }
+        }
+    }
+    assert!(
+        served > 100 && absorbed > 5 && knn_served > 100,
+        "too little exercised: {served} served, {absorbed} absorbed, {knn_served} kNN"
     );
 }

@@ -68,6 +68,38 @@ pub(crate) fn ball_block(
     ))
 }
 
+/// The inclusive cell block `(cols, rows)` that `rect` overlaps on a
+/// `cells × cells` grid. Out-of-square bounds clamp onto the border cells,
+/// like the points themselves; an inverted rectangle gives an inverted
+/// range.
+#[inline]
+pub(crate) fn rect_block(
+    rect: &Rect,
+    cell_side: f64,
+    cells: usize,
+) -> ((usize, usize), (usize, usize)) {
+    let axis = |v: f64| ((v / cell_side) as isize).clamp(0, cells as isize - 1) as usize;
+    (
+        (axis(rect.min_x), axis(rect.max_x)),
+        (axis(rect.min_y), axis(rect.max_y)),
+    )
+}
+
+/// The number of points of `runs` that `rect` contains (inclusive bounds):
+/// the count both grids' `count_in_rect` share.
+pub(crate) fn count_in_runs<'a>(
+    runs: impl Iterator<Item = (&'a [UserId], &'a [f64], &'a [f64])>,
+    rect: &Rect,
+) -> usize {
+    runs.map(|(_, xs, ys)| {
+        xs.iter()
+            .zip(ys)
+            .filter(|&(&x, &y)| rect.contains(&Point::new(x, y)))
+            .count()
+    })
+    .sum()
+}
+
 /// The δ-probe kernel both grids share: appends to `out` every
 /// `(id, squared distance)` of `runs` within `radius` of `q`, skipping
 /// `exclude`, in run order.
@@ -347,15 +379,8 @@ impl GridIndex {
         &'a self,
         rect: &Rect,
     ) -> impl Iterator<Item = (&'a [UserId], &'a [f64], &'a [f64])> + 'a {
-        let cols = (self.axis_cell(rect.min_x), self.axis_cell(rect.max_x));
-        let rows = (self.axis_cell(rect.min_y), self.axis_cell(rect.max_y));
+        let (cols, rows) = rect_block(rect, self.cell_side, self.cells);
         self.row_runs(cols, rows)
-    }
-
-    /// Column or row index of a scalar rect bound, clamped into the grid.
-    #[inline]
-    fn axis_cell(&self, v: f64) -> usize {
-        ((v / self.cell_side) as isize).clamp(0, self.cells as isize - 1) as usize
     }
 
     /// One run per row of the inclusive cell block `cols × rows`; nothing
@@ -398,14 +423,7 @@ impl GridIndex {
     /// Count of points inside `rect` (inclusive bounds). Used to evaluate how
     /// many users a cloaked region actually covers (k-anonymity audit).
     pub fn count_in_rect(&self, rect: &Rect) -> usize {
-        self.rect_cells(rect)
-            .map(|(_, xs, ys)| {
-                xs.iter()
-                    .zip(ys)
-                    .filter(|&(&x, &y)| rect.contains(&Point::new(x, y)))
-                    .count()
-            })
-            .sum()
+        count_in_runs(self.rect_cells(rect), rect)
     }
 }
 

@@ -30,8 +30,9 @@
 //! every probe bit-identical to the same probe of that index — pinned by
 //! the tests below.
 
-use crate::grid::{ball_block, scan_runs, GridIndex};
+use crate::grid::{ball_block, count_in_runs, rect_block, scan_runs, GridIndex};
 use crate::point::Point;
+use crate::rect::Rect;
 use crate::soa::PointsSoA;
 use crate::UserId;
 
@@ -489,6 +490,19 @@ impl ShardedDynamicGrid {
         self.neighbors_of_point(self.points[query_id as usize], query_id, radius, out);
     }
 
+    /// Count of points inside `rect` (inclusive bounds): the same cells,
+    /// coordinate mirror and predicate as [`GridIndex::count_in_rect`] over
+    /// [`ShardedDynamicGrid::to_grid_index`], so the same count, without
+    /// freezing the grid.
+    pub fn count_in_rect(&self, rect: &Rect) -> usize {
+        debug_assert!(!self.staged, "count_in_rect on a staged grid");
+        let (cols, rows) = rect_block(rect, self.cell_side, self.cells);
+        if cols.0 > cols.1 {
+            return 0;
+        }
+        count_in_runs(self.row_runs(cols, rows), rect)
+    }
+
     /// Freezes the current cell structure into a [`GridIndex`] by
     /// concatenating the shard CSRs — a pure O(n + cells) copy, no
     /// re-bucketing. Bit-identical to `GridIndex::build(self.points(), δ)`
@@ -581,6 +595,38 @@ mod tests {
             }
             g.commit_moves();
             assert_index_identical(&g.to_grid_index(), &GridIndex::build(g.points(), 0.04));
+        }
+    }
+
+    #[test]
+    fn count_in_rect_matches_the_frozen_index_across_ticks() {
+        let pts = sample_points(600, 6);
+        let mut g = ShardedDynamicGrid::build_with_shards(&pts, 0.04, 5);
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        for _tick in 0..10 {
+            g.begin_tick();
+            for _ in 0..60 {
+                let id = rng.gen_range(0..600u32);
+                g.stage_move(id, Point::new(rng.gen(), rng.gen()));
+            }
+            g.commit_moves();
+            let frozen = g.to_grid_index();
+            for _ in 0..30 {
+                let (x, y): (f64, f64) = (rng.gen_range(-0.1..1.0), rng.gen_range(-0.1..1.0));
+                let (w, h): (f64, f64) = (rng.gen_range(0.0..0.4), rng.gen_range(0.0..0.4));
+                let r = Rect::new(x, y, x + w, y + h);
+                let expect = g.points().iter().filter(|p| r.contains(p)).count();
+                assert_eq!(g.count_in_rect(&r), frozen.count_in_rect(&r));
+                assert_eq!(g.count_in_rect(&r), expect);
+            }
+            // The whole square, a point-sized box, and a box off the square.
+            for r in [
+                Rect::UNIT,
+                Rect::new(0.5, 0.5, 0.5, 0.5),
+                Rect::new(1.2, 1.2, 1.5, 1.5),
+            ] {
+                assert_eq!(g.count_in_rect(&r), frozen.count_in_rect(&r));
+            }
         }
     }
 

@@ -6,10 +6,14 @@
 //! by a changed rank list are re-audited ([`crate::lifetime`]), and a
 //! Poisson stream of cloaking requests is served through the standard
 //! [`nela::CloakingEngine`] with the cluster registry carried across ticks.
-//! The serving index is frozen from the maintained sharded grid
-//! (`MobileWorld::grid_index`, a pure shard-CSR concatenation) — no
-//! from-scratch `GridIndex` rebuild per tick. The run reports, per tick and
-//! in aggregate:
+//!
+//! A tick serves straight from the maintained state, as Algorithm 2's host
+//! learns the WPG one peer's list at a time: the audit walks the members'
+//! rank rows, phase 1 fetches each list from the rows
+//! ([`nela::CloakingEngine::over_rows`]), the engine borrows the current
+//! positions, and validity is counted on the maintained grid. No tick builds
+//! a WPG snapshot, freezes a `GridIndex` or copies a position. The run
+//! reports, per tick and in aggregate:
 //!
 //! - **cluster-reuse rate** — how often a request is answered from a still-
 //!   valid registered cluster (the paper's zero-cost ® path) despite motion,
@@ -44,10 +48,10 @@ pub struct DriverConfig {
     /// Also time a from-scratch WPG rebuild each tick for the speedup
     /// metric (doubles the per-tick cost; disable for long runs).
     pub measure_rebuild: bool,
-    /// Worker threads for the incremental maintenance (whole-population
-    /// probes and snapshots). `1` (the default) runs serially; higher
-    /// counts produce a bit-identical graph in parallel, so the run stays
-    /// deterministic for any value.
+    /// Worker threads for the incremental maintenance (the whole-population
+    /// probes of a tick past the mover crossover). `1` (the default) runs
+    /// serially; higher counts produce bit-identical rank rows in parallel,
+    /// so the run stays deterministic for any value.
     pub threads: usize,
 }
 
@@ -108,11 +112,15 @@ pub struct TickMetrics {
     pub dirty: usize,
     /// Users whose rank list actually changed.
     pub changed: usize,
-    /// Nanoseconds for the incremental update (moves + graph snapshot).
-    /// Nanosecond resolution keeps sub-microsecond ticks (common at small n)
-    /// in the speedup statistics instead of flooring them to zero.
+    /// Nanoseconds for the incremental update: `apply_moves` folding the
+    /// tick's moves into the grid and the rank rows, which is all the
+    /// maintenance a served tick pays (serving reads the rows in place, no
+    /// snapshot is built). Drawing the moves is not counted. Nanosecond
+    /// resolution keeps sub-microsecond ticks (common at small n) in the
+    /// speedup statistics instead of flooring them to zero.
     pub incremental_ns: u64,
-    /// Nanoseconds for the from-scratch rebuild (0 when not measured).
+    /// Nanoseconds for the from-scratch rebuild of the CSR (0 when not
+    /// measured).
     pub rebuild_ns: u64,
     /// Clusters retired by the lifetime audit this tick.
     pub invalidated: usize,
@@ -208,16 +216,13 @@ pub fn run_continuous(
     let mut host_rng = ChaCha8Rng::seed_from_u64(config.seed ^ HOST_STREAM);
     let rebuild_builder = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss);
     let mut per_tick = Vec::with_capacity(config.ticks);
-    // The served graph is refilled in place each tick (edge scratch and CSR
-    // buffers reach steady size after the first tick — no per-tick
-    // allocation churn) and recovered from the System after serving.
-    let mut wpg = world.wpg_snapshot();
 
     for tick in 0..config.ticks {
-        // 1. Move the population; fold moves into grid + WPG incrementally.
+        // 1. Move the population; fold the moves into the grid and the rank
+        // rows incrementally.
+        let moves = world.draw_moves();
         let t0 = Instant::now();
-        let stats = world.tick();
-        world.wpg_snapshot_into(&mut wpg);
+        let stats = world.apply_moves(&moves);
         let incremental_ns = t0.elapsed().as_nanos() as u64;
         nela_obs::observe(nela_obs::stage::MOBILITY_INCREMENTAL, incremental_ns);
 
@@ -226,27 +231,36 @@ pub fn run_continuous(
             let t1 = Instant::now();
             let rebuilt = rebuild_builder.build(world.points());
             let ns = t1.elapsed().as_nanos() as u64;
-            debug_assert_eq!(rebuilt.m(), wpg.m(), "incremental update diverged");
+            debug_assert!(
+                world.rows().matches_csr(&rebuilt),
+                "incremental update diverged: a rank row differs from the rebuild's CSR row"
+            );
             nela_obs::observe(nela_obs::stage::MOBILITY_REBUILD, ns);
             ns
         } else {
             0
         };
 
-        // 3. Epoch-scoped lifetime audit: only clusters containing a user
-        // whose rank list changed this tick can have lost their certificate
-        // (edge weights are min-of-mutual-ranks), so only those are checked.
-        let audit = invalidate_clusters_of_users(&mut registry, &wpg, world.changed_users());
+        // 3. Epoch-scoped lifetime audit: every edge that changed this tick
+        // has an endpoint whose rank list changed, so only clusters holding
+        // such a user can have lost their certificate, and only those are
+        // checked, over the members' rank rows.
+        let audit_span = nela_obs::span(nela_obs::stage::MOBILITY_AUDIT);
+        let audit =
+            invalidate_clusters_of_users(&mut registry, &world.rows(), world.changed_users());
+        drop(audit_span);
 
         // 4. Serve this tick's Poisson batch through the standard engine,
-        // against the maintained grid frozen in place (no rebuild).
-        let system = nela::System::with_parts(
-            params.clone(),
-            world.points().to_vec(),
-            world.grid_index(),
-            wpg,
+        // over the maintained positions and rank rows as they stand.
+        let serve_span = nela_obs::span(nela_obs::stage::MOBILITY_SERVE);
+        let mut engine = CloakingEngine::over_rows(
+            params,
+            world.points(),
+            world.rows(),
+            clustering,
+            bounding,
+            registry,
         );
-        let mut engine = CloakingEngine::with_registry(&system, clustering, bounding, registry);
         let requests = poisson(&mut arrival_rng, config.rate);
         let mut m = TickMetrics {
             tick,
@@ -272,7 +286,7 @@ pub fn run_continuous(
                     if r.reused {
                         m.reused += 1;
                     }
-                    if system.grid.count_in_rect(&r.region) >= params.k {
+                    if world.count_in_rect(&r.region) >= params.k {
                         m.valid_served += 1;
                     }
                 }
@@ -280,10 +294,9 @@ pub fn run_continuous(
             }
         }
         registry = engine.into_registry();
+        drop(serve_span);
         m.active_clusters = registry.active_cluster_count();
         per_tick.push(m);
-        let nela::System { wpg: recovered, .. } = system;
-        wpg = recovered;
     }
 
     let sum = |f: fn(&TickMetrics) -> usize| per_tick.iter().map(f).sum::<usize>();
@@ -445,6 +458,7 @@ mod tests {
         let mut world = MobileWorld::new(&params, &mobility);
         let mut reg_epoch = ClusterRegistry::new(params.n_users);
         let mut reg_full = ClusterRegistry::new(params.n_users);
+        let mut reg_rows = ClusterRegistry::new(params.n_users);
         // Seed both registries with identical clusters from a one-tick run.
         let system = world.system_snapshot();
         let mut engine = CloakingEngine::with_registry(
@@ -459,20 +473,29 @@ mod tests {
         reg_epoch = engine.into_registry();
         for (_, rc) in reg_epoch.active_clusters() {
             reg_full.register(rc.cluster.clone());
+            reg_rows.register(rc.cluster.clone());
         }
         for _ in 0..4 {
             world.tick();
             let wpg = world.wpg_snapshot();
             let a = invalidate_clusters_of_users(&mut reg_epoch, &wpg, world.changed_users());
             let b = invalidate_broken_clusters(&mut reg_full, &wpg);
+            // The same epoch audit over the rank rows the driver walks.
+            let c =
+                invalidate_clusters_of_users(&mut reg_rows, &world.rows(), world.changed_users());
             assert_eq!(a.invalidated, b.invalidated);
             assert_eq!(a.released, b.released);
             assert!(a.checked <= b.checked, "epoch audit checked more");
+            assert_eq!(a, c, "rank-row audit differs from the CSR audit");
             assert_eq!(
                 reg_epoch.active_cluster_count(),
                 reg_full.active_cluster_count()
             );
         }
+        assert!(
+            reg_full.retired_count() > 0,
+            "the run must retire clusters to mean much"
+        );
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!   world, audit cluster lifetimes, and serve a Poisson stream of cloaking
 //!   requests through the standard [`nela::CloakingEngine`] with the
 //!   registry carried across ticks, reporting cluster-reuse rate,
-//!   incremental-vs-rebuild speedup, and anonymity validity over time.
+//!   incremental-vs-rebuild speedup, and anonymity validity over time. A
+//!   tick serves straight from the maintained state: the audit and phase 1
+//!   read the incremental WPG's rank rows, and the engine borrows the
+//!   current positions.
 //!
 //! Surfaces: the `exp_mobility` binary and `bench_mobility` criterion bench
 //! in `nela-bench`, and the `mobility` subcommand of the `nela` CLI.
@@ -31,6 +34,8 @@ pub mod model;
 pub mod world;
 
 pub use driver::{run_continuous, DriverConfig, DriverConfigError, RunSummary, TickMetrics};
-pub use lifetime::{cluster_still_valid, invalidate_broken_clusters, InvalidationReport};
+pub use lifetime::{
+    cluster_still_valid, invalidate_broken_clusters, CertificateGraph, InvalidationReport,
+};
 pub use model::{MobilityConfig, MobilityField};
 pub use world::{MobileWorld, TickStats};

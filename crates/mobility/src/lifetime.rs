@@ -13,12 +13,20 @@
 //! Either way the cluster no longer certifies k-anonymity-by-proximity and
 //! must not be reused. [`invalidate_broken_clusters`] audits every live
 //! cluster against the *current* WPG and retires the broken ones through
-//! [`ClusterRegistry::invalidate`], releasing their members to re-request.
+//! [`ClusterRegistry::invalidate`], releasing their members to re-request;
+//! [`invalidate_clusters_of_users`] audits only the clusters a tick can
+//! have broken.
+//!
+//! Every audit is generic over the [`CertificateGraph`] it walks: a built
+//! CSR ([`Wpg`]) or an incremental WPG's published rank rows
+//! ([`RankRows`]), which give the same edges and weights, so the same
+//! verdicts. Over the rows, a member's edge is probed (the peer's row
+//! scanned for the reverse rank) only after the registry confirmed the
+//! peer is a member.
 
 use nela_cluster::registry::{ClusterId, ClusterRegistry};
 use nela_geo::UserId;
-use nela_wpg::Wpg;
-use std::collections::HashSet;
+use nela_wpg::{RankRows, Weight, Wpg};
 
 /// Outcome of one lifetime audit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,40 +39,153 @@ pub struct InvalidationReport {
     pub released: usize,
 }
 
-/// True when `members` still form a t-connected set in `wpg`: every member
-/// reaches every other through member-internal edges of weight ≤ `t`.
-pub fn cluster_still_valid(wpg: &Wpg, members: &[UserId], t: nela_wpg::Weight) -> bool {
-    if members.len() <= 1 {
-        return true;
-    }
-    let member_set: HashSet<UserId> = members.iter().copied().collect();
-    let mut visited: HashSet<UserId> = HashSet::from([members[0]]);
-    let mut stack = vec![members[0]];
-    while let Some(u) = stack.pop() {
-        for (v, w) in wpg.neighbors(u) {
-            if w <= t && member_set.contains(&v) && visited.insert(v) {
-                stack.push(v);
+/// A WPG as a certificate audit reads it, one member at a time: a built
+/// CSR or an incremental WPG's rank rows.
+pub trait CertificateGraph {
+    /// Calls `f(v)` for every edge `(u, v)` of weight at most `t` whose far
+    /// endpoint `v` passes `keep`.
+    fn for_each_light_edge(
+        &self,
+        u: UserId,
+        t: Weight,
+        keep: impl Fn(UserId) -> bool,
+        f: impl FnMut(UserId),
+    );
+}
+
+impl CertificateGraph for Wpg {
+    fn for_each_light_edge(
+        &self,
+        u: UserId,
+        t: Weight,
+        keep: impl Fn(UserId) -> bool,
+        mut f: impl FnMut(UserId),
+    ) {
+        for (v, w) in self.neighbors(u) {
+            if w <= t && keep(v) {
+                f(v);
             }
         }
     }
-    visited.len() == members.len()
+}
+
+/// Over the rows, `keep` runs before the edge is probed, so a rejected peer
+/// costs no scan of its row. The edge to `v = peers_of(u)[i]` weighs
+/// `min(i + 1, rank of u at v)`: at `i < t` it is light whenever `v` lists
+/// `u` at all, and otherwise only if `u` is among `v`'s first `t` peers, so
+/// the probe scans no further than that.
+impl CertificateGraph for RankRows<'_> {
+    fn for_each_light_edge(
+        &self,
+        u: UserId,
+        t: Weight,
+        keep: impl Fn(UserId) -> bool,
+        mut f: impl FnMut(UserId),
+    ) {
+        let t = t as usize;
+        for (i, &v) in self.peers_of(u).iter().enumerate() {
+            if keep(v) {
+                let row = self.peers_of(v);
+                let probe = if i < t { row } else { &row[..row.len().min(t)] };
+                if probe.contains(&u) {
+                    f(v);
+                }
+            }
+        }
+    }
+}
+
+/// Scratch of one certificate walk, reused across the clusters of an audit.
+#[derive(Default)]
+struct Walk {
+    /// `reached[i]`: the walk has reached `members[i]`.
+    reached: Vec<bool>,
+    stack: Vec<UserId>,
+}
+
+/// True when `members` (ascending, as a registered cluster holds them) are
+/// t-connected in `graph`: every member reaches every other through edges
+/// of weight ≤ `t` between members. `is_member(v)` must hold exactly for
+/// the members.
+fn certified<G: CertificateGraph + ?Sized>(
+    graph: &G,
+    members: &[UserId],
+    t: Weight,
+    is_member: impl Fn(UserId) -> bool,
+    walk: &mut Walk,
+) -> bool {
+    if members.len() <= 1 {
+        return true;
+    }
+    let Walk { reached, stack } = walk;
+    reached.clear();
+    reached.resize(members.len(), false);
+    reached[0] = true;
+    stack.clear();
+    stack.push(members[0]);
+    let mut count = 1;
+    while let Some(u) = stack.pop() {
+        graph.for_each_light_edge(u, t, &is_member, |v| {
+            if let Ok(i) = members.binary_search(&v) {
+                if !reached[i] {
+                    reached[i] = true;
+                    count += 1;
+                    stack.push(v);
+                }
+            }
+        });
+    }
+    count == members.len()
+}
+
+/// True when `members` (ascending) still form a t-connected set in
+/// `graph`: every member reaches every other through member-internal edges
+/// of weight ≤ `t`.
+pub fn cluster_still_valid<G: CertificateGraph + ?Sized>(
+    graph: &G,
+    members: &[UserId],
+    t: Weight,
+) -> bool {
+    let is_member = |v: UserId| members.binary_search(&v).is_ok();
+    certified(graph, members, t, is_member, &mut Walk::default())
+}
+
+/// Audits live cluster `id` of `registry` against `graph`, retiring it
+/// when its certificate broke. A peer counts as a member when the registry
+/// assigns it to `id` — exactly the members of a live cluster.
+fn audit_one<G: CertificateGraph + ?Sized>(
+    registry: &mut ClusterRegistry,
+    graph: &G,
+    id: ClusterId,
+    walk: &mut Walk,
+    report: &mut InvalidationReport,
+) {
+    let rc = registry.get(id);
+    report.checked += 1;
+    let is_member = |v: UserId| registry.cluster_id_of(v) == Some(id);
+    if !certified(
+        graph,
+        &rc.cluster.members,
+        rc.cluster.connectivity,
+        is_member,
+        walk,
+    ) {
+        report.released += registry.invalidate(id);
+        report.invalidated += 1;
+    }
 }
 
 /// Retires every live cluster whose t-connectivity certificate no longer
-/// holds in `wpg`.
-pub fn invalidate_broken_clusters(registry: &mut ClusterRegistry, wpg: &Wpg) -> InvalidationReport {
+/// holds in `graph`.
+pub fn invalidate_broken_clusters<G: CertificateGraph + ?Sized>(
+    registry: &mut ClusterRegistry,
+    graph: &G,
+) -> InvalidationReport {
+    let live: Vec<ClusterId> = registry.active_clusters().map(|(id, _)| id).collect();
     let mut report = InvalidationReport::default();
-    let broken: Vec<ClusterId> = registry
-        .active_clusters()
-        .filter(|(_, rc)| {
-            report.checked += 1;
-            !cluster_still_valid(wpg, &rc.cluster.members, rc.cluster.connectivity)
-        })
-        .map(|(id, _)| id)
-        .collect();
-    for id in broken {
-        report.released += registry.invalidate(id);
-        report.invalidated += 1;
+    let mut walk = Walk::default();
+    for id in live {
+        audit_one(registry, graph, id, &mut walk, &mut report);
     }
     report
 }
@@ -73,17 +194,19 @@ pub fn invalidate_broken_clusters(registry: &mut ClusterRegistry, wpg: &Wpg) -> 
 /// `changed` (the users whose WPG rank list changed this tick, e.g.
 /// `MobileWorld::changed_users`) and retires the broken ones.
 ///
-/// **Exactness.** An edge's weight is the min of its endpoints' mutual
-/// ranks, so an edge incident to `u` can only appear, vanish, or change
-/// weight when `u`'s or its peer's rank list changed — and the peer is also
-/// in `changed` then (mutuality: the edge is in both lists). A cluster's
-/// certificate depends only on edges between members, so a cluster with no
-/// member in `changed` has exactly the certificate it had last tick, when it
-/// was valid. Auditing only the touched clusters therefore retires exactly
-/// the clusters [`invalidate_broken_clusters`] would.
-pub fn invalidate_clusters_of_users(
+/// **Exactness.** An edge's weight is the smaller of its endpoints' mutual
+/// ranks, so an edge can only appear, vanish, or change weight when one of
+/// its endpoints' rank lists changed: every changed edge has an endpoint in
+/// `changed`. (The other endpoint need not be there: its own list can stay
+/// as it was while the edge moves or goes.) A cluster's certificate depends
+/// only on edges between members, and a changed edge between two members
+/// puts one of them in `changed`. So a cluster with no member in `changed`
+/// has exactly the internal edges, and the certificate, it had last tick,
+/// when it was valid. Auditing only the touched clusters therefore retires
+/// exactly the clusters [`invalidate_broken_clusters`] would.
+pub fn invalidate_clusters_of_users<G: CertificateGraph + ?Sized>(
     registry: &mut ClusterRegistry,
-    wpg: &Wpg,
+    graph: &G,
     changed: &[UserId],
 ) -> InvalidationReport {
     let mut touched: Vec<ClusterId> = changed
@@ -93,15 +216,10 @@ pub fn invalidate_clusters_of_users(
     touched.sort_unstable();
     touched.dedup();
     let mut report = InvalidationReport::default();
+    let mut walk = Walk::default();
     for id in touched {
-        let rc = registry.get(id);
-        if rc.retired {
-            continue;
-        }
-        report.checked += 1;
-        if !cluster_still_valid(wpg, &rc.cluster.members, rc.cluster.connectivity) {
-            report.released += registry.invalidate(id);
-            report.invalidated += 1;
+        if !registry.get(id).retired {
+            audit_one(registry, graph, id, &mut walk, &mut report);
         }
     }
     report

@@ -2,8 +2,8 @@
 
 use crate::model::{MobilityConfig, MobilityField};
 use nela::{Params, System};
-use nela_geo::{DatasetSpec, GridIndex, Point, UserId};
-use nela_wpg::{IncrementalWpg, InverseDistanceRss, UpdateStats, Wpg, WpgBuilder};
+use nela_geo::{DatasetSpec, GridIndex, Point, Rect, UserId};
+use nela_wpg::{IncrementalWpg, InverseDistanceRss, RankRows, UpdateStats, Wpg, WpgBuilder};
 
 /// Counters for one [`MobileWorld::tick`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -13,9 +13,11 @@ pub struct TickStats {
     /// Users whose WPG candidate list this tick touched (every user on a
     /// tick past the mover crossover).
     pub dirty: usize,
-    /// Users whose rank list actually changed — the only users whose
-    /// incident edges (and hence cluster certificates) can differ from the
-    /// previous tick.
+    /// Users whose rank list actually changed. Every WPG edge that
+    /// appeared, vanished or changed weight this tick has an endpoint among
+    /// them, so a cluster certificate can only break if a member is here;
+    /// a user outside the set can still see its incident edges change,
+    /// through a peer whose list did.
     pub changed: usize,
 }
 
@@ -80,14 +82,27 @@ impl MobileWorld {
     }
 
     /// Advances the population one tick and folds the moves into the grid
-    /// and WPG incrementally.
+    /// and WPG incrementally: [`MobileWorld::draw_moves`], then
+    /// [`MobileWorld::apply_moves`].
     pub fn tick(&mut self) -> TickStats {
-        let moves = self.field.step(self.wpg.points());
+        let moves = self.draw_moves();
+        self.apply_moves(&moves)
+    }
+
+    /// Draws the next tick's moves from the mobility mixture without
+    /// applying them; apply them with [`MobileWorld::apply_moves`] before
+    /// drawing again.
+    pub fn draw_moves(&mut self) -> Vec<(UserId, Point)> {
+        self.field.step(self.wpg.points())
+    }
+
+    /// Folds a batch of moves into the grid and WPG incrementally.
+    pub fn apply_moves(&mut self, moves: &[(UserId, Point)]) -> TickStats {
         let UpdateStats {
             moved,
             dirty,
             changed,
-        } = self.wpg.apply_moves(&moves);
+        } = self.wpg.apply_moves(moves);
         TickStats {
             moved,
             dirty,
@@ -95,24 +110,30 @@ impl MobileWorld {
         }
     }
 
-    /// Users whose rank list changed in the last tick — the exact audit set
-    /// for epoch-based cluster reuse (a cluster can only break when a
-    /// member's list changed).
+    /// Users whose rank list changed in the last tick — the audit set for
+    /// epoch-based cluster reuse (a cluster can only break when a member's
+    /// list changed; see [`TickStats::changed`]).
     pub fn changed_users(&self) -> &[UserId] {
         self.wpg.changed_users()
+    }
+
+    /// The maintained rank rows, borrowed: the current WPG read one vertex
+    /// at a time (each row is the snapshot's CSR row), with no snapshot
+    /// built.
+    pub fn rows(&self) -> RankRows<'_> {
+        self.wpg.rows()
+    }
+
+    /// Users currently inside `rect`, counted on the maintained grid (the
+    /// count a frozen [`MobileWorld::grid_index`] would give).
+    pub fn count_in_rect(&self, rect: &Rect) -> usize {
+        self.wpg.grid().count_in_rect(rect)
     }
 
     /// Materializes the current WPG (exactly the from-scratch graph, see
     /// `nela_wpg::incremental`).
     pub fn wpg_snapshot(&self) -> Wpg {
         self.wpg.snapshot()
-    }
-
-    /// Rebuilds `wpg` in place from the maintained rank lists — the
-    /// alloc-free per-tick snapshot (bit-identical to
-    /// [`MobileWorld::wpg_snapshot`]).
-    pub fn wpg_snapshot_into(&mut self, wpg: &mut Wpg) {
-        self.wpg.snapshot_into(wpg);
     }
 
     /// Freezes the maintained cell structure into a static [`GridIndex`] —

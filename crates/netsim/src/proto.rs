@@ -9,38 +9,47 @@
 
 use crate::network::{Network, RpcError};
 use nela_bounding::protocol::VerifyTransport;
-use nela_cluster::fetch::PeerFetch;
+use nela_cluster::fetch::{LocalFetch, PeerFetch};
 use nela_geo::UserId;
 use nela_wpg::{Weight, Wpg};
 
 /// Adjacency fetch over the simulated network: each fetch is one RPC from
-/// the host to the peer; the reply carries the peer's adjacency list read
-/// from the ground-truth WPG.
-pub struct SimFetch<'a> {
+/// the host to the peer; the reply carries the peer's adjacency list, read
+/// from the ground truth through the in-memory fetch `F` it wraps (a WPG's
+/// CSR by default, or the rank rows an incremental WPG maintains).
+pub struct SimFetch<'a, F: PeerFetch = LocalFetch<'a>> {
     net: &'a mut Network,
-    g: &'a Wpg,
+    local: F,
     host: UserId,
 }
 
 impl<'a> SimFetch<'a> {
     /// Binds a host's fetches to a network and the ground-truth graph.
     pub fn new(net: &'a mut Network, g: &'a Wpg, host: UserId) -> Self {
-        SimFetch { net, g, host }
+        SimFetch::over(net, LocalFetch::new(g), host)
     }
 }
 
-impl PeerFetch for SimFetch<'_> {
+impl<'a, F: PeerFetch> SimFetch<'a, F> {
+    /// Binds a host's fetches to a network, answering each delivered RPC
+    /// from `local`.
+    pub fn over(net: &'a mut Network, local: F, host: UserId) -> Self {
+        SimFetch { net, local, host }
+    }
+}
+
+impl<F: PeerFetch> PeerFetch for SimFetch<'_, F> {
     fn population(&self) -> usize {
-        self.g.n()
+        self.local.population()
     }
 
     fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
         if u == self.host {
             // The host's own adjacency is local knowledge.
-            return Some(self.g.neighbors(u).collect());
+            return self.local.fetch(u);
         }
         match self.net.rpc(self.host, u) {
-            Ok(()) => Some(self.g.neighbors(u).collect()),
+            Ok(()) => self.local.fetch(u),
             Err(RpcError::PeerDown(_) | RpcError::RetriesExhausted(_)) => None,
         }
     }

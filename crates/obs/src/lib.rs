@@ -56,8 +56,14 @@ pub mod stage {
     pub const REGISTRY_CLAIM: &str = "registry.claim";
     /// Shard-lock acquisition wait inside one claim.
     pub const REGISTRY_LOCK_WAIT: &str = "registry.claim.lock_wait";
-    /// One mobility tick's incremental WPG maintenance.
+    /// One mobility tick's incremental WPG maintenance (`apply_moves`).
     pub const MOBILITY_INCREMENTAL: &str = "mobility.tick.incremental";
+    /// One mobility tick's lifetime audit of the clusters its changed
+    /// users belong to.
+    pub const MOBILITY_AUDIT: &str = "mobility.tick.audit";
+    /// One mobility tick's serving: the engine over the maintained state,
+    /// every request of the tick and the validity counts.
+    pub const MOBILITY_SERVE: &str = "mobility.tick.serve";
     /// Incremental sub-stage: staging the move batch into the sharded grid.
     pub const INC_STAGE: &str = "wpg.inc.stage";
     /// Incremental sub-stage: committing the staged shards (CSR rebuild).

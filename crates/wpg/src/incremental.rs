@@ -49,10 +49,17 @@
 //! current positions and [`IncrementalWpg::snapshot`] reconstructs the same
 //! graph (vertices, edges, weights); `tests/incremental_equivalence.rs`
 //! checks every CSR row and the changed set on every tick.
+//!
+//! **Serving from the rows.** [`IncrementalWpg::rows`] lends the published
+//! rows as a [`RankRows`] view that answers one vertex at a time with
+//! exactly the snapshot's CSR row, so a reader that needs a few rows per
+//! tick (Algorithm 2's host fetches, the lifetime audit) never pays for a
+//! snapshot of the whole graph.
 
 use crate::builder::{keep_strongest, rank_order, WpgBuilder};
 use crate::graph::{Edge, Wpg};
 use crate::rss::RssModel;
+use crate::Weight;
 use nela_geo::{GridError, Point, ShardedDynamicGrid, UserId};
 
 /// Counters describing one [`IncrementalWpg::apply_moves`] batch.
@@ -65,8 +72,8 @@ pub struct UpdateStats {
     /// non-mover whose list lost or gained a mover or raised its floor — or
     /// every user, on a tick that re-probes everyone.
     pub dirty: usize,
-    /// Users whose rank list actually changed — the exact set of users whose
-    /// incident edges may differ from the previous tick.
+    /// Users whose rank list actually changed (see
+    /// [`IncrementalWpg::changed_users`]).
     pub changed: usize,
 }
 
@@ -349,14 +356,27 @@ impl<R: RssModel> IncrementalWpg<R> {
     /// rank is its position in the slice plus one.
     #[inline]
     pub fn peers_of(&self, u: UserId) -> &[UserId] {
-        let lo = u as usize * self.builder.max_peers;
-        &self.rank_peers[lo..lo + self.rank_len[u as usize] as usize]
+        self.rows().peers_of(u)
+    }
+
+    /// The published rank rows, borrowed: the current graph read one vertex
+    /// at a time, with no snapshot built.
+    #[inline]
+    pub fn rows(&self) -> RankRows<'_> {
+        RankRows {
+            peers: &self.rank_peers,
+            len: &self.rank_len,
+            m: self.builder.max_peers,
+        }
     }
 
     /// Users whose rank list changed in the last [`IncrementalWpg::apply_moves`]
-    /// batch — exactly the users whose incident WPG edges may differ from
-    /// the previous tick (an edge weight is the min of its endpoints' ranks,
-    /// so an edge can only change when an endpoint's list changed).
+    /// batch. Every WPG edge that appeared, vanished or changed weight has
+    /// an endpoint here: an edge's weight is the smaller of its endpoints'
+    /// mutual ranks, so it can only change when one endpoint's list did. The
+    /// converse does not hold: a user outside this set keeps its own list,
+    /// yet its CSR row changes when a peer's list shifts its rank (moving
+    /// the edge's weight) or drops it (removing the edge).
     #[inline]
     pub fn changed_users(&self) -> &[UserId] {
         &self.changed_ids
@@ -599,35 +619,6 @@ impl<R: RssModel> IncrementalWpg<R> {
         }
     }
 
-    /// Emits the mutual min-rank edges whose lower endpoint lies in
-    /// `users` — the exact emission order of `WpgBuilder`'s edge pass (u
-    /// ascending, peers in rank order). The reverse rank is a linear probe of
-    /// the peer's ≤ M-entry rank row, the same scan the builder's `rank_of`
-    /// uses — cheaper than maintaining an id-sorted mirror in every update.
-    fn emit_edges(&self, users: std::ops::Range<usize>, edges: &mut Vec<Edge>) {
-        let m = self.builder.max_peers;
-        for u in users {
-            let u = u as UserId;
-            let lo = u as usize * m;
-            let len = self.rank_len[u as usize] as usize;
-            for (i, &v) in self.rank_peers[lo..lo + len].iter().enumerate() {
-                if v <= u {
-                    continue; // handle each unordered pair once, from the lower id
-                }
-                let rank_v_at_u = i as u32 + 1;
-                let vlo = v as usize * m;
-                let vlen = self.rank_len[v as usize] as usize;
-                if let Some(at) = self.rank_peers[vlo..vlo + vlen]
-                    .iter()
-                    .position(|&p| p == u)
-                {
-                    let rank_u_at_v = at as u32 + 1;
-                    edges.push(Edge::new(u, v, rank_v_at_u.min(rank_u_at_v)));
-                }
-            }
-        }
-    }
-
     /// Materializes the current graph. Runs only the mutual min-rank edge
     /// pass (O(n · M log M)); the expensive δ-query/sort work is already
     /// folded into the maintained rank lists.
@@ -640,15 +631,14 @@ impl<R: RssModel> IncrementalWpg<R> {
     /// for any thread count (chunk concatenation reproduces the serial
     /// emission order; `Wpg::from_edges_threads` is pinned bit-identical).
     pub fn snapshot_threads(&self, threads: usize) -> Wpg {
-        let n = self.rank_len.len();
+        let rows = self.rows();
+        let n = rows.n();
         if threads <= 1 {
-            let mut edges = Vec::new();
-            self.emit_edges(0..n, &mut edges);
-            return Wpg::from_edges(n, &edges);
+            return rows.to_wpg();
         }
         let chunks: Vec<Vec<Edge>> = nela_par::map_chunks(threads, n, |range| {
             let mut edges = Vec::new();
-            self.emit_edges(range, &mut edges);
+            rows.emit_edges(range, &mut edges);
             edges
         });
         let mut edges = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
@@ -667,12 +657,119 @@ impl<R: RssModel> IncrementalWpg<R> {
         let mut edges = std::mem::take(&mut self.edges_scratch);
         edges.clear();
         let emit_span = nela_obs::span(nela_obs::stage::INC_EMIT);
-        self.emit_edges(0..n, &mut edges);
+        self.rows().emit_edges(0..n, &mut edges);
         drop(emit_span);
         let refill_span = nela_obs::span(nela_obs::stage::INC_REFILL);
         wpg.refill_from_edges(n, &edges);
         drop(refill_span);
         self.edges_scratch = edges;
+    }
+}
+
+/// A borrowed view of an [`IncrementalWpg`]'s published rank rows: the
+/// graph [`IncrementalWpg::snapshot`] would build, read one vertex at a
+/// time.
+///
+/// An edge `(u, v)` exists when each lists the other, with weight the
+/// smaller of the two ranks ([`RankRows::mutual_weight`], which the
+/// snapshot's edge pass uses too). [`RankRows::row_into`] returns `u`'s CSR
+/// row of the snapshot exactly, in order: the snapshot's edge pass emits
+/// each edge from its lower endpoint, lower endpoints ascending and each
+/// one's peers in rank order, and the CSR fill appends every edge to both
+/// endpoints' rows in emission order. So `u`'s row holds first the edges it
+/// received from lower peers, ascending by id, then the edges it emitted to
+/// higher peers, in `u`'s rank order.
+#[derive(Debug, Clone, Copy)]
+pub struct RankRows<'a> {
+    /// User `u`'s peers, strongest first, are `peers[u·m .. u·m + len[u]]`.
+    peers: &'a [UserId],
+    len: &'a [u32],
+    m: usize,
+}
+
+impl<'a> RankRows<'a> {
+    /// Number of users.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.len.len()
+    }
+
+    /// `u`'s retained peers, strongest first; a peer's 1-based RSS rank is
+    /// its position in the slice plus one.
+    #[inline]
+    pub fn peers_of(&self, u: UserId) -> &'a [UserId] {
+        let lo = u as usize * self.m;
+        &self.peers[lo..lo + self.len[u as usize] as usize]
+    }
+
+    /// The weight of the edge between `u` and `v = peers_of(u)[i]`: the
+    /// smaller of the two mutual ranks, or `None` when `v` does not list
+    /// `u` (no edge). The reverse rank is a linear probe of `v`'s ≤ M-entry
+    /// row, the same scan the builder's `rank_of` uses.
+    #[inline]
+    pub fn mutual_weight(&self, u: UserId, i: usize, v: UserId) -> Option<Weight> {
+        let at = self.peers_of(v).iter().position(|&p| p == u)?;
+        Some((i as Weight + 1).min(at as Weight + 1))
+    }
+
+    /// Fills `out` with `u`'s `(neighbor, weight)` row exactly as the
+    /// snapshot's CSR holds it: peers below `u` ascending by id, then peers
+    /// above `u` in `u`'s rank order (see the type docs for why).
+    pub fn row_into(&self, u: UserId, out: &mut Vec<(UserId, Weight)>) {
+        out.clear();
+        let row = self.peers_of(u);
+        for (i, &v) in row.iter().enumerate() {
+            if v < u {
+                if let Some(w) = self.mutual_weight(u, i, v) {
+                    out.push((v, w));
+                }
+            }
+        }
+        out.sort_unstable_by_key(|&(v, _)| v);
+        for (i, &v) in row.iter().enumerate() {
+            if v > u {
+                if let Some(w) = self.mutual_weight(u, i, v) {
+                    out.push((v, w));
+                }
+            }
+        }
+    }
+
+    /// Emits the mutual min-rank edges whose lower endpoint lies in `users`
+    /// — the exact emission order of `WpgBuilder`'s edge pass (u ascending,
+    /// peers in rank order).
+    pub fn emit_edges(&self, users: std::ops::Range<usize>, edges: &mut Vec<Edge>) {
+        for u in users {
+            let u = u as UserId;
+            for (i, &v) in self.peers_of(u).iter().enumerate() {
+                if v <= u {
+                    continue; // handle each unordered pair once, from the lower id
+                }
+                if let Some(w) = self.mutual_weight(u, i, v) {
+                    edges.push(Edge::new(u, v, w));
+                }
+            }
+        }
+    }
+
+    /// True when `g` covers the same users and every CSR row of `g` equals
+    /// this view's row, in order and with weights — the check a rebuild
+    /// must pass against the maintained rows.
+    pub fn matches_csr(&self, g: &Wpg) -> bool {
+        let mut row = Vec::new();
+        g.n() == self.n()
+            && (0..g.n() as UserId).all(|u| {
+                self.row_into(u, &mut row);
+                row.iter().copied().eq(g.neighbors(u))
+            })
+    }
+
+    /// Materializes the whole graph as a CSR — bit-identical to
+    /// [`IncrementalWpg::snapshot`], for readers of the whole graph.
+    pub fn to_wpg(&self) -> Wpg {
+        let mut edges = Vec::new();
+        self.emit_edges(0..self.n(), &mut edges);
+        Wpg::from_edges(self.n(), &edges)
     }
 }
 
@@ -887,6 +984,36 @@ mod tests {
             // Rewind the serial instance for the next thread count.
             serial = IncrementalWpg::with_topology(builder.clone(), &pts, 4, 1);
         }
+    }
+
+    #[test]
+    fn rows_view_reproduces_every_csr_row_in_order() {
+        let pts = random_points(400, 37);
+        let builder = WpgBuilder::new(0.08, 6, InverseDistanceRss);
+        let mut inc = IncrementalWpg::new(builder, &pts);
+        let mut rng = ChaCha8Rng::seed_from_u64(39);
+        let mut row = Vec::new();
+        for _ in 0..4 {
+            let moves: Vec<(UserId, Point)> = (0..50)
+                .map(|_| (rng.gen_range(0..400u32), Point::new(rng.gen(), rng.gen())))
+                .collect();
+            inc.apply_moves(&moves);
+            let snap = inc.snapshot();
+            let rows = inc.rows();
+            assert_eq!(rows.n(), snap.n());
+            for u in 0..400u32 {
+                rows.row_into(u, &mut row);
+                assert!(row.iter().copied().eq(snap.neighbors(u)), "row {u}");
+            }
+            assert_graphs_equal(&rows.to_wpg(), &snap);
+            assert!(rows.matches_csr(&snap));
+        }
+        // One edge's weight off, or one user short, is a mismatch.
+        let snap = inc.snapshot();
+        let mut edges: Vec<Edge> = snap.edges().collect();
+        edges[0].w += 1;
+        assert!(!inc.rows().matches_csr(&Wpg::from_edges(400, &edges)));
+        assert!(!inc.rows().matches_csr(&Wpg::from_edges(399, &[])));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   range δ and a peer cap M, with the paper's mutual-rank edge weights,
 //! - [`incremental`] — incremental maintenance of the WPG under mobility:
 //!   rank lists are updated from the users who moved, with an
-//!   exact-equivalence guarantee against a from-scratch build,
+//!   exact-equivalence guarantee against a from-scratch build, and served
+//!   row by row through a borrowed [`RankRows`] view,
 //! - [`connectivity`] — t-connectivity primitives (Definition 4.1) and a
 //!   union-find used by the clustering algorithms,
 //! - [`topology`] — synthetic graph topologies (ring lattice, small world,
@@ -31,7 +32,7 @@ pub mod topology;
 pub use builder::{keep_strongest, WpgBuilder};
 pub use connectivity::DisjointSets;
 pub use graph::{Edge, Wpg};
-pub use incremental::{IncrementalWpg, UpdateStats};
+pub use incremental::{IncrementalWpg, RankRows, UpdateStats};
 pub use rss::{InverseDistanceRss, LogDistanceRss, RssModel};
 
 /// Edge weights are small positive integers: RSS ranks (1..=M) in built

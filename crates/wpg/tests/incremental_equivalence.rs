@@ -4,16 +4,20 @@
 //! `nela-mobility` continuous pipeline relies on.
 //!
 //! The clustered cases below move a California-like population with the
-//! mobility crate's models and compare every CSR row and the changed set on
-//! every tick, on both sides of the mover crossover.
+//! mobility crate's models and compare every CSR row, every row of the
+//! rank-rows view served in its place, and the changed set on every tick,
+//! on both sides of the mover crossover.
 
 use nela_geo::{DatasetSpec, Point, SpatialDistribution, UserId};
 use nela_mobility::{MobilityConfig, MobilityField};
 use nela_wpg::incremental::REPROBE_ALL_DIVISOR;
-use nela_wpg::{IncrementalWpg, InverseDistanceRss, LogDistanceRss, RssModel, WpgBuilder};
+use nela_wpg::{
+    IncrementalWpg, InverseDistanceRss, LogDistanceRss, RssModel, Weight, Wpg, WpgBuilder,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 
 fn random_points(n: usize, seed: u64) -> Vec<Point> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -207,8 +211,8 @@ fn scaled_delta(n: usize) -> f64 {
     2e-3 * (104_770.0 / n as f64).sqrt()
 }
 
-/// Asserts that every CSR row of `inc`'s snapshot equals the rebuild's, in
-/// order and with weights.
+/// Asserts that every CSR row of `inc`'s snapshot, and every row of its
+/// rank-rows view, equals the rebuild's CSR row, in order and with weights.
 fn assert_rows_match_rebuild<R: RssModel + Clone>(
     inc: &IncrementalWpg<R>,
     builder: &WpgBuilder<R>,
@@ -216,12 +220,21 @@ fn assert_rows_match_rebuild<R: RssModel + Clone>(
 ) {
     let snap = inc.snapshot();
     let rebuilt = builder.build(inc.points());
+    let rows = inc.rows();
     assert_eq!(snap.n(), rebuilt.n(), "{what}");
+    assert_eq!(rows.n(), rebuilt.n(), "{what}");
+    let mut row = Vec::new();
     for u in 0..snap.n() as UserId {
         assert!(
             snap.neighbors(u).eq(rebuilt.neighbors(u)),
             "{what}: row {u} differs: {:?} vs rebuilt {:?}",
             snap.neighbors(u).collect::<Vec<_>>(),
+            rebuilt.neighbors(u).collect::<Vec<_>>()
+        );
+        rows.row_into(u, &mut row);
+        assert!(
+            row.iter().copied().eq(rebuilt.neighbors(u)),
+            "{what}: rank-rows view of {u} differs: {row:?} vs rebuilt {:?}",
             rebuilt.neighbors(u).collect::<Vec<_>>()
         );
     }
@@ -365,4 +378,75 @@ fn one_below_and_at_the_crossover_agree() {
         assert_eq!(ca, cb, "tick {tick}: changed sets differ");
         assert_rows_match_rebuild(&below_inc, &builder, &format!("tick {tick}"));
     }
+}
+
+/// Every edge of `g` as `(u, v) → w` with `u < v`.
+fn edge_map(g: &Wpg) -> BTreeMap<(UserId, UserId), Weight> {
+    g.edges().map(|e| ((e.u, e.v), e.w)).collect()
+}
+
+/// `changed_users()` is the lifetime audit's set: every edge that appeared,
+/// vanished or changed weight in a tick has an endpoint in it. The
+/// converse does not hold, and this test shows it: a user outside the set
+/// keeps its own rank list, yet its CSR row changes when a peer's list
+/// shifts its rank (moving the edge's weight) or drops it (removing the
+/// edge). Drifting movers below the crossover, on every tick.
+#[test]
+fn every_changed_edge_has_an_endpoint_in_the_changed_set() {
+    let n = 3_000;
+    let points = clustered_points(n, 47);
+    let delta = scaled_delta(n);
+    let builder = WpgBuilder::new(delta, 10, InverseDistanceRss);
+    let mut inc = IncrementalWpg::new(builder, &points);
+    let mut rng = ChaCha8Rng::seed_from_u64(49);
+    let mut before = inc.snapshot();
+    let (mut rows_moved, mut sets_moved) = (0usize, 0usize);
+    for tick in 0..10 {
+        let moves: Vec<(UserId, Point)> = (0..300)
+            .map(|_| {
+                let id = rng.gen_range(0..n as UserId);
+                let p = inc.points()[id as usize];
+                let q = Point::new(
+                    (p.x + rng.gen_range(-delta..delta)).clamp(0.0, 1.0),
+                    (p.y + rng.gen_range(-delta..delta)).clamp(0.0, 1.0),
+                );
+                (id, q)
+            })
+            .collect();
+        let stats = inc.apply_moves(&moves);
+        assert!(stats.dirty < n, "tick {tick}: took the full path");
+        let after = inc.snapshot();
+        let mut changed = vec![false; n];
+        for &u in inc.changed_users() {
+            changed[u as usize] = true;
+        }
+        let (old, new) = (edge_map(&before), edge_map(&after));
+        for (&(u, v), w) in old.iter().chain(&new) {
+            if old.get(&(u, v)) != new.get(&(u, v)) {
+                assert!(
+                    changed[u as usize] || changed[v as usize],
+                    "tick {tick}: edge ({u}, {v}) w {w} changed with neither endpoint in changed_users()"
+                );
+            }
+        }
+        for u in (0..n as UserId).filter(|&u| !changed[u as usize]) {
+            if !before.neighbors(u).eq(after.neighbors(u)) {
+                rows_moved += 1;
+                let mut a: Vec<UserId> = before.neighbors(u).map(|(v, _)| v).collect();
+                let mut b: Vec<UserId> = after.neighbors(u).map(|(v, _)| v).collect();
+                a.sort_unstable();
+                b.sort_unstable();
+                sets_moved += usize::from(a != b);
+            }
+        }
+        before = after;
+    }
+    assert!(
+        rows_moved > 0,
+        "no user outside changed_users() saw its row change"
+    );
+    assert!(
+        sets_moved > 0,
+        "no user outside changed_users() gained or lost an edge"
+    );
 }
