@@ -14,9 +14,11 @@
 //! maintenance, one `apply_moves` (staged moves folded into the sharded
 //! grid and pushed into the candidate lists, or every user re-probed past
 //! the mover crossover), against a from-scratch `WpgBuilder::build` across
-//! populations and move fractions. Every tick asserts, outside the timed
-//! regions, that each maintained rank row reproduces the rebuild's CSR row.
-//! The default fractions fall on both sides of the crossover.
+//! populations and move fractions. Each cell runs three times over the
+//! same moves and reports the median run with the min/median/max spread of
+//! both timings. Every tick asserts, outside the timed regions, that each
+//! maintained rank row reproduces the rebuild's CSR row. The default
+//! fractions fall on both sides of the crossover.
 //!
 //! A default run writes `BENCH_mobility.json` at the repository root, with
 //! a `provenance` block (git rev, cores, profile, knobs). A run that sets
@@ -37,7 +39,7 @@
 //! exits.
 
 use nela::{BoundingAlgo, ClusteringAlgo, Params};
-use nela_bench::{fmt, print_table, write_obs_snapshot, ExpConfig, Knob, Provenance};
+use nela_bench::{fmt, print_table, write_obs_snapshot, ExpConfig, Knob, Provenance, Spread};
 use nela_geo::{DatasetSpec, Point};
 use nela_mobility::{run_continuous, DriverConfig, MobilityConfig};
 use nela_wpg::{IncrementalWpg, InverseDistanceRss, WpgBuilder};
@@ -61,6 +63,8 @@ const KNOBS: &[&str] = &[
 
 /// Part B's default move fractions: both sides of the mover crossover.
 const SWEEP_FRACTIONS: [f64; 8] = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0];
+/// Timed runs per Part B cell, each over the same moves.
+const RUNS: usize = 3;
 
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
@@ -85,12 +89,27 @@ struct SweepRow {
     mean_dirty: f64,
     /// Mean users whose rank list actually changed per tick.
     mean_changed: f64,
+    /// Median over the cell's runs of the mean incremental and rebuild
+    /// nanoseconds per tick.
     mean_incremental_ns: u64,
     mean_rebuild_ns: u64,
     /// `mean_rebuild_ns / mean_incremental_ns`.
     speedup: f64,
+    /// Milliseconds per tick over the cell's [`RUNS`] runs.
+    incremental_ms: Spread,
+    rebuild_ms: Spread,
     /// Edges in the final rebuilt graph (the maintained rank rows reproduce
     /// its every CSR row — asserted every tick).
+    edges: usize,
+}
+
+/// One timed run of a cell: mean nanoseconds per tick, plus the counters
+/// every run must repeat.
+struct CellRun {
+    incremental_ns: u64,
+    rebuild_ns: u64,
+    dirty: usize,
+    changed: usize,
     edges: usize,
 }
 
@@ -100,16 +119,10 @@ struct SweepRow {
 /// grid cells and change neighborhoods, near enough that motion stays
 /// local. Every tick asserts that the maintained rank rows reproduce a
 /// rebuild's CSR, outside the timed regions.
-fn sweep_cell(n: usize, fraction: f64, ticks: usize, seed: u64) -> SweepRow {
-    let params = Params::scaled(n);
-    let spec = DatasetSpec {
-        n,
-        seed: params.seed,
-        distribution: params.distribution.clone(),
-    };
-    let points = spec.generate();
+fn run_cell(points: &[Point], params: &Params, fraction: f64, ticks: usize, seed: u64) -> CellRun {
+    let n = points.len();
     let builder = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss);
-    let mut inc = IncrementalWpg::new(builder.clone(), &points);
+    let mut inc = IncrementalWpg::new(builder.clone(), points);
     let mut edges = 0;
     let movers = ((n as f64 * fraction) as usize).clamp(1, n);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
@@ -148,17 +161,55 @@ fn sweep_cell(n: usize, fraction: f64, ticks: usize, seed: u64) -> SweepRow {
         changed += stats.changed;
     }
     let t = ticks as u64;
+    CellRun {
+        incremental_ns: inc_ns / t,
+        rebuild_ns: reb_ns / t,
+        dirty,
+        changed,
+        edges,
+    }
+}
+
+/// Runs one cell [`RUNS`] times over the same seeded moves; the runs must
+/// agree on every counter.
+fn sweep_cell(n: usize, fraction: f64, ticks: usize, seed: u64) -> SweepRow {
+    let params = Params::scaled(n);
+    let spec = DatasetSpec {
+        n,
+        seed: params.seed,
+        distribution: params.distribution.clone(),
+    };
+    let points = spec.generate();
+    let runs: Vec<CellRun> = (0..RUNS)
+        .map(|_| run_cell(&points, &params, fraction, ticks, seed))
+        .collect();
+    let first = &runs[0];
+    assert!(
+        runs.iter()
+            .all(|r| (r.dirty, r.changed, r.edges) == (first.dirty, first.changed, first.edges)),
+        "runs over the same moves disagree at n={n} f={fraction}"
+    );
+    let ms = |f: fn(&CellRun) -> u64| {
+        Spread::of(runs.iter().map(|r| Some(f(r) as f64 / 1e6))).expect("at least one run")
+    };
+    let (incremental_ms, rebuild_ms) = (ms(|r| r.incremental_ns), ms(|r| r.rebuild_ns));
+    let (inc_ns, reb_ns) = (
+        (incremental_ms.median * 1e6).round() as u64,
+        (rebuild_ms.median * 1e6).round() as u64,
+    );
     SweepRow {
         n,
         move_fraction: fraction,
         ticks,
-        movers_per_tick: movers,
-        mean_dirty: dirty as f64 / ticks as f64,
-        mean_changed: changed as f64 / ticks as f64,
-        mean_incremental_ns: inc_ns / t,
-        mean_rebuild_ns: reb_ns / t,
-        speedup: (reb_ns / t) as f64 / (inc_ns / t).max(1) as f64,
-        edges,
+        movers_per_tick: ((n as f64 * fraction) as usize).clamp(1, n),
+        mean_dirty: first.dirty as f64 / ticks as f64,
+        mean_changed: first.changed as f64 / ticks as f64,
+        mean_incremental_ns: inc_ns,
+        mean_rebuild_ns: reb_ns,
+        speedup: reb_ns as f64 / inc_ns.max(1) as f64,
+        incremental_ms,
+        rebuild_ms,
+        edges: first.edges,
     }
 }
 
@@ -175,20 +226,33 @@ fn run_sweep(populations: &[usize], fractions: &[f64], ticks: usize) -> Vec<Swee
 
 fn print_sweep(rows: &[SweepRow]) {
     print_table(
-        "Incremental maintenance vs from-scratch rebuild (per tick)",
+        &format!(
+            "Incremental maintenance vs from-scratch rebuild (ms per tick, median of {RUNS} runs)"
+        ),
         &[
-            "users", "moved", "dirty", "changed", "inc ms", "full ms", "speedup",
+            "users",
+            "moved",
+            "dirty",
+            "changed",
+            "inc ms",
+            "inc range",
+            "full ms",
+            "full range",
+            "speedup",
         ],
         &rows
             .iter()
             .map(|r| {
+                let range = |s: &Spread| format!("{}–{}", fmt(s.min), fmt(s.max));
                 vec![
                     format!("{} @{:.0}%", r.n, r.move_fraction * 100.0),
                     r.movers_per_tick.to_string(),
                     fmt(r.mean_dirty),
                     fmt(r.mean_changed),
-                    fmt(r.mean_incremental_ns as f64 / 1e6),
-                    fmt(r.mean_rebuild_ns as f64 / 1e6),
+                    fmt(r.incremental_ms.median),
+                    range(&r.incremental_ms),
+                    fmt(r.rebuild_ms.median),
+                    range(&r.rebuild_ms),
                     format!("{}x", fmt(r.speedup)),
                 ]
             })

@@ -40,7 +40,7 @@
 //! Environment: `NELA_USERS`, `NELA_RESULTS_DIR` (optional JSON dump).
 
 use nela::netsim::NetworkConfig;
-use nela_bench::{fmt, print_table, ExpConfig, Knob, Provenance, DEFAULT_USERS};
+use nela_bench::{fmt, print_table, ExpConfig, Knob, Provenance, Spread, DEFAULT_USERS};
 use nela_serve::{run_session, run_with_system, QueryMix, ServeConfig, ServeReport, Transport};
 use serde::Serialize;
 use std::time::Duration;
@@ -63,27 +63,6 @@ const SAT_START_RATE: f64 = 1_000.0;
 const SAT_MAX_RATE: f64 = 1_024_000.0;
 /// Runs per timed cell.
 const RUNS: usize = 3;
-
-/// One timed metric over a cell's runs.
-#[derive(Debug, Clone, Copy, Serialize)]
-struct Spread {
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Spread {
-    /// The spread of `values`, `None` when a run recorded no value.
-    fn of(values: impl IntoIterator<Item = Option<f64>>) -> Option<Spread> {
-        let mut v: Vec<f64> = values.into_iter().collect::<Option<_>>()?;
-        v.sort_by(f64::total_cmp);
-        Some(Spread {
-            median: *v.get(v.len() / 2)?,
-            min: v[0],
-            max: v[v.len() - 1],
-        })
-    }
-}
 
 /// The timed metrics of one cell over its [`RUNS`] runs.
 #[derive(Debug, Clone, Serialize)]

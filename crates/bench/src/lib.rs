@@ -174,6 +174,30 @@ fn git_rev(root: &Path) -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// One timed metric over a cell's repeated runs: single runs on a small
+/// shared host swing by up to half, so a timed cell runs several times and
+/// reports the median with the range.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct Spread {
+    pub median: f64,
+    pub min: f64,
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `values`, `None` when there is none or a run recorded
+    /// no value.
+    pub fn of(values: impl IntoIterator<Item = Option<f64>>) -> Option<Spread> {
+        let mut v: Vec<f64> = values.into_iter().collect::<Option<_>>()?;
+        v.sort_by(f64::total_cmp);
+        Some(Spread {
+            median: *v.get(v.len() / 2)?,
+            min: v[0],
+            max: v[v.len() - 1],
+        })
+    }
+}
+
 /// Prints an aligned table: a title line, a header row, then rows of
 /// preformatted cells.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

@@ -302,6 +302,20 @@ impl GridIndex {
         }
     }
 
+    /// The index taken apart: `(cells, cell_side, bucket_offsets, entries,
+    /// entry_coords, points)`, the parts `ShardedDynamicGrid` cuts into
+    /// row bands.
+    pub(crate) fn into_parts(self) -> (usize, f64, Vec<u32>, Vec<UserId>, PointsSoA, Vec<Point>) {
+        (
+            self.cells,
+            self.cell_side,
+            self.bucket_offsets,
+            self.entries,
+            self.entry_coords,
+            self.points,
+        )
+    }
+
     /// The raw CSR parts, for bit-identity assertions in in-crate tests.
     #[cfg(test)]
     pub(crate) fn raw_parts(&self) -> (usize, f64, &[u32], &[UserId], &PointsSoA, &[Point]) {

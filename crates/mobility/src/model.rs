@@ -103,10 +103,9 @@ const ASSIGN_STREAM: u64 = 0x4153_5349_474e; // "ASSIGN"
 /// Stream tag for per-tick motion draws.
 const STEP_STREAM: u64 = 0x5354_4550; // "STEP"
 
-/// Per-user motion state.
+/// Motion state of one mobile user.
 #[derive(Debug, Clone)]
 enum Motion {
-    Stationary,
     Waypoint { target: Point, speed: f64 },
     GaussMarkov { vx: f64, vy: f64 },
 }
@@ -114,7 +113,11 @@ enum Motion {
 /// The motion state of an entire population, stepped one tick at a time.
 #[derive(Debug, Clone)]
 pub struct MobilityField {
-    motions: Vec<Motion>,
+    /// Users under the field.
+    n: usize,
+    /// The mobile users, ascending by id, with their motion state; the
+    /// stationary users hold none.
+    mobile: Vec<(UserId, Motion)>,
     rng: ChaCha8Rng,
     gm_alpha: f64,
     gm_mean_speed: f64,
@@ -136,27 +139,28 @@ impl MobilityField {
     pub fn new(n: usize, cfg: &MobilityConfig) -> Self {
         cfg.validate();
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ ASSIGN_STREAM);
-        let motions = (0..n)
-            .map(|_| {
-                let roll: f64 = rng.gen();
-                if roll < cfg.stationary_frac {
-                    Motion::Stationary
-                } else if roll < cfg.stationary_frac + cfg.waypoint_frac {
-                    Motion::Waypoint {
-                        target: Point::new(rng.gen(), rng.gen()),
-                        speed: rng.gen_range(cfg.speed_min..=cfg.speed_max),
-                    }
-                } else {
-                    let angle = rng.gen_range(0.0..std::f64::consts::TAU);
-                    Motion::GaussMarkov {
-                        vx: cfg.gm_mean_speed * angle.cos(),
-                        vy: cfg.gm_mean_speed * angle.sin(),
-                    }
+        let mut mobile = Vec::new();
+        for id in 0..n as UserId {
+            let roll: f64 = rng.gen();
+            let motion = if roll < cfg.stationary_frac {
+                continue;
+            } else if roll < cfg.stationary_frac + cfg.waypoint_frac {
+                Motion::Waypoint {
+                    target: Point::new(rng.gen(), rng.gen()),
+                    speed: rng.gen_range(cfg.speed_min..=cfg.speed_max),
                 }
-            })
-            .collect();
+            } else {
+                let angle = rng.gen_range(0.0..std::f64::consts::TAU);
+                Motion::GaussMarkov {
+                    vx: cfg.gm_mean_speed * angle.cos(),
+                    vy: cfg.gm_mean_speed * angle.sin(),
+                }
+            };
+            mobile.push((id, motion));
+        }
         MobilityField {
-            motions,
+            n,
+            mobile,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ STEP_STREAM),
             gm_alpha: cfg.gm_alpha,
             gm_mean_speed: cfg.gm_mean_speed,
@@ -168,32 +172,29 @@ impl MobilityField {
 
     /// Number of users under this field.
     pub fn len(&self) -> usize {
-        self.motions.len()
+        self.n
     }
 
     /// True when the field drives no users.
     pub fn is_empty(&self) -> bool {
-        self.motions.is_empty()
+        self.n == 0
     }
 
     /// Number of users that can ever move (non-stationary).
     pub fn mobile_users(&self) -> usize {
-        self.motions
-            .iter()
-            .filter(|m| !matches!(m, Motion::Stationary))
-            .count()
+        self.mobile.len()
     }
 
     /// Advances every mobile user one tick from `positions`, returning the
-    /// moves as `(id, new position)` — the exact input shape of
-    /// `IncrementalWpg::apply_moves`. Stationary users are omitted.
+    /// moves as `(id, new position)` in ascending id order — the exact
+    /// input shape of `IncrementalWpg::apply_moves`. Only the mobile users
+    /// are walked; stationary users are omitted.
     pub fn step(&mut self, positions: &[Point]) -> Vec<(UserId, Point)> {
-        assert_eq!(positions.len(), self.motions.len(), "population mismatch");
-        let mut moves = Vec::with_capacity(self.mobile_users());
-        for (i, motion) in self.motions.iter_mut().enumerate() {
-            let p = positions[i];
+        assert_eq!(positions.len(), self.n, "population mismatch");
+        let mut moves = Vec::with_capacity(self.mobile.len());
+        for (id, motion) in &mut self.mobile {
+            let p = positions[*id as usize];
             let next = match motion {
-                Motion::Stationary => continue,
                 Motion::Waypoint { target, speed } => {
                     let d = p.dist(target);
                     if d <= *speed {
@@ -232,7 +233,7 @@ impl MobilityField {
                     Point::new(x, y)
                 }
             };
-            moves.push((i as UserId, next.clamp_unit()));
+            moves.push((*id, next.clamp_unit()));
         }
         moves
     }

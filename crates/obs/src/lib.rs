@@ -68,14 +68,13 @@ pub mod stage {
     pub const INC_STAGE: &str = "wpg.inc.stage";
     /// Incremental sub-stage: committing the staged shards (CSR rebuild).
     pub const INC_COMMIT: &str = "wpg.inc.commit";
-    /// Incremental push pass: probing around each mover's tick-start
-    /// position for the lists it departs.
-    pub const INC_DEPART: &str = "wpg.inc.depart";
-    /// Incremental push pass: re-probing each mover at its new position,
-    /// rebuilding its list and recording its arrivals.
-    pub const INC_ARRIVE: &str = "wpg.inc.arrive";
-    /// Incremental push pass: applying each receiver's departures and
-    /// arrivals, underflow re-probes and top-M row writes.
+    /// Incremental push tick, the mover pass: each mover's departures (read
+    /// off its tick-start list, or probed around its tick-start position),
+    /// its list rebuilt at its new position and its arrivals.
+    pub const INC_MOVERS: &str = "wpg.inc.movers";
+    /// Incremental push tick, the merge: grouping the pushes by receiver
+    /// and applying each receiver's departures and arrivals, with underflow
+    /// re-probes and the changed-row check.
     pub const INC_MERGE: &str = "wpg.inc.merge";
     /// Incremental tick past the mover crossover: every user re-probed.
     pub const INC_REPROBE: &str = "wpg.inc.reprobe";
