@@ -65,7 +65,8 @@ COMMANDS:
   attack     evaluate an intercepting adversary over a workload
   mobility   run the continuous pipeline: motion, incremental WPG
              maintenance, cluster invalidation, Poisson requests
-             (--ticks T, --rate R, --stationary F)
+             (--ticks T, --rate R, --stationary F; --rebuild also
+             times a from-scratch WPG rebuild per tick for the speedup)
   serve      run a bounded serving session under open-loop Poisson load:
              cloak, LBS query, refine per request, end-to-end latency
              (--rate R req/s, --requests N, --query range|knn|mix,

@@ -14,13 +14,21 @@ use std::cell::RefCell;
 /// `region` asking for POIs within `radius` of itself is answered by the
 /// POIs within `radius` of the *region* (its Minkowski expansion) — the
 /// minimal position-oblivious superset for this query class.
+///
+/// # Panics
+/// Panics if `radius` is negative or NaN. [`LbsServer::handle`], which
+/// takes its query from a client, answers such a radius with no candidates
+/// instead.
+///
+/// [`LbsServer::handle`]: crate::LbsServer::handle
 pub fn cloaked_range(store: &PoiStore, region: &Rect, radius: f64) -> Vec<u32> {
+    assert!(radius >= 0.0, "radius must be non-negative");
     range_query(store, region, radius).0
 }
 
-/// [`cloaked_range`] plus the number of grid entries the kernel read.
+/// [`cloaked_range`] for a non-negative `radius`, plus the number of grid
+/// entries the kernel read.
 pub(crate) fn range_query(store: &PoiStore, region: &Rect, radius: f64) -> (Vec<u32>, usize) {
-    assert!(radius >= 0.0, "radius must be non-negative");
     let _span = nela_obs::span(nela_obs::stage::LBS_RANGE);
     SCRATCH.with(|s| range_candidates(store, region, radius, &mut s.borrow_mut()))
 }
@@ -33,14 +41,29 @@ pub(crate) fn range_query(store: &PoiStore, region: &Rect, radius: f64) -> (Vec<
 /// `|pc| ≤ diag(region)`, so p's k-th NN lies within `|pc| + kth(c) ≤ diag +
 /// d_max`. All POIs within that distance of the region are returned — a
 /// correct, conservative superset (the classic corner bound).
+///
+/// # Panics
+/// Panics if `k` is 0. [`LbsServer::handle`], which takes its query from a
+/// client, answers k = 0 with no candidates instead.
+///
+/// [`LbsServer::handle`]: crate::LbsServer::handle
 pub fn cloaked_krnn(store: &PoiStore, region: &Rect, k: usize) -> Vec<u32> {
+    assert!(k >= 1, "k must be positive");
     krnn_query(store, region, k).0
 }
 
-/// [`cloaked_krnn`] plus the number of grid entries the kernel read: the
-/// corners' growth windows and cover squares, then the range rows.
+/// [`cloaked_krnn`] for a positive `k`, plus the number of grid entries
+/// the kernel read: the corners' counts and windows, then the range rows.
+///
+/// Only the largest corner distance matters, so only a corner that could
+/// raise it is resolved exactly. The first corner is; `bound` keeps the
+/// largest squared k-th distance so far. A later corner with k POIs within
+/// `bound` ([`PoiStore::holds_within`]) has its squared k-th distance
+/// within `bound` too and is skipped; any other is resolved and may raise
+/// `bound`. A count that comes out low only costs the exact selection.
+/// `sqrt` is monotone, so `sqrt(bound)` is the largest of the corners'
+/// roots, bit for bit.
 pub(crate) fn krnn_query(store: &PoiStore, region: &Rect, k: usize) -> (Vec<u32>, usize) {
-    assert!(k >= 1, "k must be positive");
     let _span = nela_obs::span(nela_obs::stage::LBS_KRNN);
     let corners = [
         Point::new(region.min_x, region.min_y),
@@ -51,14 +74,21 @@ pub(crate) fn krnn_query(store: &PoiStore, region: &Rect, k: usize) -> (Vec<u32>
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         // One selection buffer serves all four corners.
-        let (mut d_max, mut scanned) = (0.0f64, 0);
-        for &c in &corners {
-            let (d, read) = store.kth_nn_dist_in(c, k, &mut s.top);
-            d_max = d_max.max(d);
+        let (mut bound, mut scanned) = (0.0f64, 0);
+        for (i, &c) in corners.iter().enumerate() {
+            if i > 0 {
+                let (covered, read) = store.holds_within(c, bound, k);
+                scanned += read;
+                if covered {
+                    continue;
+                }
+            }
+            let (d_sq, read) = store.kth_nn_dist_sq(c, k, &mut s.top);
+            bound = bound.max(d_sq);
             scanned += read;
         }
         let diag = region.width().hypot(region.height());
-        let (candidates, read) = range_candidates(store, region, d_max + diag, s);
+        let (candidates, read) = range_candidates(store, region, bound.sqrt() + diag, s);
         (candidates, scanned + read)
     })
 }
@@ -175,11 +205,17 @@ pub fn refine_range(
     radius: f64,
 ) -> Vec<u32> {
     let _span = nela_obs::span(nela_obs::stage::LBS_REFINE);
-    candidates
-        .iter()
-        .copied()
-        .filter(|&id| store.get(id).position.dist(&position) <= radius)
-        .collect()
+    // Every candidate is written and the write position advances only past
+    // the kept ones, as in the server's scan: no branch on the predicate,
+    // and one buffer sized to the candidates instead of a regrown one.
+    let mut kept = vec![0; candidates.len()];
+    let mut n = 0;
+    for &id in candidates {
+        kept[n] = id;
+        n += usize::from(store.get(id).position.dist(&position) <= radius);
+    }
+    kept.truncate(n);
+    kept
 }
 
 /// Client-side refinement of a kRNN candidate set: the exact k nearest
@@ -221,8 +257,9 @@ struct WithinRadius {
 }
 
 impl WithinRadius {
-    /// The test for a non-negative `radius` (both callers guarantee it: a
-    /// range query asserts it, a kRNN radius is a sum of distances).
+    /// The test for a non-negative `radius` (every caller guarantees it:
+    /// `cloaked_range` asserts it, `handle` answers any other radius
+    /// without a scan, and a kRNN radius is a sum of distances).
     fn new(radius: f64) -> Self {
         let r_sq = radius * radius;
         let (accept_below, reject_above) = if (1e-300..=1e300).contains(&r_sq) {

@@ -57,11 +57,19 @@ impl LbsServer {
     }
 
     /// Handles one cloaked query.
+    ///
+    /// The query comes from an untrusted client, so no query panics: a
+    /// range radius that is negative or NaN, and `Knn { k: 0 }`, have an
+    /// empty exact answer at every position, and are served with no
+    /// candidates and no transfer units.
     pub fn handle(&self, region: &Rect, query: &CloakedQuery) -> Response {
         let _span = nela_obs::span(nela_obs::stage::LBS_HANDLE);
-        let (candidates, scanned) = match query {
-            CloakedQuery::Range { radius } => range_query(&self.store, region, *radius),
-            CloakedQuery::Knn { k } => krnn_query(&self.store, region, *k),
+        let (candidates, scanned) = match *query {
+            CloakedQuery::Range { radius } if radius >= 0.0 => {
+                range_query(&self.store, region, radius)
+            }
+            CloakedQuery::Knn { k } if k >= 1 => krnn_query(&self.store, region, k),
+            _ => (Vec::new(), 0),
         };
         let transfer_units = self.store.transfer_units(&candidates);
         self.queries_served.fetch_add(1, Ordering::Relaxed);
@@ -145,6 +153,44 @@ mod tests {
         assert_eq!(srv.queries_served(), 2);
         assert_eq!(srv.total_transfer(), a.transfer_units + b.transfer_units);
         assert!(srv.mean_transfer().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn queries_with_an_empty_exact_answer_are_served_empty() {
+        let srv = server(300, 6);
+        let region = Rect::new(0.2, 0.2, 0.3, 0.3);
+        for query in [
+            CloakedQuery::Knn { k: 0 },
+            CloakedQuery::Range { radius: -0.01 },
+            CloakedQuery::Range { radius: f64::NAN },
+        ] {
+            let resp = srv.handle(&region, &query);
+            assert_eq!(resp.candidates, Vec::<u32>::new(), "{query:?}");
+            assert_eq!(resp.transfer_units, 0, "{query:?}");
+        }
+        assert_eq!(srv.queries_served(), 3);
+        assert_eq!(srv.total_transfer(), 0);
+        assert_eq!(srv.mean_transfer(), Some(0.0));
+    }
+
+    #[test]
+    fn infinite_radius_returns_every_poi() {
+        let srv = server(300, 7);
+        let region = Rect::new(0.2, 0.2, 0.3, 0.3);
+        let resp = srv.handle(
+            &region,
+            &CloakedQuery::Range {
+                radius: f64::INFINITY,
+            },
+        );
+        let all: Vec<u32> = (0..300).collect();
+        assert_eq!(resp.candidates, all);
+        assert_eq!(resp.transfer_units, 300 * 1000);
+        let position = Point::new(0.25, 0.25);
+        assert_eq!(
+            refine_range(srv.store(), &resp.candidates, position, f64::INFINITY),
+            all
+        );
     }
 
     #[test]

@@ -110,15 +110,29 @@ impl PoiStore {
 
     /// Distance from `p` to its k-th nearest POI.
     pub fn kth_nn_dist(&self, p: Point, k: usize) -> f64 {
-        self.kth_nn_dist_in(p, k, &mut TopK::default()).0
+        self.kth_nn_dist_sq(p, k, &mut TopK::default()).0.sqrt()
     }
 
-    /// [`PoiStore::kth_nn_dist`] selecting into a caller-owned `top`, so
-    /// repeated calls reuse one buffer, plus the number of grid entries the
-    /// selection read.
-    pub(crate) fn kth_nn_dist_in(&self, p: Point, k: usize, top: &mut TopK) -> (f64, usize) {
+    /// The squared distance from `p` to its k-th nearest POI (+∞ for
+    /// k = 0), selecting into a caller-owned `top` so repeated calls reuse
+    /// one buffer, plus the number of grid entries the selection read.
+    pub(crate) fn kth_nn_dist_sq(&self, p: Point, k: usize, top: &mut TopK) -> (f64, usize) {
         let scanned = self.select_knn(p, k, top);
-        (top.kth().map_or(f64::INFINITY, |s| s.0.sqrt()), scanned)
+        (top.kth().map_or(f64::INFINITY, |s| s.0), scanned)
+    }
+
+    /// True when at least k POIs (all of them, for k above the store size)
+    /// lie within squared distance `d_sq` of `p`, by the `dist_sq` operand
+    /// order [`PoiStore::select_knn`] ranks by; plus the number of grid
+    /// entries read. Then `p`'s squared k-th-NN distance is at most `d_sq`.
+    ///
+    /// Counts over the cells of the square of half-width √`d_sq` around `p`
+    /// and stops at the row that reaches k. Every POI counted is within
+    /// `d_sq`, so a POI the square's rounding leaves out can only make the
+    /// answer false, never wrongly true.
+    pub(crate) fn holds_within(&self, p: Point, d_sq: f64, k: usize) -> (bool, usize) {
+        let k = k.min(self.pois.len());
+        self.count_reaches(&square(p, d_sq.sqrt()), k, |q| q.dist_sq(&p) <= d_sq)
     }
 
     /// Selects the k nearest POIs to `p` into `top` and returns the number of
@@ -147,7 +161,8 @@ impl PoiStore {
         let mut scanned = 0;
         let mut half = self.grid.cell_side() / 2.0;
         while half < reach {
-            let (holds, read) = self.holds_at_least(&square(p, half), k);
+            let window = square(p, half);
+            let (holds, read) = self.count_reaches(&window, k, |q| window.contains(&q));
             scanned += read;
             if holds {
                 break;
@@ -168,9 +183,15 @@ impl PoiStore {
         scanned
     }
 
-    /// True when `window` holds at least `k` POIs, plus the number of grid
-    /// entries read to find out; stops counting at the row that reaches `k`.
-    fn holds_at_least(&self, window: &Rect, k: usize) -> (bool, usize) {
+    /// True when at least `k` POIs of the cells `window` overlaps pass
+    /// `counts`, plus the number of grid entries read to find out; stops
+    /// counting at the row that reaches `k`.
+    fn count_reaches(
+        &self,
+        window: &Rect,
+        k: usize,
+        counts: impl Fn(Point) -> bool,
+    ) -> (bool, usize) {
         let (mut n, mut read) = (0, 0);
         for (_, xs, ys) in self.grid.rect_cells(window) {
             if n >= k {
@@ -180,7 +201,7 @@ impl PoiStore {
             n += xs
                 .iter()
                 .zip(ys)
-                .filter(|&(&x, &y)| window.contains(&Point::new(x, y)))
+                .filter(|&(&x, &y)| counts(Point::new(x, y)))
                 .count();
         }
         (n >= k, read)
@@ -275,6 +296,25 @@ mod tests {
         let ids = s.knn(q, 5);
         let expect = s.get(*ids.last().unwrap()).position.dist(&q);
         assert_eq!(s.kth_nn_dist(q, 5), expect);
+    }
+
+    #[test]
+    fn holds_within_counts_a_poi_at_exactly_the_bound() {
+        // Dyadic offsets: the squared distances are exact.
+        let at = Point::new(0.5, 0.5);
+        let points = [
+            Point::new(0.5 + 1.0 / 16.0, 0.5),
+            Point::new(0.5, 0.5 + 1.0 / 32.0),
+            Point::new(0.9, 0.1),
+        ];
+        let s = PoiStore::from_points(&points, 1);
+        let bound = 1.0 / 256.0;
+        assert!(s.holds_within(at, bound, 2).0);
+        let below = f64::from_bits(bound.to_bits() - 1);
+        assert!(!s.holds_within(at, below, 2).0);
+        // k above the store size needs every POI.
+        assert!(!s.holds_within(at, bound, 5).0);
+        assert!(s.holds_within(at, 1.0, 5).0);
     }
 
     #[test]

@@ -500,3 +500,127 @@ fn knn_on_a_sparse_store_doubles_its_window() {
         assert_eq!(got.transfer_units, store.transfer_units(&expect));
     }
 }
+
+/// One point per offset from `at`.
+fn around(at: Point, offsets: &[(f64, f64)]) -> impl Iterator<Item = Point> + '_ {
+    offsets
+        .iter()
+        .map(move |&(dx, dy)| Point::new(at.x + dx, at.y + dy))
+}
+
+/// The kRNN bound comes from the one later corner whose k-th distance lies
+/// just above the first corner's: 0.4% further, so its square is 0.8%
+/// above. The first corner sits in a dense patch, the two middle corners
+/// hold k POIs well inside its k-th distance, and the opposite corner is
+/// sparse. A POI lies between the two bounds' range radii, so the answer
+/// changes if that corner is skipped: by a count over a bound inflated by
+/// 1%, or by a count that comes out low without the exact selection after
+/// it.
+#[test]
+fn a_later_corner_just_above_the_bound_raises_it() {
+    let region = Rect::new(0.40, 0.40, 0.44, 0.44);
+    // In the order the kernel visits them.
+    let (c0, c1, c2, c3) = (
+        Point::new(region.min_x, region.min_y),
+        Point::new(region.min_x, region.max_y),
+        Point::new(region.max_x, region.min_y),
+        Point::new(region.max_x, region.max_y),
+    );
+    let k = 4;
+    let diag = region.width().hypot(region.height());
+    let mut points: Vec<Point> = Vec::new();
+    // Dense patch: the 4th nearest POI of c0 at 0.01.
+    points.extend(around(
+        c0,
+        &[
+            (-0.002, -0.001),
+            (-0.004, 0.0),
+            (0.0, -0.006),
+            (-0.006, -0.008),
+        ],
+    ));
+    // The middle corners hold k POIs within 0.005.
+    let near = [(-0.001, 0.002), (0.003, 0.0), (0.0, -0.004), (0.002, 0.002)];
+    points.extend(around(c1, &near));
+    points.extend(around(c2, &near));
+    // Sparse corner: its 4th nearest POI at 0.01004.
+    points.extend(around(
+        c3,
+        &[(0.003, 0.0), (0.0, 0.005), (0.007, 0.004), (0.01004, 0.0)],
+    ));
+    // Between the range radii of the two bounds.
+    points.push(Point::new(region.max_x + diag + 0.01002, 0.42));
+    // Background POIs at least 0.1 from the region.
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    while points.len() < 250 {
+        let q = Point::new(rng.gen(), rng.gen());
+        if oracle::dist_to_rect(q, &region) > 0.1 {
+            points.push(q);
+        }
+    }
+    for cell in CELLS {
+        let server = LbsServer::new(store_of(&points, &[3, 8, 21], cell));
+        let store = server.store();
+        let kth = |c| oracle::kth_nn_dist(store, c, k);
+        assert!(kth(c1) < kth(c0) && kth(c2) < kth(c0));
+        assert!(kth(c3) > kth(c0));
+        assert!(kth(c3).powi(2) < 1.01 * kth(c0).powi(2));
+        let expect = oracle::cloaked_krnn(store, &region, k);
+        assert_ne!(
+            oracle::cloaked_range(store, &region, kth(c0) + diag),
+            expect,
+            "the sparse corner must change the answer"
+        );
+        let got = server.handle(&region, &CloakedQuery::Knn { k });
+        assert_eq!(got.candidates, expect, "cell {cell}");
+        assert_eq!(got.transfer_units, store.transfer_units(&expect));
+    }
+}
+
+/// A later corner whose k-th POI lies exactly at the first corner's k-th
+/// distance (dyadic offsets, so every distance is exact): the count's `<=`
+/// includes it, the corner is skipped, and the answer is unchanged.
+#[test]
+fn a_later_corner_tied_with_the_bound_keeps_it() {
+    let region = Rect::new(0.25, 0.25, 0.5, 0.5);
+    let (s, h) = (1.0 / 16.0, 1.0 / 32.0);
+    let mut points: Vec<Point> = Vec::new();
+    points.extend(around(Point::new(0.25, 0.25), &[(-s, 0.0), (0.0, -s)]));
+    points.extend(around(Point::new(0.25, 0.5), &[(-h, 0.0), (0.0, h)]));
+    points.extend(around(Point::new(0.5, 0.25), &[(h, 0.0), (0.0, -h)]));
+    points.extend(around(Point::new(0.5, 0.5), &[(s, 0.0), (0.0, h)]));
+    points.extend((0..40).map(|i| Point::new((i % 8) as f64 / 8.0, 0.875 + (i / 8) as f64 / 64.0)));
+    let k = 2;
+    for cell in CELLS {
+        let server = LbsServer::new(store_of(&points, &[5, 9], cell));
+        let store = server.store();
+        assert_eq!(oracle::kth_nn_dist(store, Point::new(0.25, 0.25), k), s);
+        assert_eq!(oracle::kth_nn_dist(store, Point::new(0.5, 0.5), k), s);
+        let expect = oracle::cloaked_krnn(store, &region, k);
+        let got = server.handle(&region, &CloakedQuery::Knn { k });
+        assert_eq!(got.candidates, expect, "cell {cell}");
+        assert_eq!(got.transfer_units, store.transfer_units(&expect));
+    }
+}
+
+/// k above the store size: every corner's k-th POI is its farthest, and
+/// the count must reach the store size, not k, to skip a corner.
+#[test]
+fn krnn_with_k_above_the_store_size() {
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    let points: Vec<Point> = (0..30).map(|_| Point::new(rng.gen(), rng.gen())).collect();
+    let server = LbsServer::new(store_of(&points, &[2, 7, 4], 0.1));
+    let store = server.store();
+    for region in [
+        Rect::new(0.1, 0.1, 0.2, 0.15),
+        Rect::new(0.45, 0.3, 0.9, 0.95),
+        Rect::from_point(Point::new(0.0, 1.0)),
+    ] {
+        for k in [30, 31, 1000, usize::MAX] {
+            let expect = oracle::cloaked_krnn(store, &region, k);
+            let got = server.handle(&region, &CloakedQuery::Knn { k });
+            assert_eq!(got.candidates, expect, "{region:?}, k={k}");
+            assert_eq!(got.transfer_units, store.transfer_units(&expect));
+        }
+    }
+}

@@ -11,8 +11,8 @@
 //! The counter is process-global, so everything runs inside ONE `#[test]`
 //! (the default harness would interleave allocations from sibling tests).
 
-use nela::geo::{Rect, UserId};
-use nela::lbs::{CloakedQuery, LbsServer, PoiStore};
+use nela::geo::{Point, Rect, UserId};
+use nela::lbs::{refine_range, CloakedQuery, LbsServer, PoiStore};
 use nela::{BoundingAlgo, CloakingEngine, ClusteringAlgo, Params, System};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,5 +149,28 @@ fn warm_request_paths_do_not_allocate() {
                  (contract: the returned candidate list only)"
             );
         }
+    }
+
+    // --- Client: refine_range ------------------------------------------
+    // One buffer sized to the candidates: a collect that regrows its
+    // buffer allocates again past four kept ids, so the radius keeps more.
+    let radius = 0.1;
+    for region in &regions {
+        let candidates = server
+            .handle(region, &CloakedQuery::Range { radius })
+            .candidates;
+        let centre = Point::new(
+            (region.min_x + region.max_x) / 2.0,
+            (region.min_y + region.max_y) / 2.0,
+        );
+        let before = allocs();
+        let refined = refine_range(server.store(), &candidates, centre, radius);
+        let refine_allocs = allocs() - before;
+        assert!(refined.len() > 4, "{region:?} kept {}", refined.len());
+        assert_eq!(
+            refine_allocs, 1,
+            "refine_range over {region:?} made {refine_allocs} allocations \
+             (contract: the returned list only)"
+        );
     }
 }
