@@ -17,7 +17,9 @@
 //!    the region-reuse rate each session starts with.
 //! 4. **Saturation ramp** — per worker count, the offered rate doubles
 //!    until the session sheds *and* expires requests (small queue, 5 ms
-//!    deadline): the shed/latency knee of the service.
+//!    deadline), a rung flagged as the knee. The capacity figure is the
+//!    peak of the rungs' median sustained rates, with that rung's spread:
+//!    the knee moves with noise, the peak much less.
 //!
 //! `--smoke` runs a small population and exits non-zero unless (a) two
 //! same-seed single-worker sessions replay bit-identically — in-process
@@ -31,7 +33,10 @@
 //! The file keeps one run and, beside it, the median, min and max of the
 //! cell's timed metrics: single runs on a small shared host swing by up to
 //! half. The kept run is the one with the median e2e p50 when no run shed,
-//! and the one with the median sustained throughput otherwise.
+//! and the one with the median sustained throughput otherwise. A rung of
+//! the ramp whose runs' sustained rates differ by more than
+//! [`SAT_DISAGREE`]× was disturbed by the host; it runs again, up to
+//! [`SAT_RERUNS`] more times, and records how often it did.
 //!
 //! The root file records its provenance (git revision, cores, profile,
 //! knobs). A run whose `NELA_USERS` overrides the default population
@@ -61,6 +66,13 @@ const SAT_QUEUE: usize = 64;
 const SAT_DEADLINE: Duration = Duration::from_millis(5);
 const SAT_START_RATE: f64 = 1_000.0;
 const SAT_MAX_RATE: f64 = 1_024_000.0;
+/// A rung whose runs' sustained rates spread wider than this (max over
+/// min) is run again: on the same config the rates of runs that shed stay
+/// within a few tens of percent of each other.
+const SAT_DISAGREE: f64 = 2.0;
+/// How many more times a disagreeing rung runs before its last runs are
+/// kept as they are.
+const SAT_RERUNS: usize = 2;
 /// Runs per timed cell.
 const RUNS: usize = 3;
 
@@ -131,10 +143,26 @@ struct SatRow {
     expired: usize,
     e2e_p50_ms: Option<f64>,
     e2e_p99_ms: Option<f64>,
-    /// True on the rung where the kept run first sheds and expires — the
-    /// knee this ramp exists to find.
+    /// True on the rung where the kept run first sheds and expires, where
+    /// the ramp stops. A flag only: the capacity figure is [`Capacity`].
     at_knee: bool,
+    /// Times the rung ran again because its runs disagreed (see
+    /// [`SAT_DISAGREE`]); the kept run and `spread` are the last attempt's.
+    reruns: usize,
     spread: CellSpread,
+}
+
+/// The serving capacity of one worker count: the peak over its ramp's
+/// rungs of the median sustained rate.
+#[derive(Debug, Clone, Serialize)]
+struct Capacity {
+    workers: usize,
+    capacity_rps: f64,
+    /// The offered rate of the rung the peak was read on.
+    offered_rps: f64,
+    /// That rung's sustained rates over its runs (`median` is
+    /// `capacity_rps`).
+    spread: Spread,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -147,6 +175,7 @@ struct Report {
     netsim_rows: Vec<Row>,
     carry_over: Vec<CarryRow>,
     saturation: Vec<SatRow>,
+    capacity: Vec<Capacity>,
 }
 
 fn cell_config(query: QueryMix, workers: usize, rate: f64) -> ServeConfig {
@@ -336,6 +365,35 @@ fn carry_over_chain(system: &nela::System) -> Vec<CarryRow> {
     rows
 }
 
+/// True when the sustained rates of a rung's runs differ by more than
+/// [`SAT_DISAGREE`]×.
+fn disagrees(sustained: Option<Spread>) -> bool {
+    sustained.is_some_and(|s| s.max > SAT_DISAGREE * s.min)
+}
+
+/// Per worker count, the rung of `rows` with the highest median sustained
+/// rate.
+fn capacities(rows: &[SatRow]) -> Vec<Capacity> {
+    let mut peaks: Vec<Capacity> = Vec::new();
+    for row in rows {
+        let Some(spread) = row.spread.sustained_rps else {
+            continue;
+        };
+        let rung = Capacity {
+            workers: row.workers,
+            capacity_rps: spread.median,
+            offered_rps: row.offered_rps,
+            spread,
+        };
+        match peaks.iter_mut().find(|c| c.workers == row.workers) {
+            Some(peak) if peak.capacity_rps >= rung.capacity_rps => {}
+            Some(peak) => *peak = rung,
+            None => peaks.push(rung),
+        }
+    }
+    peaks
+}
+
 /// Section 4: double the offered rate until the service sheds and expires.
 fn saturation_ramp(system: &nela::System) -> Vec<SatRow> {
     let mut rows = Vec::new();
@@ -353,7 +411,16 @@ fn saturation_ramp(system: &nela::System) -> Vec<SatRow> {
                 seed: 42,
                 ..ServeConfig::default()
             };
-            let (r, spread) = timed_cell(system, &cfg);
+            let (mut r, mut spread) = timed_cell(system, &cfg);
+            let mut reruns = 0;
+            while reruns < SAT_RERUNS && disagrees(spread.sustained_rps) {
+                eprintln!(
+                    "[saturate] runs disagree ({} req/s), running the rung again",
+                    range(spread.sustained_rps)
+                );
+                (r, spread) = timed_cell(system, &cfg);
+                reruns += 1;
+            }
             let at_knee = r.shed > 0 && r.expired > 0;
             rows.push(SatRow {
                 workers,
@@ -365,6 +432,7 @@ fn saturation_ramp(system: &nela::System) -> Vec<SatRow> {
                 e2e_p50_ms: ms(r.e2e.p50_ns),
                 e2e_p99_ms: ms(r.e2e.p99_ns),
                 at_knee,
+                reruns,
                 spread,
             });
             if at_knee || rate >= SAT_MAX_RATE {
@@ -438,6 +506,7 @@ fn main() {
 
     let carry_over = carry_over_chain(&system);
     let saturation = saturation_ramp(&system);
+    let capacity = capacities(&saturation);
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -521,6 +590,8 @@ fn main() {
                 s.expired.to_string(),
                 cell(s.e2e_p50_ms),
                 cell(s.e2e_p99_ms),
+                range(s.spread.sustained_rps),
+                s.reruns.to_string(),
                 if s.at_knee { "<- knee" } else { "" }.to_string(),
             ]
         })
@@ -536,9 +607,28 @@ fn main() {
             "expired",
             "e2e p50 ms",
             "e2e p99 ms",
+            "sustained min-max",
+            "reruns",
             "",
         ],
         &sat_table,
+    );
+
+    let capacity_table: Vec<Vec<String>> = capacity
+        .iter()
+        .map(|c| {
+            vec![
+                c.workers.to_string(),
+                fmt(c.capacity_rps),
+                range(Some(c.spread)),
+                fmt(c.offered_rps),
+            ]
+        })
+        .collect();
+    print_table(
+        "Capacity (peak of the rungs' median sustained rates)",
+        &["workers", "capacity/s", "min-max", "at offered/s"],
+        &capacity_table,
     );
 
     let report = Report {
@@ -548,6 +638,7 @@ fn main() {
         netsim_rows,
         carry_over,
         saturation,
+        capacity,
     };
     // Only the default population backs the committed file.
     if cfg.users == DEFAULT_USERS {
