@@ -105,7 +105,7 @@ impl PoiStore {
     pub fn knn(&self, p: Point, k: usize) -> Vec<u32> {
         let mut top = TopK::default();
         self.select_knn(p, k, &mut top);
-        top.into_ids()
+        top.take_ids()
     }
 
     /// Distance from `p` to its k-th nearest POI.

@@ -93,13 +93,15 @@ impl TopK {
         self.heap.peek().copied()
     }
 
-    /// The kept ids, nearest first.
-    pub(crate) fn into_ids(self) -> Vec<u32> {
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|s| s.1)
-            .collect()
+    /// The kept ids, nearest first, in a `Vec` of exactly their number.
+    /// Leaves the selection empty with its buffer kept, so a selection
+    /// reused after [`TopK::reset`] allocates only this `Vec`.
+    pub(crate) fn take_ids(&mut self) -> Vec<u32> {
+        let mut sorted = std::mem::take(&mut self.heap).into_sorted_vec();
+        let ids = sorted.iter().map(|s| s.1).collect();
+        sorted.clear();
+        self.heap = BinaryHeap::from(sorted);
+        ids
     }
 }
 
@@ -121,7 +123,7 @@ mod tests {
             expect.truncate(k);
             assert_eq!(top.kth().map(|s| s.1), expect.last().map(|e| e.1), "k={k}");
             let ids: Vec<u32> = expect.iter().map(|e| e.1).collect();
-            assert_eq!(top.into_ids(), ids, "k={k}");
+            assert_eq!(top.take_ids(), ids, "k={k}");
         }
     }
 }
