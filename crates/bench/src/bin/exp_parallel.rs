@@ -2,10 +2,13 @@
 //! build paths (grid fill, WPG construction, connected components, batched
 //! request serving) against their serial baselines.
 //!
-//! Full mode sweeps n ∈ {10k, 50k, 100k} × threads ∈ {1, 2, 4, 8}, checks
-//! every parallel result against the single-threaded one, and writes the
-//! timing series to `BENCH_parallel.json` at the repository root, under a
-//! `provenance` block (git rev, cores, profile, the sweep's knobs). Speedups
+//! Full mode sweeps n ∈ {10k, 50k, 100k} × threads ∈ {1, 2, 4, 8}, runs
+//! every cell [`RUNS`] times over the same inputs, checks every run's
+//! result against the single-threaded one, and writes the timing series to
+//! `BENCH_parallel.json` at the repository root, under a `provenance` block
+//! (git rev, cores, profile, the sweep's knobs). A cell reports each
+//! stage's median over its runs with the stage's spread (median, min,
+//! max): single runs on a small shared host swing by up to half. Speedups
 //! require real cores (the block records how many were available); on any
 //! machine the bit-identity checks are exact.
 //!
@@ -25,7 +28,7 @@ use nela::{
     auto_shard_axis, BoundingAlgo, CloakingEngine, CloakingResult, ClusteringAlgo, Params,
     RequestError, System,
 };
-use nela_bench::{fmt, print_table, write_obs_snapshot, ExpConfig, Knob, Provenance};
+use nela_bench::{fmt, print_table, write_obs_snapshot, ExpConfig, Knob, Provenance, Spread};
 use nela_geo::{DatasetSpec, GridIndex, Point};
 use nela_wpg::connectivity::{components_under, components_under_threads, nothing_removed};
 use nela_wpg::{Edge, InverseDistanceRss, Wpg, WpgBuilder};
@@ -38,6 +41,8 @@ const POPULATIONS: [usize; 3] = [10_000, 50_000, 100_000];
 /// lossy-network clustering stage's.
 const REPLAY_USERS: usize = 10_000;
 const NETSIM_USERS: usize = 2_000;
+/// Runs per (n, threads) cell.
+const RUNS: usize = 3;
 
 #[derive(Debug, Clone, Serialize)]
 struct Cell {
@@ -45,17 +50,37 @@ struct Cell {
     threads: usize,
     /// Registry shards used by the batch stage (0 when it ran serially).
     shards: usize,
+    /// The median of each stage over the cell's runs.
     grid_ms: f64,
     wpg_ms: f64,
     components_ms: f64,
     request_many_ms: f64,
-    /// Total over the four stages.
+    /// The median over the runs of their totals over the four stages.
     total_ms: f64,
     /// Speedup of `total_ms` relative to the 1-thread row at the same n.
     speedup: f64,
-    /// Every parallel artifact equalled the serial one bit for bit.
+    /// Every run's parallel artifacts equalled the serial ones bit for bit.
     identical: bool,
+    spread: CellSpread,
 }
+
+/// Every timed stage of one cell over its runs.
+#[derive(Debug, Clone, Serialize)]
+struct CellSpread {
+    runs: usize,
+    grid_ms: Spread,
+    wpg_ms: Spread,
+    components_ms: Spread,
+    request_many_ms: Spread,
+    total_ms: Spread,
+}
+
+/// One run's stage times: grid, WPG, components, batch.
+type Times = [f64; 4];
+
+/// The artifacts of one run that the identity check compares: the WPG's
+/// edge list, the components, and how many requests were served.
+type Artifacts = (Vec<Edge>, Vec<Vec<nela_geo::UserId>>, usize);
 
 #[derive(Debug, Clone, Serialize)]
 struct Report {
@@ -69,15 +94,8 @@ fn edges_of(g: &Wpg) -> Vec<Edge> {
     g.edges().collect()
 }
 
-/// One (n, threads) measurement; `reference` holds the serial artifacts for
-/// the identity check (None when this row *is* the serial row).
-#[allow(clippy::type_complexity)]
-fn measure(
-    points: &[Point],
-    params: &Params,
-    threads: usize,
-    reference: Option<&(Vec<Edge>, Vec<Vec<nela_geo::UserId>>, usize)>,
-) -> (Cell, (Vec<Edge>, Vec<Vec<nela_geo::UserId>>, usize)) {
+/// One timed run of the four stages at `threads`.
+fn run_once(points: &[Point], params: &Params, threads: usize) -> (Times, Artifacts) {
     let n = points.len();
     let t0 = Instant::now();
     let grid = GridIndex::build_threads(points, params.delta, threads);
@@ -105,30 +123,64 @@ fn measure(
     let outcomes = engine.request_many(&hosts, threads);
     let request_many_ms = t3.elapsed().as_secs_f64() * 1e3;
     let served = outcomes.iter().filter(|o| o.is_ok()).count();
+    (
+        [grid_ms, wpg_ms, components_ms, request_many_ms],
+        (edges_of(&wpg), comps, served),
+    )
+}
 
-    let artifacts = (edges_of(&wpg), comps, served);
-    // `served` can differ across thread counts only through contention
-    // retries; edge lists and components are hard guarantees.
-    let identical = reference.map_or(true, |r| r.0 == artifacts.0 && r.1 == artifacts.1);
-    let total_ms = grid_ms + wpg_ms + components_ms + request_many_ms;
+/// One (n, threads) cell: [`RUNS`] runs over the same inputs, each checked
+/// against `reference`, the serial artifacts (`None` when this cell *is*
+/// the serial one: its first run becomes the reference of the others).
+/// Returns the cell and its first run's artifacts.
+fn measure(
+    points: &[Point],
+    params: &Params,
+    threads: usize,
+    reference: Option<&Artifacts>,
+) -> (Cell, Artifacts) {
+    let mut times = Vec::with_capacity(RUNS);
+    let mut first: Option<Artifacts> = None;
+    let mut identical = true;
+    for _ in 0..RUNS {
+        let (t, artifacts) = run_once(points, params, threads);
+        times.push(t);
+        // `served` can differ across thread counts only through contention
+        // retries; edge lists and components are hard guarantees.
+        if let Some(r) = reference.or(first.as_ref()) {
+            identical &= r.0 == artifacts.0 && r.1 == artifacts.1;
+        }
+        first.get_or_insert(artifacts);
+    }
+    let stage = |i: usize| Spread::of(times.iter().map(|t| Some(t[i]))).expect("runs > 0");
+    let total = Spread::of(times.iter().map(|t| Some(t.iter().sum()))).expect("runs > 0");
+    let spread = CellSpread {
+        runs: RUNS,
+        grid_ms: stage(0),
+        wpg_ms: stage(1),
+        components_ms: stage(2),
+        request_many_ms: stage(3),
+        total_ms: total,
+    };
     (
         Cell {
-            n,
+            n: points.len(),
             threads,
             shards: if threads <= 1 {
                 0
             } else {
                 auto_shard_axis(threads).pow(2)
             },
-            grid_ms,
-            wpg_ms,
-            components_ms,
-            request_many_ms,
-            total_ms,
+            grid_ms: spread.grid_ms.median,
+            wpg_ms: spread.wpg_ms.median,
+            components_ms: spread.components_ms.median,
+            request_many_ms: spread.request_many_ms.median,
+            total_ms: spread.total_ms.median,
             speedup: 1.0, // filled in by the caller from the serial row
             identical,
+            spread,
         },
-        artifacts,
+        first.expect("runs > 0"),
     )
 }
 
@@ -241,6 +293,7 @@ fn netsim_stage() {
         .expect("config is valid");
         let mut fetch = SimFetch::new(&mut net, &system.wpg, host);
         let _ = distributed_k_clustering_with(&mut fetch, host, params.k, &|_| false);
+        net.stats().record();
     }
 }
 
@@ -262,6 +315,7 @@ fn main() {
         vec![
             Knob::new("users", format!("{POPULATIONS:?}")),
             Knob::new("threads", format!("{THREADS:?}")),
+            Knob::new("runs_per_cell", RUNS),
         ],
         false,
     );
@@ -299,13 +353,18 @@ fn main() {
                 fmt(c.components_ms),
                 fmt(c.request_many_ms),
                 fmt(c.total_ms),
+                format!(
+                    "{}-{}",
+                    fmt(c.spread.total_ms.min),
+                    fmt(c.spread.total_ms.max)
+                ),
                 format!("{}x", fmt(c.speedup)),
                 if c.identical { "yes" } else { "NO" }.to_string(),
             ]
         })
         .collect();
     print_table(
-        &format!("Parallel pipeline scaling ({cores} cores available)"),
+        &format!("Parallel pipeline scaling, median of {RUNS} runs ({cores} cores available)"),
         &[
             "n",
             "threads",
@@ -315,6 +374,7 @@ fn main() {
             "comps ms",
             "batch ms",
             "total ms",
+            "total min-max",
             "speedup",
             "identical",
         ],
@@ -337,7 +397,7 @@ fn main() {
         // carries the stage histograms the timed sweep no longer records.
         eprintln!("[parallel] instrumented pipeline replay for stage histograms");
         let (points, params) = population(REPLAY_USERS);
-        let _ = measure(&points, &params, cores, None);
+        let _ = run_once(&points, &params, cores);
         eprintln!("[parallel] lossy-network clustering stage for RPC counters");
         netsim_stage();
         let knobs = vec![

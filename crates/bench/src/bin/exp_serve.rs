@@ -16,10 +16,12 @@
 //!    [`nela_serve::run_session`] checkpoints against a cold baseline:
 //!    the region-reuse rate each session starts with.
 //! 4. **Saturation ramp** — per worker count, the offered rate doubles
-//!    until the session sheds *and* expires requests (small queue, 5 ms
-//!    deadline), a rung flagged as the knee. The capacity figure is the
-//!    peak of the rungs' median sustained rates, with that rung's spread:
-//!    the knee moves with noise, the peak much less.
+//!    (small queue, 5 ms deadline) until a rung sheds at a median
+//!    sustained rate below the best rung median so far: the ramp is past
+//!    its peak, and rungs beyond it only shed more. A rung that sheds
+//!    *and* expires requests is flagged as the knee. The capacity figure
+//!    is the peak of the rungs' median sustained rates, with that rung's
+//!    spread: the knee moves with noise, the peak much less.
 //!
 //! `--smoke` runs a small population and exits non-zero unless (a) two
 //! same-seed single-worker sessions replay bit-identically — in-process
@@ -61,7 +63,7 @@ const K: usize = 5;
 /// Per-transmission loss of the netsim section's radio.
 const NET_LOSS: f64 = 0.05;
 /// Saturation ramp: queue depth, per-request deadline, and the rate ladder
-/// bounds (the rate doubles until the knee or the cap).
+/// bounds (the rate doubles until the ramp is past its peak or the cap).
 const SAT_QUEUE: usize = 64;
 const SAT_DEADLINE: Duration = Duration::from_millis(5);
 const SAT_START_RATE: f64 = 1_000.0;
@@ -143,8 +145,8 @@ struct SatRow {
     expired: usize,
     e2e_p50_ms: Option<f64>,
     e2e_p99_ms: Option<f64>,
-    /// True on the rung where the kept run first sheds and expires, where
-    /// the ramp stops. A flag only: the capacity figure is [`Capacity`].
+    /// True on a rung whose kept run sheds and expires. A flag only: the
+    /// capacity figure is [`Capacity`], and the ramp stops past the peak.
     at_knee: bool,
     /// Times the rung ran again because its runs disagreed (see
     /// [`SAT_DISAGREE`]); the kept run and `spread` are the last attempt's.
@@ -394,11 +396,13 @@ fn capacities(rows: &[SatRow]) -> Vec<Capacity> {
     peaks
 }
 
-/// Section 4: double the offered rate until the service sheds and expires.
+/// Section 4: double the offered rate until a rung sheds at a median
+/// sustained rate below the best of the rungs before it.
 fn saturation_ramp(system: &nela::System) -> Vec<SatRow> {
     let mut rows = Vec::new();
     for workers in [1usize, 2, 4] {
         let mut rate = SAT_START_RATE;
+        let mut best = f64::NEG_INFINITY;
         loop {
             eprintln!("[saturate] workers = {workers}, rate = {rate} req/s");
             let cfg = ServeConfig {
@@ -422,6 +426,9 @@ fn saturation_ramp(system: &nela::System) -> Vec<SatRow> {
                 reruns += 1;
             }
             let at_knee = r.shed > 0 && r.expired > 0;
+            let median = spread.sustained_rps.map_or(r.sustained_rps, |s| s.median);
+            let past_peak = r.shed > 0 && median < best;
+            best = best.max(median);
             rows.push(SatRow {
                 workers,
                 offered_rps: rate,
@@ -435,7 +442,7 @@ fn saturation_ramp(system: &nela::System) -> Vec<SatRow> {
                 reruns,
                 spread,
             });
-            if at_knee || rate >= SAT_MAX_RATE {
+            if past_peak || rate >= SAT_MAX_RATE {
                 break;
             }
             rate *= 2.0;
@@ -597,7 +604,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Saturation ramp (rate doubles until shed > 0 and expired > 0)",
+        "Saturation ramp (rate doubles until a shedding rung falls below the best median)",
         &[
             "workers",
             "offered/s",

@@ -11,9 +11,10 @@
 //! The assembly is written once, in [`bounding_box`]. The caller supplies
 //! the directional run as a closure, so in-memory values, the simulated
 //! radio and adversarial peers all reach the same anchors, run order and
-//! clamp.
+//! clamp. The assembly reads only each run's [`RunSummary`]: a caller that
+//! needs the runs' transcripts keeps them from its closure.
 
-use crate::protocol::{BoundingError, BoundingRun};
+use crate::protocol::{BoundingError, RunSummary};
 use nela_geo::{Point, Rect};
 
 /// One of the four directional runs of a box.
@@ -42,8 +43,8 @@ impl Direction {
     }
 }
 
-/// The four directional runs and the assembled region.
-#[derive(Debug, Clone)]
+/// The region the four directional runs assemble, and what they cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BboxOutcome {
     /// The cloaked region (clipped to the domain rectangle).
     pub rect: Rect,
@@ -51,9 +52,6 @@ pub struct BboxOutcome {
     pub messages: u64,
     /// Total rounds across the four runs.
     pub rounds: usize,
-    /// The individual runs: `[x-high, x-low, y-high, y-low]` (the low runs
-    /// operate on negated coordinates).
-    pub runs: [BoundingRun; 4],
 }
 
 /// Four directional progressive bounding runs, each anchored at the host's
@@ -61,10 +59,11 @@ pub struct BboxOutcome {
 ///
 /// `run(dir, x0, domain_min)` performs one run: it bounds every member's
 /// [`Direction::value`] from above starting at `x0`, with `domain_min` the
-/// public lower end of that value's domain. The runs go XHigh, XLow, YHigh,
-/// YLow. The assembly never looks at the members, so any two runs whose
-/// participants answer identically (a lossless network and local values)
-/// yield bit-identical boxes.
+/// public lower end of that value's domain, and returns its
+/// [`RunSummary`] or a whole [`crate::protocol::BoundingRun`]. The runs go
+/// XHigh, XLow, YHigh, YLow. The assembly never looks at the members, so
+/// any two runs whose participants answer identically (a lossless network
+/// and local values) yield bit-identical boxes.
 ///
 /// # Errors
 /// The first run's error, unchanged; later runs are not started. An empty
@@ -72,12 +71,13 @@ pub struct BboxOutcome {
 /// unreachable participant as its [`BoundingError::Unreachable`] — a
 /// malformed cluster degrades the single request instead of aborting the
 /// process.
-pub fn bounding_box(
+pub fn bounding_box<R: Into<RunSummary>>(
     host: Point,
     domain: Rect,
-    mut run: impl FnMut(Direction, f64, f64) -> Result<BoundingRun, BoundingError>,
+    mut run: impl FnMut(Direction, f64, f64) -> Result<R, BoundingError>,
 ) -> Result<BboxOutcome, BoundingError> {
-    let mut run = |dir: Direction, domain_min: f64| run(dir, dir.value(&host), domain_min);
+    let mut run =
+        |dir: Direction, domain_min: f64| run(dir, dir.value(&host), domain_min).map(Into::into);
     let x_hi = run(Direction::XHigh, domain.min_x)?;
     let x_lo = run(Direction::XLow, -domain.max_x)?;
     let y_hi = run(Direction::YHigh, domain.min_y)?;
@@ -95,7 +95,6 @@ pub fn bounding_box(
         rect,
         messages,
         rounds,
-        runs: [x_hi, x_lo, y_hi, y_lo],
     })
 }
 

@@ -52,7 +52,8 @@ pub use privacy::{
     collusion_exposed_interval, collusion_leak_report, leak_report, CollusionLeakReport, LeakReport,
 };
 pub use protocol::{
-    progressive_upper_bound, progressive_upper_bound_resilient, progressive_upper_bound_with,
-    BoundingError, BoundingRun, IncrementPolicy, LocalValues, ResilientOutcome, VerifyTransport,
+    progressive_bound, progressive_upper_bound, progressive_upper_bound_resilient,
+    progressive_upper_bound_with, BoundingError, BoundingRun, IncrementPolicy, LocalValues,
+    ResilientOutcome, RunSummary, Transcript, VerifyTransport,
 };
 pub use unary::{unary_optimal, UnaryOptimum};

@@ -65,6 +65,43 @@ impl BoundingRun {
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         self.bound - max
     }
+
+    /// The bound and the cost, without the transcript.
+    pub fn summary(&self) -> RunSummary {
+        RunSummary {
+            bound: self.bound,
+            rounds: self.rounds,
+            messages: self.messages,
+        }
+    }
+}
+
+/// What every run returns: the agreed bound and what reaching it cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSummary {
+    /// The agreed bound: an upper bound of every input value.
+    pub bound: f64,
+    /// Number of hypothesis–verification rounds.
+    pub rounds: usize,
+    /// Total verification messages (see [`BoundingRun::messages`]).
+    pub messages: u64,
+}
+
+impl From<BoundingRun> for RunSummary {
+    fn from(run: BoundingRun) -> Self {
+        run.summary()
+    }
+}
+
+/// What a run revealed, kept only for a caller that asks for it: the
+/// [`BoundingRun::records`] (in input order) and [`BoundingRun::bounds`]
+/// that the leak and collusion reports read.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Transcript {
+    /// One record per user that agreed, in input order once the run ends.
+    pub records: Vec<AgreementRecord>,
+    /// The hypothesis bound broadcast each round.
+    pub bounds: Vec<f64>,
 }
 
 /// Hard cap on rounds; a policy producing vanishing increments is a bug and
@@ -178,7 +215,8 @@ pub fn progressive_upper_bound(
     progressive_upper_bound_with(&mut transport, x0, domain_min, policy)
 }
 
-/// Transport-generic progressive upper bounding (Algorithms 3–4).
+/// Transport-generic progressive upper bounding (Algorithms 3–4), with
+/// its transcript.
 ///
 /// # Errors
 /// [`BoundingError`]: empty cluster, unreachable participant, or a policy
@@ -189,15 +227,58 @@ pub fn progressive_upper_bound_with(
     domain_min: f64,
     policy: &mut dyn IncrementPolicy,
 ) -> Result<BoundingRun, BoundingError> {
+    let mut transcript = Transcript {
+        records: Vec::with_capacity(transport.len()),
+        bounds: Vec::new(),
+    };
+    let run = progressive_bound(
+        transport,
+        x0,
+        domain_min,
+        policy,
+        &mut Vec::new(),
+        Some(&mut transcript),
+    )?;
+    Ok(BoundingRun {
+        bound: run.bound,
+        rounds: run.rounds,
+        messages: run.messages,
+        records: transcript.records,
+        bounds: transcript.bounds,
+    })
+}
+
+/// The bounding loop every entry point runs (Algorithms 3–4).
+///
+/// `disagreeing` is the loop's work list: whatever it holds is replaced, so
+/// a caller that keeps one per thread bounds without allocating once it has
+/// grown to the cluster size. `transcript`, when given, is emptied and then
+/// filled with what the run revealed; without one the run builds no
+/// per-user or per-round record. Either way the summary, or the error, is
+/// the same.
+///
+/// # Errors
+/// As [`progressive_upper_bound_with`].
+pub fn progressive_bound(
+    transport: &mut dyn VerifyTransport,
+    x0: f64,
+    domain_min: f64,
+    policy: &mut dyn IncrementPolicy,
+    disagreeing: &mut Vec<usize>,
+    mut transcript: Option<&mut Transcript>,
+) -> Result<RunSummary, BoundingError> {
     if transport.is_empty() {
         return Err(BoundingError::EmptyCluster);
     }
-    let mut disagreeing: Vec<usize> = (0..transport.len()).collect();
+    disagreeing.clear();
+    disagreeing.extend(0..transport.len());
+    if let Some(t) = transcript.as_deref_mut() {
+        t.records.clear();
+        t.bounds.clear();
+    }
     let mut x = x0;
     let mut rounds = 0usize;
     let mut messages = 0u64;
-    let mut records: Vec<AgreementRecord> = Vec::with_capacity(transport.len());
-    let mut bounds: Vec<f64> = Vec::new();
 
     while !disagreeing.is_empty() {
         rounds += 1;
@@ -213,19 +294,25 @@ pub fn progressive_upper_bound_with(
         }
         let prev = x;
         x += inc;
-        bounds.push(x);
+        if let Some(t) = transcript.as_deref_mut() {
+            t.bounds.push(x);
+        }
         messages += disagreeing.len() as u64;
         // Compact the still-disagreeing users to the front, in order.
         let mut still = 0;
         for j in 0..disagreeing.len() {
             let i = disagreeing[j];
             match transport.verify(i, x) {
-                Some(true) => records.push(AgreementRecord {
-                    index: i,
-                    round: rounds,
-                    lower: if rounds == 1 { domain_min } else { prev },
-                    upper: x,
-                }),
+                Some(true) => {
+                    if let Some(t) = transcript.as_deref_mut() {
+                        t.records.push(AgreementRecord {
+                            index: i,
+                            round: rounds,
+                            lower: if rounds == 1 { domain_min } else { prev },
+                            upper: x,
+                        });
+                    }
+                }
                 Some(false) => {
                     disagreeing[still] = i;
                     still += 1;
@@ -235,13 +322,13 @@ pub fn progressive_upper_bound_with(
         }
         disagreeing.truncate(still);
     }
-    records.sort_by_key(|r| r.index);
-    Ok(BoundingRun {
+    if let Some(t) = transcript {
+        t.records.sort_by_key(|r| r.index);
+    }
+    Ok(RunSummary {
         bound: x,
         rounds,
         messages,
-        records,
-        bounds,
     })
 }
 

@@ -36,10 +36,11 @@
 //! This module provides:
 //!
 //! - [`centralized_k_clustering`] — the production *level-based* algorithm
-//!   (fast: one Kruskal pass builds the class-merge forest, a top-down cut
-//!   and an ascending attachment scan finish in `O(E α(V))` after sorting,
-//!   and packing is one `O(V + E)` pass); [`centralized_k_clustering_edges`]
-//!   runs it on a super-cluster's local indices,
+//!   (fast: counting passes order the edges by weight, one Kruskal pass
+//!   builds the class-merge forest, a top-down cut and an ascending
+//!   attachment scan finish in `O(E α(V))`, and packing is one `O(V + E)`
+//!   pass); [`centralized_k_clustering_edges`] runs it on a super-cluster's
+//!   local indices,
 //! - [`single_linkage_k_clustering`] — the fast binary-dendrogram cut
 //!   implementing the pseudocode's one-edge-at-a-time reading (kept for the
 //!   chaining ablation in `nela-bench`).
@@ -50,7 +51,7 @@
 
 use crate::Cluster;
 use nela_geo::UserId;
-use nela_wpg::{DisjointSets, Edge, Wpg};
+use nela_wpg::{DisjointSets, Edge, Weight, Wpg};
 use std::cell::RefCell;
 
 /// The result of clustering an entire WPG (or an induced subgraph).
@@ -167,6 +168,11 @@ struct LevelScratch {
     leaves: Vec<UserId>,
     in_underfilled: Vec<bool>,
     cluster_of_root: Vec<u32>,
+    /// The run's edges in `(w, u, v)` order, the counting passes' second
+    /// buffer and their bucket counts.
+    by_weight: Vec<Edge>,
+    spare: Vec<Edge>,
+    counts: Vec<usize>,
     pack: PackScratch,
 }
 
@@ -195,12 +201,16 @@ pub fn centralized_k_clustering(g: &Wpg, k: usize) -> GlobalClustering {
 /// local order is id order: every tie-break, and so the whole output, is
 /// the one the same clustering over user ids would produce.
 ///
-/// The edges are sorted in place, by `(w, u, v)`, rather than copied: the
-/// caller's buffer is the algorithm's edge list.
+/// Each edge must name its smaller endpoint `u` first, and the list must be
+/// grouped by ascending `u`, in any order within a `u` — the order
+/// `internal_edges` and [`Wpg::edges`] emit. The algorithm sorts each `u`'s
+/// run by `v` in place and orders the list by weight with counting passes
+/// (see `order_edges`), so no comparison sort runs over the whole list.
 ///
 /// # Panics
-/// If `k == 0`, if `members` is not strictly ascending, or if an edge
-/// endpoint is not a position in `members`.
+/// If `k == 0`, if `members` is not strictly ascending, if an edge
+/// endpoint is not a position in `members`, or if the edges are not
+/// grouped by ascending smaller endpoint.
 pub fn centralized_k_clustering_edges(
     members: &[UserId],
     edges: &mut [Edge],
@@ -227,16 +237,98 @@ pub fn centralized_k_clustering_edges(
     out
 }
 
+/// Orders `edges` by `(w, u, v)` into `out` without a comparison sort.
+///
+/// `edges` must be grouped by ascending `u`, with `u < v` on every edge.
+/// Each `u`'s run (a vertex's degree, at most `M` in a WPG) is sorted by `v`
+/// in place, which leaves `edges` in `(u, v)` order. Stable counting passes
+/// over the weight then carry that order into `out`: one pass per byte of
+/// the weight range `max − min`, so one for the rank weights `1..=M`.
+/// `spare` and `counts` are the passes' working memory.
+///
+/// # Panics
+/// If an edge has `u >= v` or a run of some `u` follows a larger `u`.
+fn order_edges(
+    edges: &mut [Edge],
+    out: &mut Vec<Edge>,
+    spare: &mut Vec<Edge>,
+    counts: &mut Vec<usize>,
+) {
+    let mut start = 0;
+    while let Some(first) = edges.get(start) {
+        let u = first.u;
+        let len = edges[start..].iter().take_while(|e| e.u == u).count();
+        let end = start + len;
+        assert!(
+            edges[start..end].iter().all(|e| e.u < e.v) && edges.get(end).map_or(true, |e| e.u > u),
+            "edges must be grouped by ascending smaller endpoint"
+        );
+        edges[start..end].sort_unstable_by_key(|e| e.v);
+        start = end;
+    }
+    let lo = edges.iter().map(|e| e.w).min().unwrap_or(0);
+    let range = edges.iter().map(|e| e.w - lo).max().unwrap_or(0);
+    counting_pass(edges, out, counts, lo, range, 0);
+    let mut shift = 8;
+    while shift < Weight::BITS && range >> shift != 0 {
+        counting_pass(out, spare, counts, lo, range, shift);
+        std::mem::swap(out, spare);
+        shift += 8;
+    }
+}
+
+/// One stable counting pass of [`order_edges`]: `src` into `dst` by the
+/// byte of `w − lo` at `shift`.
+fn counting_pass(
+    src: &[Edge],
+    dst: &mut Vec<Edge>,
+    counts: &mut Vec<usize>,
+    lo: Weight,
+    range: Weight,
+    shift: u32,
+) {
+    let digit = |e: &Edge| ((e.w - lo) >> shift & 0xff) as usize;
+    counts.clear();
+    counts.resize((range >> shift).min(0xff) as usize + 2, 0);
+    for e in src {
+        counts[digit(e) + 1] += 1;
+    }
+    for d in 1..counts.len() {
+        counts[d] += counts[d - 1];
+    }
+    dst.clear();
+    dst.resize(src.len(), Edge { u: 0, v: 0, w: 0 });
+    for e in src {
+        let slot = &mut counts[digit(e)];
+        dst[*slot] = *e;
+        *slot += 1;
+    }
+}
+
 /// Shared core of the level-based algorithm, over the vertices `0..n`.
+/// `edges` come as [`order_edges`] takes them and leave in `(u, v)` order.
 fn level_cluster_edge_list(
     n: usize,
     edges: &mut [Edge],
     k: usize,
     s: &mut LevelScratch,
 ) -> GlobalClustering {
-    edges.sort_unstable_by_key(|e| (e.w, e.u, e.v));
-    let edges = &*edges;
+    let mut by_weight = std::mem::take(&mut s.by_weight);
+    order_edges(edges, &mut by_weight, &mut s.spare, &mut s.counts);
+    let out = level_cluster_ordered(n, &by_weight, edges, k, s);
+    s.by_weight = by_weight;
+    out
+}
 
+/// [`level_cluster_edge_list`] over the same edges twice: `edges` in
+/// `(w, u, v)` order and `by_endpoint` in `(u, v)` order.
+fn level_cluster_ordered(
+    n: usize,
+    edges: &[Edge],
+    by_endpoint: &[Edge],
+    k: usize,
+    s: &mut LevelScratch,
+) -> GlobalClustering {
     // ---- Pass 1: build the class-merge forest by ascending weight levels.
     // Leaf node `v` is vertex `v`.
     let nodes = &mut s.nodes;
@@ -443,7 +535,7 @@ fn level_cluster_edge_list(
         "straggler attachment left an undersized cluster"
     );
     underfilled.sort();
-    let clusters = pack_oversized_clusters(n, clusters, edges, k, &mut s.pack);
+    let clusters = pack_oversized_clusters(n, clusters, by_endpoint, k, &mut s.pack);
     GlobalClustering {
         clusters,
         underfilled,
@@ -492,11 +584,14 @@ struct PackScratch {
 /// vertex.
 ///
 /// `clusters` cover vertices of `0..n` and are ordered by smallest member.
-/// One pass over `edges` buckets the ≤ t internal edges of every oversized
-/// cluster into a single CSR, and every cluster is then carved with
+/// One pass over `edges`, which come in `(u, v)` order with `u < v`,
+/// buckets the ≤ t internal edges of every oversized cluster into a single
+/// CSR whose neighbor lists come out ascending: a vertex receives its
+/// smaller neighbors, ascending, from the runs before its own, then its
+/// larger ones from its own run. Every cluster is then carved with
 /// vertex-indexed parent, residual and group arrays, so the pass is
-/// O(V + E) plus the sort of each neighbor list. The output equals the
-/// per-cluster hash-map packing of the test oracle on the same input.
+/// O(V + E). The output equals the per-cluster hash-map packing of the
+/// test oracle on the same input.
 fn pack_oversized_clusters(
     n: usize,
     clusters: Vec<Cluster>,
@@ -541,9 +636,6 @@ fn pack_oversized_clusters(
         fill[e.u as usize] += 1;
         nbrs[fill[e.v as usize] as usize] = e.u;
         fill[e.v as usize] += 1;
-    }
-    for v in 0..n {
-        nbrs[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
     }
     let adj = |v: UserId| &nbrs[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
 
@@ -1416,5 +1508,68 @@ mod tests {
         let r = centralized_k_clustering(&g, 2);
         assert!(r.clusters.is_empty());
         assert!(r.underfilled.is_empty());
+    }
+
+    /// `order_edges` over `edges`: the `(w, u, v)` order it writes, and the
+    /// caller's buffer it leaves behind.
+    fn ordered(mut edges: Vec<Edge>) -> (Vec<Edge>, Vec<Edge>) {
+        let (mut out, mut spare, mut counts) = (Vec::new(), Vec::new(), Vec::new());
+        order_edges(&mut edges, &mut out, &mut spare, &mut counts);
+        (out, edges)
+    }
+
+    #[test]
+    fn edge_order_of_nothing_is_empty() {
+        assert_eq!(ordered(Vec::new()), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "grouped by ascending smaller endpoint")]
+    fn edge_order_rejects_a_run_after_a_larger_endpoint() {
+        ordered(vec![Edge::new(2, 3, 1), Edge::new(0, 1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grouped by ascending smaller endpoint")]
+    fn edge_order_rejects_a_larger_endpoint_first() {
+        ordered(vec![Edge { u: 3, v: 1, w: 1 }]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The counting order equals the comparison sort it replaced, on
+        /// lists grouped by smaller endpoint as the partition takes them:
+        /// one weight, a few weights in long equal runs, rank weights, and
+        /// ranges of two and four bytes (duplicate pairs included), over up
+        /// to a few hundred vertices. The caller's buffer is left in
+        /// `(u, v)` order.
+        #[test]
+        fn edge_order_equals_the_comparison_sort(
+            n in 2u32..300,
+            mode in 0u32..5,
+            raw in proptest::collection::vec((0u32..300, 0u32..300, 0u32..u32::MAX), 0..1500),
+        ) {
+            let weight = |w: u32| match mode {
+                0 => 1,
+                1 => 1 + w % 3,
+                2 => 1 + w % 20,
+                3 => 70_000 + w % 300,
+                _ => w,
+            };
+            let mut edges: Vec<Edge> = raw
+                .iter()
+                .map(|&(a, b, w)| (a % n, b % n, weight(w)))
+                .filter(|&(a, b, _)| a != b)
+                .map(|(a, b, w)| Edge::new(a, b, w))
+                .collect();
+            // Grouped by u, each run in generation order.
+            edges.sort_by_key(|e| e.u);
+            let mut expected = edges.clone();
+            expected.sort_unstable_by_key(|e| (e.w, e.u, e.v));
+            let (out, by_endpoint) = ordered(edges);
+            proptest::prop_assert_eq!(out, expected);
+            proptest::prop_assert!(by_endpoint.windows(2).all(|p| (p[0].u, p[0].v) <= (p[1].u, p[1].v)));
+        }
     }
 }

@@ -763,12 +763,13 @@ mod tests {
             fn population(&self) -> usize {
                 3
             }
-            fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-                Some(match u {
-                    0 => vec![(1, 5)],
-                    1 => vec![(0, 5), (2, 9)],
-                    _ => Vec::new(),
-                })
+            fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+                out.extend_from_slice(match u {
+                    0 => &[(1, 5)],
+                    1 => &[(0, 5), (2, 9)],
+                    _ => &[],
+                });
+                true
             }
         }
         let err = distributed_k_clustering_with(&mut Liar, 0, 2, &no_removed).unwrap_err();
@@ -783,12 +784,13 @@ mod tests {
         fn population(&self) -> usize {
             2
         }
-        fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-            Some(match u {
-                0 => vec![(1, 5)],
-                1 => vec![(0, 5), (UserId::MAX, 9)],
-                _ => vec![(1, 9)],
-            })
+        fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+            out.extend_from_slice(match u {
+                0 => &[(1, 5)],
+                1 => &[(0, 5), (UserId::MAX, 9)],
+                _ => &[(1, 9)],
+            });
+            true
         }
     }
 
@@ -825,9 +827,9 @@ mod tests {
             fn population(&self) -> usize {
                 self.inner.population()
             }
-            fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
+            fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
                 let _ = distributed_k_clustering(self.g, u, 3, &no_removed);
-                self.inner.fetch(u)
+                self.inner.fetch_into(u, out)
             }
         }
         let g = topology::small_world(60, 4, 0.2, 8, 21);
@@ -860,8 +862,11 @@ mod tests {
             fn population(&self) -> usize {
                 2
             }
-            fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-                Some(if u == 1 { vec![(0, 5)] } else { Vec::new() })
+            fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+                if u == 1 {
+                    out.push((0, 5));
+                }
+                true
             }
         }
         let err = distributed_k_clustering_with(&mut OneSided, 1, 2, &no_removed).unwrap_err();
@@ -878,12 +883,8 @@ mod tests {
             fn population(&self) -> usize {
                 self.inner.population()
             }
-            fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-                if u == self.dead {
-                    None
-                } else {
-                    self.inner.fetch(u)
-                }
+            fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+                u != self.dead && self.inner.fetch_into(u, out)
             }
         }
         let g = topology::ring_lattice(20, 2, 3, 2);

@@ -12,8 +12,8 @@ use nela_geo::UserId;
 use nela_wpg::{Edge, RankRows, Weight, Wpg};
 use std::cell::RefCell;
 
-/// Source of peer adjacency lists. One `fetch` per distinct peer corresponds
-/// to one protocol message; the algorithms cache internally, so
+/// Source of peer adjacency lists. One `fetch_into` per distinct peer
+/// corresponds to one protocol message; the algorithms cache internally, so
 /// implementations need not deduplicate.
 pub trait PeerFetch {
     /// The number of users the transport serves. Every id it names — the
@@ -23,10 +23,12 @@ pub trait PeerFetch {
     /// host-side table.
     fn population(&self) -> usize;
 
-    /// The adjacency list of `u` as `(neighbor, weight)` pairs, or `None`
-    /// when the peer is unreachable (crashed, out of range, messages lost
-    /// beyond retry).
-    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>>;
+    /// Appends the adjacency list of `u` to `out` as `(neighbor, weight)`
+    /// pairs and returns true, or returns false when the peer is
+    /// unreachable (crashed, out of range, messages lost beyond retry).
+    /// The caller keeps nothing a failed fetch appended, so the host's
+    /// arena is the list's only copy.
+    fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool;
 }
 
 /// Infallible in-memory fetch straight from a [`Wpg`].
@@ -46,8 +48,9 @@ impl PeerFetch for LocalFetch<'_> {
         self.g.n()
     }
 
-    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-        Some(self.g.neighbors(u).collect())
+    fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+        out.extend(self.g.neighbors(u));
+        true
     }
 }
 
@@ -60,10 +63,9 @@ impl PeerFetch for RankRows<'_> {
         self.n()
     }
 
-    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-        let mut row = Vec::with_capacity(self.peers_of(u).len());
-        self.row_into(u, &mut row);
-        Some(row)
+    fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+        self.row_into(u, out);
+        true
     }
 }
 
@@ -74,8 +76,8 @@ impl<F: PeerFetch + ?Sized> PeerFetch for &mut F {
         (**self).population()
     }
 
-    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-        (**self).fetch(u)
+    fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+        (**self).fetch_into(u, out)
     }
 }
 
@@ -132,30 +134,40 @@ impl<'a> AdjCache<'a> {
         }
     }
 
-    /// The adjacency of `u`, fetching on first use.
+    /// The adjacency of `u`, fetching on first use: the transport appends
+    /// the list to the arena, where it is checked in place.
     ///
     /// # Errors
     /// [`crate::ClusterError::PeerUnreachable`] when the fetch fails, and
     /// [`crate::ClusterError::Inconsistent`] at `u` when its list names an id
     /// outside the population (or more entries than the arena can address).
+    /// Either way the arena drops what the fetch appended.
     pub(crate) fn get(&mut self, u: UserId) -> Result<&[(UserId, Weight)], crate::ClusterError> {
         let t = &mut *self.t;
         let slot = match t.slots.get(u) {
             Some(slot) => slot,
             None => {
-                let list = self
-                    .fetch
-                    .fetch(u)
-                    .ok_or(crate::ClusterError::PeerUnreachable { peer: u })?;
+                let start = t.arena.len();
                 let inconsistent = crate::ClusterError::Inconsistent { user: u };
-                if list.iter().any(|&(v, _)| v as usize >= self.population) {
-                    return Err(inconsistent);
-                }
-                let slot = (
-                    u32::try_from(t.arena.len()).map_err(|_| inconsistent)?,
-                    u32::try_from(t.arena.len() + list.len()).map_err(|_| inconsistent)?,
-                );
-                t.arena.extend_from_slice(&list);
+                let checked = if !self.fetch.fetch_into(u, &mut t.arena) {
+                    Err(crate::ClusterError::PeerUnreachable { peer: u })
+                } else if t.arena[start..]
+                    .iter()
+                    .any(|&(v, _)| v as usize >= self.population)
+                {
+                    Err(inconsistent)
+                } else {
+                    u32::try_from(start)
+                        .and_then(|s| Ok((s, u32::try_from(t.arena.len())?)))
+                        .map_err(|_| inconsistent)
+                };
+                let slot = match checked {
+                    Ok(slot) => slot,
+                    Err(e) => {
+                        t.arena.truncate(start);
+                        return Err(e);
+                    }
+                };
                 t.slots.insert(u, slot);
                 t.fetched += 1;
                 slot
@@ -288,12 +300,8 @@ mod tests {
         fn population(&self) -> usize {
             self.inner.population()
         }
-        fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-            if u == self.dead {
-                None
-            } else {
-                self.inner.fetch(u)
-            }
+        fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+            u != self.dead && self.inner.fetch_into(u, out)
         }
     }
 
@@ -314,18 +322,42 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_list_leaves_nothing_in_the_arena() {
+        // Peer 1 appends half a list and then fails; peer 2's list names a
+        // user outside the population. Neither may leave an entry behind.
+        struct Partial;
+        impl PeerFetch for Partial {
+            fn population(&self) -> usize {
+                3
+            }
+            fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+                match u {
+                    0 => out.extend_from_slice(&[(1, 1), (2, 2)]),
+                    1 => out.push((0, 1)),
+                    _ => out.extend_from_slice(&[(0, 2), (9, 1)]),
+                }
+                u != 1
+            }
+        }
+        let (mut partial, mut tables) = (Partial, AdjTables::default());
+        let mut cache = AdjCache::new(&mut partial, 0, &mut tables);
+        assert!(cache.get(1).is_err());
+        assert!(cache.get(2).is_err());
+        assert_eq!(cache.get(0).unwrap(), &[(1, 1), (2, 2)]);
+        assert_eq!(cache.contacted(), 0, "refused lists are not contacts");
+        assert_eq!(tables.arena, vec![(1, 1), (2, 2)]);
+    }
+
+    #[test]
     fn out_of_population_neighbor_is_inconsistent() {
         struct Wide;
         impl PeerFetch for Wide {
             fn population(&self) -> usize {
                 2
             }
-            fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-                Some(if u == 0 {
-                    vec![(1, 1), (2, 1)]
-                } else {
-                    vec![(0, 1)]
-                })
+            fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+                out.extend_from_slice(if u == 0 { &[(1, 1), (2, 1)] } else { &[(0, 1)] });
+                true
             }
         }
         let (mut wide, mut tables) = (Wide, AdjTables::default());

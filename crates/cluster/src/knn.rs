@@ -136,8 +136,9 @@ fn knn_cluster_cached(
                 break;
             }
         }
-        let nbrs: Vec<(UserId, nela_wpg::Weight)> = adj.get(v)?.to_vec();
-        for (y, w) in nbrs {
+        // By index: the tie-break's fetches grow the arena under `v`'s list.
+        for i in 0..adj.get(v)?.len() {
+            let (y, w) = adj.get(v)?[i];
             let nd = d + w as u64;
             if nd < dist.get(&y).copied().unwrap_or(u64::MAX) {
                 dist.insert(y, nd);

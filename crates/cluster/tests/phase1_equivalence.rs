@@ -61,10 +61,10 @@ mod oracle {
         /// The adjacency of `u`, fetching on first use.
         pub fn get(&mut self, u: UserId) -> Result<&[(UserId, Weight)], ClusterError> {
             if !self.map.contains_key(&u) {
-                let adj = self
-                    .fetch
-                    .fetch(u)
-                    .ok_or(ClusterError::PeerUnreachable { peer: u })?;
+                let mut adj = Vec::new();
+                if !self.fetch.fetch_into(u, &mut adj) {
+                    return Err(ClusterError::PeerUnreachable { peer: u });
+                }
                 self.map.insert(u, adj);
             }
             Ok(self.map.get(&u).expect("just inserted"))
@@ -795,13 +795,9 @@ impl<F: PeerFetch> PeerFetch for Recording<F> {
         self.inner.population()
     }
 
-    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
+    fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
         self.fetched.push(u);
-        if Some(u) == self.dead {
-            None
-        } else {
-            self.inner.fetch(u)
-        }
+        Some(u) != self.dead && self.inner.fetch_into(u, out)
     }
 }
 

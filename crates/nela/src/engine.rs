@@ -38,9 +38,7 @@ use nela_bounding::baselines::{ExponentialPolicy, LinearPolicy};
 use nela_bounding::bbox::{bounding_box, BboxOutcome};
 use nela_bounding::distribution::Uniform;
 use nela_bounding::nbound::{IncrementTable, SecurePolicy};
-use nela_bounding::protocol::{
-    progressive_upper_bound_with, BoundingError, IncrementPolicy, LocalValues,
-};
+use nela_bounding::protocol::{progressive_bound, BoundingError, IncrementPolicy, LocalValues};
 use nela_cluster::centralized::centralized_k_clustering;
 use nela_cluster::distributed::{distributed_k_clustering_with_policy, DistributedOutcome};
 use nela_cluster::knn::{knn_cluster_with, TieBreak};
@@ -323,6 +321,23 @@ thread_local! {
         std::cell::RefCell::new(RequestScratch::default());
 }
 
+/// Per-thread buffers of the in-process and radio phase 2: one direction's
+/// values, as `LocalValues` and `SimVerify` read them, and the bounding
+/// loop's work list. The engine asks for no transcript, so a warm call
+/// bounds without allocating.
+#[derive(Default)]
+struct BoundScratch {
+    values: Vec<f64>,
+    participants: Vec<(UserId, f64)>,
+    disagreeing: Vec<usize>,
+}
+
+thread_local! {
+    /// One phase-2 scratch per serving thread.
+    static BOUND_SCRATCH: std::cell::RefCell<BoundScratch> =
+        std::cell::RefCell::new(BoundScratch::default());
+}
+
 /// How one request's protocol phases reach its peers. Three
 /// implementations: [`Local`] (in-memory adjacency and values), [`Radio`]
 /// (RPCs over a simulated network) and the scenario matrix's adversarial
@@ -371,12 +386,26 @@ impl Transport for Local {
         points: &[Point],
         policy: &P,
     ) -> Result<BboxOutcome, BoundingError> {
-        let mut values = Vec::with_capacity(points.len());
-        bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
-            values.clear();
-            values.extend(points.iter().map(|p| dir.value(p)));
-            let mut transport = LocalValues::new(&values);
-            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut policy.clone())
+        BOUND_SCRATCH.with(|scratch| {
+            let BoundScratch {
+                values,
+                disagreeing,
+                ..
+            } = &mut *scratch.borrow_mut();
+            bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
+                values.clear();
+                values.extend(points.iter().map(|p| dir.value(p)));
+                let mut transport = LocalValues::new(values);
+                let mut policy = policy.clone();
+                progressive_bound(
+                    &mut transport,
+                    x0,
+                    domain_min,
+                    &mut policy,
+                    disagreeing,
+                    None,
+                )
+            })
         })
     }
 }
@@ -453,12 +482,26 @@ impl Transport for Radio<'_> {
         policy: &P,
     ) -> Result<BboxOutcome, BoundingError> {
         let net = self.net();
-        let mut values = Vec::with_capacity(members.len());
-        bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
-            values.clear();
-            values.extend(members.iter().zip(points).map(|(&u, p)| (u, dir.value(p))));
-            let mut transport = SimVerify::new(&mut *net, host, &values);
-            progressive_upper_bound_with(&mut transport, x0, domain_min, &mut policy.clone())
+        BOUND_SCRATCH.with(|scratch| {
+            let BoundScratch {
+                participants,
+                disagreeing,
+                ..
+            } = &mut *scratch.borrow_mut();
+            bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
+                participants.clear();
+                participants.extend(members.iter().zip(points).map(|(&u, p)| (u, dir.value(p))));
+                let mut transport = SimVerify::new(&mut *net, host, participants);
+                let mut policy = policy.clone();
+                progressive_bound(
+                    &mut transport,
+                    x0,
+                    domain_min,
+                    &mut policy,
+                    disagreeing,
+                    None,
+                )
+            })
         })
     }
 
@@ -468,6 +511,7 @@ impl Transport for Radio<'_> {
         };
         let (tally, virtual_secs) = self.tally.get_or_insert_with(Default::default);
         let s = net.stats();
+        s.record();
         tally.transmissions += s.transmissions;
         tally.rpcs_ok += s.rpcs_ok;
         tally.rpcs_failed += s.rpcs_failed;

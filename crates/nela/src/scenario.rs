@@ -368,17 +368,19 @@ impl Transport for Adversarial<'_> {
 
         let mut values = Vec::with_capacity(cluster_size);
         let mut dropped = vec![false; cluster_size];
+        // The verdict reads every run's transcript.
+        let mut runs = Vec::with_capacity(4);
         let boxed = bounding_box(host_point, Rect::UNIT, |dir, x0, domain_min| {
             values.clear();
             values.extend(points.iter().map(|p| dir.value(p)));
-            match adversary {
+            let run = match adversary {
                 Adversary::Honest | Adversary::Colluders { .. } => {
                     let mut t = LocalValues::new(&values);
-                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut policy.clone())
+                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut policy.clone())?
                 }
                 Adversary::Liars { .. } => {
                     let mut t = LyingValues::new(&values, &roles, LieMode::AgreeEarly);
-                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut policy.clone())
+                    progressive_upper_bound_with(&mut t, x0, domain_min, &mut policy.clone())?
                 }
                 Adversary::Crash { round, .. } => {
                     let mut t = CrashingValues::new(&values, &roles, round);
@@ -386,9 +388,12 @@ impl Transport for Adversarial<'_> {
                     for &i in &out.dropped {
                         dropped[i] = true;
                     }
-                    Ok(out.run)
+                    out.run
                 }
-            }
+            };
+            let summary = run.summary();
+            runs.push(run);
+            Ok(summary)
         });
         let v = &mut self.verdict;
         let out = boxed.map_err(|e| {
@@ -400,7 +405,7 @@ impl Transport for Adversarial<'_> {
             e
         })?;
 
-        for run in &out.runs {
+        for run in &runs {
             // No non-member exposure: every transcript record names a member,
             // and (crash drops aside) exactly the members.
             v.no_non_member_exposure &= run.records.iter().all(|r| r.index < cluster_size);

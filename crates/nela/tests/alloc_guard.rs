@@ -11,8 +11,11 @@
 //! The counter is process-global, so everything runs inside ONE `#[test]`
 //! (the default harness would interleave allocations from sibling tests).
 
+use nela::cluster::distributed::distributed_k_clustering_with;
+use nela::cluster::{LocalFetch, PeerFetch};
 use nela::geo::{Point, Rect, UserId};
 use nela::lbs::{refine_knn, refine_range, CloakedQuery, LbsServer, PoiStore};
+use nela::wpg::{IncrementalWpg, InverseDistanceRss, WpgBuilder};
 use nela::{BoundingAlgo, CloakingEngine, ClusteringAlgo, Params, System};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,6 +127,106 @@ fn warm_request_paths_do_not_allocate() {
          (contract: zero per request)",
         steady.len()
     );
+
+    // --- Phase 2 alone: claimed siblings with no region yet -------------
+    // A host's request registers every piece of its super-cluster; the
+    // first request by a member of another piece only bounds it. Linear
+    // bounding reads no increment table (whose misses store a solve), so
+    // this counts the request path and the bounding loop alone. A first
+    // engine bounds every such piece once, growing this thread's buffers to
+    // the largest; a second one, in the same state, must then bound each
+    // with zero allocations.
+    let linear = || {
+        CloakingEngine::new(
+            &system,
+            ClusteringAlgo::TConnDistributed,
+            BoundingAlgo::Linear,
+        )
+    };
+    let unbounded = |engine: &mut CloakingEngine<'_>| -> Vec<UserId> {
+        for &h in &steady {
+            drop(engine.request(h));
+        }
+        engine
+            .registry()
+            .active_clusters()
+            .filter(|(_, rc)| rc.region.is_none())
+            .map(|(_, rc)| rc.cluster.members[0])
+            .collect()
+    };
+    let mut warm_engine = linear();
+    let pending = unbounded(&mut warm_engine);
+    assert!(
+        pending.len() >= 10,
+        "need unbounded siblings, got {}",
+        pending.len()
+    );
+    for &h in &pending {
+        drop(warm_engine.request(h));
+    }
+    let mut engine = linear();
+    assert_eq!(unbounded(&mut engine), pending);
+    for &h in &pending {
+        let before = allocs();
+        let result = engine.request(h);
+        let bound_allocs = allocs() - before;
+        let r = result.expect("a registered sibling bounds");
+        assert!(
+            !r.reused && r.clustering_messages == 0 && r.bounding_rounds > 0,
+            "host {h} did more than bound: {r:?}"
+        );
+        assert_eq!(
+            bound_allocs, 0,
+            "bounding host {h}'s registered cluster made {bound_allocs} allocations \
+             (contract: none)"
+        );
+    }
+
+    // --- Phase 1: no allocation per fetched list ------------------------
+    // A warm run's allocations build its outcome: the super-cluster, the
+    // pieces and their member lists. Every fetched list lands in the
+    // thread's arena, over the CSR and over the rank rows alike.
+    let removed = |_: UserId| false;
+    let phase1 = |fetch: &mut dyn PeerFetch, host: UserId| {
+        let before = allocs();
+        let out = distributed_k_clustering_with(fetch, host, system.params.k, &removed)
+            .expect("a steady host clusters");
+        (allocs() - before, out)
+    };
+    let widest = *steady
+        .iter()
+        .max_by_key(|&&h| {
+            phase1(&mut LocalFetch::new(&system.wpg), h)
+                .1
+                .involved_users
+        })
+        .expect("steady hosts");
+    let builder = WpgBuilder::new(
+        system.params.delta,
+        system.params.max_peers,
+        InverseDistanceRss,
+    );
+    let inc = IncrementalWpg::new(builder, &system.points);
+    for fetch in [
+        &mut LocalFetch::new(&system.wpg) as &mut dyn PeerFetch,
+        &mut inc.rows(),
+    ] {
+        drop(phase1(fetch, widest));
+        let (phase1_allocs, out) = phase1(fetch, widest);
+        let outcome_allocs = 2 * out.all_clusters.len() as u64 + 8;
+        assert!(
+            out.involved_users as u64 > outcome_allocs,
+            "host {widest} fetched only {} lists",
+            out.involved_users
+        );
+        assert!(
+            phase1_allocs <= outcome_allocs,
+            "a warm phase 1 fetching {} lists into {} pieces made {phase1_allocs} \
+             allocations (contract: at most {outcome_allocs}, none per list)",
+            out.involved_users,
+            out.all_clusters.len()
+        );
+    }
 
     // --- LBS: LbsServer::handle -----------------------------------------
     // The kernel's buffers live per thread. One warm-up call over the whole

@@ -7,7 +7,7 @@
 //! analytic experiments use also runs under loss, latency and crashes — the
 //! robustness scenarios of the paper's §VII.
 
-use crate::network::{Network, RpcError};
+use crate::network::Network;
 use nela_bounding::protocol::VerifyTransport;
 use nela_cluster::fetch::{LocalFetch, PeerFetch};
 use nela_geo::UserId;
@@ -43,15 +43,10 @@ impl<F: PeerFetch> PeerFetch for SimFetch<'_, F> {
         self.local.population()
     }
 
-    fn fetch(&mut self, u: UserId) -> Option<Vec<(UserId, Weight)>> {
-        if u == self.host {
-            // The host's own adjacency is local knowledge.
-            return self.local.fetch(u);
-        }
-        match self.net.rpc(self.host, u) {
-            Ok(()) => self.local.fetch(u),
-            Err(RpcError::PeerDown(_) | RpcError::RetriesExhausted(_)) => None,
-        }
+    fn fetch_into(&mut self, u: UserId, out: &mut Vec<(UserId, Weight)>) -> bool {
+        // The host's own adjacency is local knowledge; a peer's arrives in
+        // the reply, unless the RPC failed (`PeerDown`, `RetriesExhausted`).
+        (u == self.host || self.net.rpc(self.host, u).is_ok()) && self.local.fetch_into(u, out)
     }
 }
 

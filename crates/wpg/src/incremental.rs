@@ -838,11 +838,13 @@ impl<'a> RankRows<'a> {
         Some((i as Weight + 1).min(at as Weight + 1))
     }
 
-    /// Fills `out` with `u`'s `(neighbor, weight)` row exactly as the
+    /// Appends to `out` `u`'s `(neighbor, weight)` row exactly as the
     /// snapshot's CSR holds it: peers below `u` ascending by id, then peers
-    /// above `u` in `u`'s rank order (see the type docs for why).
+    /// above `u` in `u`'s rank order (see the type docs for why). What
+    /// `out` held before is left as it was, so a caller can gather rows
+    /// into one arena.
     pub fn row_into(&self, u: UserId, out: &mut Vec<(UserId, Weight)>) {
-        out.clear();
+        let start = out.len();
         let row = self.peers_of(u);
         for (i, &v) in row.iter().enumerate() {
             if v < u {
@@ -851,7 +853,7 @@ impl<'a> RankRows<'a> {
                 }
             }
         }
-        out.sort_unstable_by_key(|&(v, _)| v);
+        out[start..].sort_unstable_by_key(|&(v, _)| v);
         for (i, &v) in row.iter().enumerate() {
             if v > u {
                 if let Some(w) = self.mutual_weight(u, i, v) {
@@ -885,6 +887,7 @@ impl<'a> RankRows<'a> {
         let mut row = Vec::new();
         g.n() == self.n()
             && (0..g.n() as UserId).all(|u| {
+                row.clear();
                 self.row_into(u, &mut row);
                 row.iter().copied().eq(g.neighbors(u))
             })
@@ -1129,6 +1132,7 @@ mod tests {
             let rows = inc.rows();
             assert_eq!(rows.n(), snap.n());
             for u in 0..400u32 {
+                row.clear();
                 rows.row_into(u, &mut row);
                 assert!(row.iter().copied().eq(snap.neighbors(u)), "row {u}");
             }

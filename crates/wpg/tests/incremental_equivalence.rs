@@ -231,6 +231,7 @@ fn assert_rows_match_rebuild<R: RssModel + Clone>(
             snap.neighbors(u).collect::<Vec<_>>(),
             rebuilt.neighbors(u).collect::<Vec<_>>()
         );
+        row.clear();
         rows.row_into(u, &mut row);
         assert!(
             row.iter().copied().eq(rebuilt.neighbors(u)),
