@@ -43,12 +43,6 @@ impl Uniform {
         assert!(span > 0.0 && span.is_finite(), "span must be positive");
         Uniform { span }
     }
-
-    /// The paper's evaluation instantiation: a cluster of `n` users out of a
-    /// `population` spread over the unit interval spans about `n/population`.
-    pub fn paper_cluster_span(n: usize, population: usize) -> Self {
-        Uniform::new(n as f64 / population as f64)
-    }
 }
 
 impl ExcessDistribution for Uniform {
@@ -135,12 +129,6 @@ mod tests {
         assert_eq!(u.cdf(-1.0), 0.0);
         assert_eq!(u.cdf(5.0), 1.0);
         assert_eq!(u.effective_span(), 2.0);
-    }
-
-    #[test]
-    fn paper_cluster_span_matches_table1() {
-        let u = Uniform::paper_cluster_span(10, 104_770);
-        assert!((u.span - 10.0 / 104_770.0).abs() < 1e-12);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! includes a from-scratch Hilbert curve (coordinates → d index) since no
 //! external dependency is used.
 
-use crate::registry::ClusterRegistry;
 use crate::Cluster;
 use nela_geo::{Point, UserId};
 
@@ -81,19 +80,10 @@ pub fn hilb_asr_partition(points: &[Point], k: usize) -> Vec<Cluster> {
     clusters
 }
 
-/// Registers the full hilbASR partition into a registry (the scheme is
-/// inherently global: the anonymizer computes every bucket up front).
-pub fn hilb_asr_registry(points: &[Point], k: usize) -> ClusterRegistry {
-    let mut registry = ClusterRegistry::new(points.len());
-    for c in hilb_asr_partition(points, k) {
-        registry.register(c);
-    }
-    registry
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ClusterRegistry;
 
     #[test]
     fn hilbert_index_is_injective_on_distinct_cells() {
@@ -165,7 +155,10 @@ mod tests {
         let pts: Vec<Point> = (0..50)
             .map(|i| Point::new((i as f64 * 0.13) % 1.0, (i as f64 * 0.29) % 1.0))
             .collect();
-        let registry = hilb_asr_registry(&pts, 5);
+        let mut registry = ClusterRegistry::new(pts.len());
+        for c in hilb_asr_partition(&pts, 5) {
+            registry.register(c);
+        }
         assert_eq!(registry.reciprocity_violation(), None);
         assert_eq!(registry.clustered_users(), 50);
     }

@@ -180,11 +180,6 @@ impl KPolicy<'_> {
                 .max(1),
         }
     }
-
-    /// True for the uniform (single global k) policy.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, KPolicy::Uniform(_))
-    }
 }
 
 /// Why a clustering request could not be served.

@@ -82,16 +82,6 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// Spec matching the paper's default population: 104,770 users drawn from
-    /// the California-like mixture.
-    pub fn paper_default(seed: u64) -> Self {
-        DatasetSpec {
-            n: CALIFORNIA_POI_COUNT,
-            seed,
-            distribution: SpatialDistribution::california(),
-        }
-    }
-
     /// A small uniform spec for tests.
     pub fn small_uniform(n: usize, seed: u64) -> Self {
         DatasetSpec {
@@ -396,12 +386,6 @@ mod tests {
             max_local > 300,
             "rush-hour core should be crowded, saw max {max_local} neighbors"
         );
-    }
-
-    #[test]
-    fn paper_default_size() {
-        let spec = DatasetSpec::paper_default(1);
-        assert_eq!(spec.n, CALIFORNIA_POI_COUNT);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl Point {
         dx.max(dy)
     }
 
-    /// Manhattan (L1) distance to `other`.
-    #[inline]
-    pub fn manhattan(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Component-wise midpoint.
     #[inline]
     pub fn midpoint(&self, other: &Point) -> Point {
@@ -109,13 +103,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(0.2, 0.7);
         assert!((a.chebyshev(&b) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn manhattan_sums_axes() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(0.2, 0.7);
-        assert!((a.manhattan(&b) - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -64,13 +64,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half the perimeter (`width + height`); used by length-proportional
-    /// request-cost models.
-    #[inline]
-    pub fn semi_perimeter(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// True when `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: &Point) -> bool {
@@ -167,7 +160,6 @@ mod tests {
     fn area_and_perimeter() {
         let r = Rect::new(0.0, 0.0, 0.5, 0.25);
         assert!((r.area() - 0.125).abs() < 1e-12);
-        assert!((r.semi_perimeter() - 0.75).abs() < 1e-12);
     }
 
     #[test]

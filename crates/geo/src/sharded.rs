@@ -330,12 +330,6 @@ impl ShardedDynamicGrid {
         &self.points
     }
 
-    /// Number of row-band shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Cells per axis (same formula as `GridIndex::build`).
     #[inline]
     pub fn cells_per_axis(&self) -> usize {

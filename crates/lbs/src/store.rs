@@ -84,11 +84,6 @@ impl PoiStore {
         self.grid.ids_in_rect(rect)
     }
 
-    /// Id of the POI nearest to `p` (ties by id).
-    pub fn nearest_id(&self, p: Point) -> u32 {
-        self.knn(p, 1)[0]
-    }
-
     /// The grid index over the POI positions.
     pub(crate) fn grid(&self) -> &GridIndex {
         &self.grid
@@ -273,13 +268,6 @@ mod tests {
                 assert!(s.get(i).position.dist(&q) >= kth - 1e-15);
             }
         }
-    }
-
-    #[test]
-    fn nearest_is_knn_first() {
-        let s = store(200, 3);
-        let q = Point::new(0.123, 0.876);
-        assert_eq!(s.nearest_id(q), s.knn(q, 1)[0]);
     }
 
     #[test]

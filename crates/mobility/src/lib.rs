@@ -38,4 +38,4 @@ pub use lifetime::{
     cluster_still_valid, invalidate_broken_clusters, CertificateGraph, InvalidationReport,
 };
 pub use model::{MobilityConfig, MobilityField};
-pub use world::{MobileWorld, TickStats};
+pub use world::MobileWorld;

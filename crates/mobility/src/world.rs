@@ -5,22 +5,6 @@ use nela::{Params, System};
 use nela_geo::{DatasetSpec, GridIndex, Point, Rect, UserId};
 use nela_wpg::{IncrementalWpg, InverseDistanceRss, RankRows, UpdateStats, Wpg, WpgBuilder};
 
-/// Counters for one [`MobileWorld::tick`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TickStats {
-    /// Unique users that moved this tick.
-    pub moved: usize,
-    /// Users whose WPG candidate list this tick touched (every user on a
-    /// tick past the mover crossover).
-    pub dirty: usize,
-    /// Users whose rank list actually changed. Every WPG edge that
-    /// appeared, vanished or changed weight this tick has an endpoint among
-    /// them, so a cluster certificate can only break if a member is here;
-    /// a user outside the set can still see its incident edges change,
-    /// through a peer whose list did.
-    pub changed: usize,
-}
-
 /// The live state of a mobile deployment: positions, the sharded dynamic
 /// grid, and the incrementally maintained WPG, all stepped together.
 pub struct MobileWorld {
@@ -84,7 +68,7 @@ impl MobileWorld {
     /// Advances the population one tick and folds the moves into the grid
     /// and WPG incrementally: [`MobileWorld::draw_moves`], then
     /// [`MobileWorld::apply_moves`].
-    pub fn tick(&mut self) -> TickStats {
+    pub fn tick(&mut self) -> UpdateStats {
         let moves = self.draw_moves();
         self.apply_moves(&moves)
     }
@@ -97,22 +81,13 @@ impl MobileWorld {
     }
 
     /// Folds a batch of moves into the grid and WPG incrementally.
-    pub fn apply_moves(&mut self, moves: &[(UserId, Point)]) -> TickStats {
-        let UpdateStats {
-            moved,
-            dirty,
-            changed,
-        } = self.wpg.apply_moves(moves);
-        TickStats {
-            moved,
-            dirty,
-            changed,
-        }
+    pub fn apply_moves(&mut self, moves: &[(UserId, Point)]) -> UpdateStats {
+        self.wpg.apply_moves(moves)
     }
 
     /// Users whose rank list changed in the last tick — the audit set for
     /// epoch-based cluster reuse (a cluster can only break when a member's
-    /// list changed; see [`TickStats::changed`]).
+    /// list changed; see [`IncrementalWpg::changed_users`]).
     pub fn changed_users(&self) -> &[UserId] {
         self.wpg.changed_users()
     }

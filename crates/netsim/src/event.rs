@@ -81,12 +81,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` `delay` after `now`.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative");
-        self.schedule(self.clock + delay, event);
-    }
-
     /// Pops the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         let Reverse((KeyWrapper(tb, _), idx)) = self.heap.pop()?;
@@ -142,16 +136,6 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), 5.0);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(2.0, "first");
-        q.pop();
-        q.schedule_in(1.5, "second");
-        let (t, _) = q.pop().unwrap();
-        assert!((t - 3.5).abs() < 1e-12);
     }
 
     #[test]

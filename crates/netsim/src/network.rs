@@ -255,16 +255,6 @@ impl Network {
         self.down.insert(peer);
     }
 
-    /// Revives a crashed peer.
-    pub fn revive_peer(&mut self, peer: UserId) {
-        self.down.remove(&peer);
-    }
-
-    /// True when `peer` is marked down.
-    pub fn is_down(&self, peer: UserId) -> bool {
-        self.down.contains(&peer)
-    }
-
     fn one_way_latency(&mut self) -> f64 {
         self.cfg.latency.base + self.rng.gen::<f64>() * self.cfg.latency.jitter
     }
@@ -307,15 +297,6 @@ impl Network {
             Err(RpcError::RetriesExhausted(to))
         }
     }
-
-    /// One-way broadcast-style upload (used by the centralized anonymizer
-    /// model: every user pushes its proximity list once). Counts one
-    /// transmission per user; lossless uplink assumed (the paper treats the
-    /// anonymizer path as infrastructure, not radio).
-    pub fn bulk_upload(&mut self, users: usize) {
-        self.stats.transmissions += users as u64;
-        self.clock += self.one_way_latency();
-    }
 }
 
 #[cfg(test)]
@@ -343,15 +324,6 @@ mod tests {
         // 1 original + 3 retries, each one request transmission.
         assert_eq!(net.stats().transmissions, 4);
         assert_eq!(net.stats().rpcs_failed, 1);
-    }
-
-    #[test]
-    fn revive_restores_connectivity() {
-        let mut net = Network::reliable();
-        net.crash_peer(3);
-        assert!(net.rpc(0, 3).is_err());
-        net.revive_peer(3);
-        assert!(net.rpc(0, 3).is_ok());
     }
 
     #[test]
@@ -412,13 +384,6 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9).0, run(10).0);
-    }
-
-    #[test]
-    fn bulk_upload_counts_each_user() {
-        let mut net = Network::reliable();
-        net.bulk_upload(104_770);
-        assert_eq!(net.stats().transmissions, 104_770);
     }
 
     #[test]

@@ -28,7 +28,7 @@ mod snapshot;
 
 pub use hist::{bucket_index, bucket_lower_bound, bucket_upper_bound, Histogram, N_BUCKETS};
 pub use registry::Registry;
-pub use snapshot::{CounterSnapshot, HistogramSnapshot, MetricsSnapshot, MetricsWindow};
+pub use snapshot::{CounterSnapshot, HistogramSnapshot, MetricsSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

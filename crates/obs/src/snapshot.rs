@@ -96,62 +96,6 @@ impl MetricsSnapshot {
         serde_json::from_str(s)
     }
 
-    /// The difference `self - baseline`: what was recorded *after* the
-    /// baseline was taken. Counts, sums, and buckets subtract (saturating,
-    /// so a reset between snapshots degrades to "everything since reset"
-    /// instead of underflowing); quantiles are recomputed from the delta
-    /// buckets, so they describe only the window's values. Instruments with
-    /// nothing recorded in the window are dropped; instruments absent from
-    /// the baseline carry over whole. `max_ns` is inherited from `self` — a
-    /// bucket histogram cannot recover the window max exactly, so it may
-    /// overstate (never understate), matching the quantile convention.
-    pub fn delta_since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
-        let histograms = self
-            .histograms
-            .iter()
-            .filter_map(|h| {
-                let base = baseline.histograms.iter().find(|b| b.name == h.name);
-                let count = h.count.saturating_sub(base.map_or(0, |b| b.count));
-                if count == 0 {
-                    return None;
-                }
-                let mut buckets = [0u64; N_BUCKETS];
-                for (i, dst) in buckets.iter_mut().enumerate() {
-                    let cur = h.buckets.get(i).copied().unwrap_or(0);
-                    let old = base.and_then(|b| b.buckets.get(i)).copied().unwrap_or(0);
-                    *dst = cur.saturating_sub(old);
-                }
-                Some(HistogramSnapshot {
-                    name: h.name.clone(),
-                    count,
-                    sum_ns: h.sum_ns.saturating_sub(base.map_or(0, |b| b.sum_ns)),
-                    p50_ns: quantile_from_buckets(&buckets, 0.50, h.max_ns),
-                    p95_ns: quantile_from_buckets(&buckets, 0.95, h.max_ns),
-                    p99_ns: quantile_from_buckets(&buckets, 0.99, h.max_ns),
-                    max_ns: h.max_ns,
-                    buckets: buckets.to_vec(),
-                })
-            })
-            .collect();
-        let counters = self
-            .counters
-            .iter()
-            .filter_map(|c| {
-                let old = baseline.counter(&c.name).unwrap_or(0);
-                let value = c.value.saturating_sub(old);
-                (value > 0).then(|| CounterSnapshot {
-                    name: c.name.clone(),
-                    value,
-                })
-            })
-            .collect();
-        MetricsSnapshot {
-            enabled: self.enabled,
-            histograms,
-            counters,
-        }
-    }
-
     /// Renders a fixed-width text table (the `nela stats` view). Durations
     /// are scaled to the most readable unit per row.
     pub fn render(&self) -> String {
@@ -198,45 +142,6 @@ impl MetricsSnapshot {
             ));
         }
         out
-    }
-}
-
-/// A rolling window over the global recorder: each [`MetricsWindow::rotate`]
-/// returns only what was recorded since the previous rotation (or since
-/// construction), as a normal [`MetricsSnapshot`]. This is how long-running
-/// drivers (e.g. the mobility loop) report per-interval latency
-/// distributions without resetting the global registry — cumulative totals
-/// stay intact for the end-of-run snapshot.
-#[derive(Debug, Clone)]
-pub struct MetricsWindow {
-    baseline: MetricsSnapshot,
-}
-
-impl MetricsWindow {
-    /// Opens a window starting at the recorder's current state.
-    pub fn start() -> Self {
-        MetricsWindow {
-            baseline: crate::snapshot(),
-        }
-    }
-
-    /// Opens a window starting at an explicit baseline (e.g. a snapshot
-    /// taken around a phase boundary).
-    pub fn from_baseline(baseline: MetricsSnapshot) -> Self {
-        MetricsWindow { baseline }
-    }
-
-    /// What was recorded since the last rotation; advances the window.
-    pub fn rotate(&mut self) -> MetricsSnapshot {
-        let now = crate::snapshot();
-        let delta = now.delta_since(&self.baseline);
-        self.baseline = now;
-        delta
-    }
-
-    /// What was recorded since the last rotation, without advancing.
-    pub fn peek(&self) -> MetricsSnapshot {
-        crate::snapshot().delta_since(&self.baseline)
     }
 }
 
@@ -317,70 +222,6 @@ mod tests {
         assert!(snap
             .render()
             .contains("lbs.query.scan_yield             0.750"));
-    }
-
-    #[test]
-    fn delta_since_isolates_the_window() {
-        let h = Histogram::new();
-        for v in [100u64, 200] {
-            h.record(v);
-        }
-        let before = MetricsSnapshot {
-            enabled: true,
-            histograms: vec![HistogramSnapshot::of("stage.x", &h)],
-            counters: vec![CounterSnapshot {
-                name: "ctr.y".to_string(),
-                value: 10,
-            }],
-        };
-        // Window records two more values into stage.x, a fresh stage.z, and
-        // bumps the counter.
-        for v in [1_000_000u64, 2_000_000] {
-            h.record(v);
-        }
-        let z = Histogram::new();
-        z.record(500);
-        let after = MetricsSnapshot {
-            enabled: true,
-            histograms: vec![
-                HistogramSnapshot::of("stage.x", &h),
-                HistogramSnapshot::of("stage.z", &z),
-            ],
-            counters: vec![CounterSnapshot {
-                name: "ctr.y".to_string(),
-                value: 17,
-            }],
-        };
-        let delta = after.delta_since(&before);
-        let x = delta.histogram("stage.x").unwrap();
-        assert_eq!(x.count, 2);
-        assert_eq!(x.sum_ns, 3_000_000);
-        // Quantiles describe only the window's two millisecond-scale values,
-        // not the baseline's sub-microsecond ones.
-        assert!(x.p50_ns >= 1_000_000, "p50 {} reflects baseline", x.p50_ns);
-        let z = delta.histogram("stage.z").unwrap();
-        assert_eq!(z.count, 1, "baseline-absent histogram carries over");
-        assert_eq!(delta.counter("ctr.y"), Some(7));
-        // An idle instrument vanishes from the delta.
-        let idle = after.delta_since(&after);
-        assert!(idle.histograms.is_empty());
-        assert!(idle.counters.is_empty());
-    }
-
-    #[test]
-    fn delta_since_survives_a_reset_between_snapshots() {
-        let before = sample();
-        // A reset shrinks counts; the delta saturates to the post-reset view
-        // instead of underflowing.
-        let h = Histogram::new();
-        h.record(300);
-        let after = MetricsSnapshot {
-            enabled: true,
-            histograms: vec![HistogramSnapshot::of("stage.x", &h)],
-            counters: vec![],
-        };
-        let delta = after.delta_since(&before);
-        assert!(delta.histogram("stage.x").is_none(), "1 - 4 saturates to 0");
     }
 
     #[test]

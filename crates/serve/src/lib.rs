@@ -46,4 +46,4 @@ pub use config::{QueryMix, ServeConfig, ServeConfigError, Transport};
 pub use nela::SessionNetStats as NetReport;
 pub use queue::{Pop, Push, RequestQueue};
 pub use report::{ServeReport, StageStats};
-pub use run::{run, run_session, run_with_system, SessionOutcome};
+pub use run::{run_session, run_with_system, SessionOutcome};

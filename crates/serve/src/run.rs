@@ -30,7 +30,7 @@ use crate::queue::{Pop, Push, RequestQueue};
 use crate::report::{answer_hash, ServeReport, StageStats};
 use nela::{
     auto_shard_axis, shard_axis_for_total, BoundingAlgo, CarryOver, CloakingEngine, ClusteringAlgo,
-    EngineSession, Params, SessionCheckpoint, System,
+    EngineSession, SessionCheckpoint, System,
 };
 use nela_geo::{Point, UserId};
 use nela_lbs::{refine_knn, refine_range, CloakedQuery, LbsServer, PoiStore};
@@ -158,16 +158,6 @@ fn worker_loop(
         log.digest ^= answer_hash(job.id, &refined);
         log.last_done = done - start;
     }
-}
-
-/// Builds a [`System`] from `params` and runs one serving session over it.
-///
-/// # Errors
-/// Returns the first [`ServeConfigError`] when `config` is invalid.
-pub fn run(params: &Params, config: &ServeConfig) -> Result<ServeReport, ServeConfigError> {
-    config.validate()?;
-    let system = System::build(params);
-    run_with_system(&system, config)
 }
 
 /// A finished serving session: its measured report plus the checkpoint the
@@ -364,6 +354,7 @@ mod tests {
     use super::*;
     use crate::config::QueryMix;
     use nela::netsim::NetworkConfig;
+    use nela::Params;
 
     fn small_system() -> System {
         System::build(&Params {

@@ -45,54 +45,29 @@ pub struct Wpg {
 }
 
 impl Wpg {
-    /// Builds a WPG over `n` vertices from an undirected edge list.
+    /// Builds a WPG over `n` vertices from an undirected edge list: a
+    /// [`Wpg::refill_from_edges`] of an empty graph.
     ///
     /// Duplicate edges are rejected in debug builds; callers (the builder and
     /// the topology generators) construct deduplicated lists.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut deg = vec![0u32; n + 1];
-        for e in edges {
-            debug_assert!(
-                (e.u as usize) < n && (e.v as usize) < n,
-                "edge out of range"
-            );
-            deg[e.u as usize + 1] += 1;
-            deg[e.v as usize + 1] += 1;
-        }
-        for i in 1..=n {
-            deg[i] += deg[i - 1];
-        }
-        let total = deg[n] as usize;
-        let mut nbr_ids = vec![0 as UserId; total];
-        let mut nbr_weights = vec![0 as Weight; total];
-        let mut cursor = deg.clone();
-        for e in edges {
-            let cu = &mut cursor[e.u as usize];
-            nbr_ids[*cu as usize] = e.v;
-            nbr_weights[*cu as usize] = e.w;
-            *cu += 1;
-            let cv = &mut cursor[e.v as usize];
-            nbr_ids[*cv as usize] = e.u;
-            nbr_weights[*cv as usize] = e.w;
-            *cv += 1;
-        }
-        let g = Wpg {
-            offsets: deg,
-            nbr_ids,
-            nbr_weights,
-            n_edges: edges.len(),
+        let mut g = Wpg {
+            offsets: Vec::new(),
+            nbr_ids: Vec::new(),
+            nbr_weights: Vec::new(),
+            n_edges: 0,
         };
-        debug_assert!(g.check_no_duplicates(), "duplicate edges in WPG input");
+        g.refill_from_edges(n, edges);
         g
     }
 
     /// Rebuilds this graph in place over `n` vertices from an undirected
     /// edge list, reusing the existing CSR buffers — allocation-free once
-    /// they reach steady size. Produces exactly the CSR of
-    /// [`Wpg::from_edges`] (same counting sort, same per-vertex neighbor
-    /// order), without a cursor scratch: the scatter advances `offsets[v]`
-    /// through `v`'s slice, which leaves `offsets[v]` holding `v+1`'s start,
-    /// so one right-shift restores the offset array afterwards.
+    /// they reach steady size. A counting sort: each vertex's neighbors
+    /// land in edge-list order. There is no cursor scratch: the scatter
+    /// advances `offsets[v]` through `v`'s slice, which leaves `offsets[v]`
+    /// holding `v+1`'s start, so one right-shift restores the offset array
+    /// afterwards.
     pub fn refill_from_edges(&mut self, n: usize, edges: &[Edge]) {
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
@@ -290,15 +265,6 @@ impl Wpg {
         self.nbr_weights.iter().copied().max()
     }
 
-    /// Sorted, deduplicated list of the distinct edge weights. The
-    /// t-connectivity sweep only needs to consider these values.
-    pub fn distinct_weights(&self) -> Vec<Weight> {
-        let mut w: Vec<Weight> = self.nbr_weights.clone();
-        w.sort_unstable();
-        w.dedup();
-        w
-    }
-
     /// True when every vertex in `members` can reach every other through
     /// edges whose *both* endpoints are in `members` (ignoring weights).
     pub fn is_connected_subset(&self, members: &[UserId]) -> bool {
@@ -379,7 +345,6 @@ mod tests {
     fn max_and_distinct_weights() {
         let g = diamond();
         assert_eq!(g.max_weight(), Some(5));
-        assert_eq!(g.distinct_weights(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
