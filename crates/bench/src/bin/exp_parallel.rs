@@ -200,7 +200,7 @@ fn smoke() -> i32 {
     eprintln!("[smoke] 5,000 users, serial vs 2 threads");
     let serial_grid = GridIndex::build(&points, params.delta);
     let serial_wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
-        .build_with_index(&points, &serial_grid);
+        .build_with_index_threads(&points, &serial_grid, 1);
     let serial_comps = components_under(&serial_wpg, 3, &nothing_removed);
 
     let par_grid = GridIndex::build_threads(&points, params.delta, 2);
@@ -281,7 +281,7 @@ fn netsim_stage() {
     let (points, params) = population(NETSIM_USERS);
     let grid = GridIndex::build(&points, params.delta);
     let wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
-        .build_with_index(&points, &grid);
+        .build_with_index_threads(&points, &grid, 1);
     let system = System::with_parts(params.clone(), points, grid, wpg);
     for (i, &host) in system.host_sequence(40, 7).iter().enumerate() {
         let mut net = Network::new(NetworkConfig {

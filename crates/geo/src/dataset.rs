@@ -118,9 +118,12 @@ const LAYOUT_STREAM: u64 = 0x4c41_594f_5554; // "LAYOUT"
 /// Stream tag for the point-sampling component.
 const SAMPLE_STREAM: u64 = 0x5341_4d50_4c45; // "SAMPLE"
 
-/// Standard normal via Box–Muller (keeps us off `rand_distr`, which is not in
-/// the approved dependency set).
-fn normal(rng: &mut ChaCha8Rng) -> f64 {
+/// A standard normal draw via Box–Muller (keeps us off `rand_distr`, which
+/// is not in the approved dependency set). A uniform draw of exactly 0 is
+/// drawn again. Every Gaussian in the workspace samples through this one
+/// function.
+#[inline]
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen();
         let u2: f64 = rng.gen();
@@ -141,8 +144,8 @@ fn gaussian_clusters(n: usize, clusters: usize, sigma: f64, seed: u64) -> Vec<Po
         .map(|_| {
             let c = centers[rng.gen_range(0..clusters)];
             Point::new(
-                c.x + sigma * normal(&mut rng),
-                c.y + sigma * normal(&mut rng),
+                c.x + sigma * standard_normal(&mut rng),
+                c.y + sigma * standard_normal(&mut rng),
             )
             .clamp_unit()
         })
@@ -185,8 +188,8 @@ fn california_like(n: usize, background: f64, seed: u64) -> Vec<Point> {
         let (a, b) = CORRIDORS[i % CORRIDORS.len()];
         let t: f64 = layout_rng.gen();
         let anchor = Point::new(
-            a.x + t * (b.x - a.x) + 0.04 * normal(&mut layout_rng),
-            a.y + t * (b.y - a.y) + 0.04 * normal(&mut layout_rng),
+            a.x + t * (b.x - a.x) + 0.04 * standard_normal(&mut layout_rng),
+            a.y + t * (b.y - a.y) + 0.04 * standard_normal(&mut layout_rng),
         )
         .clamp_unit();
         let corridor_angle = (b.y - a.y).atan2(b.x - a.x);
@@ -196,7 +199,7 @@ fn california_like(n: usize, background: f64, seed: u64) -> Vec<Point> {
             } else {
                 0.0
             }
-            + 0.3 * normal(&mut layout_rng);
+            + 0.3 * standard_normal(&mut layout_rng);
         streets.push(Street {
             anchor,
             dir: (angle.cos(), angle.sin()),
@@ -229,7 +232,7 @@ fn california_like(n: usize, background: f64, seed: u64) -> Vec<Point> {
                 let si = cdf.partition_point(|&c| c < u).min(N_STREETS - 1);
                 let s = &streets[si];
                 let along = (2.0 * rng.gen::<f64>() - 1.0) * s.half_len;
-                let across = s.jitter * normal(&mut rng);
+                let across = s.jitter * standard_normal(&mut rng);
                 Point::new(
                     s.anchor.x + along * s.dir.0 - across * s.dir.1,
                     s.anchor.y + along * s.dir.1 + across * s.dir.0,
@@ -275,8 +278,8 @@ fn rush_hour(n: usize, hotspots: usize, hot_frac: f64, seed: u64) -> Vec<Point> 
                 let hi = cdf.partition_point(|&c| c < u).min(hotspots - 1);
                 let c = centers[hi];
                 Point::new(
-                    c.x + SIGMA * normal(&mut rng),
-                    c.y + SIGMA * normal(&mut rng),
+                    c.x + SIGMA * standard_normal(&mut rng),
+                    c.y + SIGMA * standard_normal(&mut rng),
                 )
                 .clamp_unit()
             } else {

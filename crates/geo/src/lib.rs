@@ -24,7 +24,7 @@ pub mod rect;
 pub mod sharded;
 pub mod soa;
 
-pub use dataset::{DatasetSpec, SpatialDistribution};
+pub use dataset::{standard_normal, DatasetSpec, SpatialDistribution};
 pub use grid::GridIndex;
 pub use point::Point;
 pub use rect::Rect;

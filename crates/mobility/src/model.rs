@@ -21,7 +21,7 @@
 //! consumes) never reshuffles the motion noise of users that kept their
 //! model.
 
-use nela_geo::{Point, UserId};
+use nela_geo::{standard_normal, Point, UserId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -126,13 +126,6 @@ pub struct MobilityField {
     speed_max: f64,
 }
 
-/// Standard normal via Box–Muller (same technique as `nela_geo::dataset`).
-fn normal(rng: &mut ChaCha8Rng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 impl MobilityField {
     /// Assigns a motion model to each of `n` users according to `cfg`. The
     /// assignment and all future steps are functions of `cfg.seed` alone.
@@ -218,8 +211,8 @@ impl MobilityField {
                         self.gm_mean_speed * *vx / speed,
                         self.gm_mean_speed * *vy / speed,
                     );
-                    *vx = a * *vx + (1.0 - a) * mx + noise * normal(&mut self.rng);
-                    *vy = a * *vy + (1.0 - a) * my + noise * normal(&mut self.rng);
+                    *vx = a * *vx + (1.0 - a) * mx + noise * standard_normal(&mut self.rng);
+                    *vy = a * *vy + (1.0 - a) * my + noise * standard_normal(&mut self.rng);
                     let (mut x, mut y) = (p.x + *vx, p.y + *vy);
                     // Reflect off the unit-square walls, flipping velocity.
                     if !(0.0..=1.0).contains(&x) {

@@ -7,8 +7,9 @@
 //! receives it — or loses it to fading/collisions — and records an RSS
 //! sample perturbed by per-beacon measurement noise. After the discovery
 //! phase each device ranks the peers it actually heard by mean measured
-//! RSS, keeps its strongest M, and the WPG is assembled exactly as the
-//! builder does from ideal knowledge (mutual membership, min-rank weights).
+//! RSS, keeps its strongest M, and the WPG is assembled from that rank
+//! table through the builder's own edge pass ([`RankRows`]: mutual
+//! membership, min-rank weights).
 //!
 //! Comparing the discovered WPG against the ideal one quantifies how beacon
 //! loss and RSS noise distort the substrate the cloaking algorithms stand
@@ -16,8 +17,8 @@
 
 use crate::event::EventQueue;
 use crate::network::ConfigError;
-use nela_geo::{GridIndex, Point, UserId};
-use nela_wpg::{keep_strongest, Edge, Wpg};
+use nela_geo::{standard_normal, GridIndex, Point, UserId};
+use nela_wpg::{keep_strongest, RankRows, Wpg};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -175,33 +176,30 @@ pub fn run_discovery(
     }
     stats.finished_at = queue.now();
 
-    // Rank heard peers by mean RSS; keep the strongest M.
-    let mut rank_of: Vec<Vec<(UserId, u32)>> = vec![Vec::new(); n];
-    for u in 0..n {
-        let mut scored: Vec<(f64, UserId)> = samples[u]
-            .iter()
-            .map(|(&peer, &(sum, count))| (sum / count as f64, peer))
-            .collect();
+    // Rank heard peers by mean RSS and keep the strongest M in a rank
+    // table whose slots are as wide as the longest kept list.
+    let width = samples
+        .iter()
+        .map(|heard| heard.len().min(cfg.max_peers))
+        .max()
+        .unwrap_or(0);
+    let mut ids: Vec<UserId> = vec![0; n * width];
+    let mut lens: Vec<u32> = vec![0; n];
+    let mut scored: Vec<(f64, UserId)> = Vec::new();
+    for (u, heard) in samples.iter().enumerate() {
+        scored.clear();
+        scored.extend(
+            heard
+                .iter()
+                .map(|(&peer, &(sum, count))| (sum / count as f64, peer)),
+        );
         keep_strongest(&mut scored, cfg.max_peers);
-        rank_of[u] = scored
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, v))| (v, i as u32 + 1))
-            .collect();
-    }
-    // Mutual edges with min-rank weights (same rule as `WpgBuilder`).
-    let mut edges = Vec::new();
-    for u in 0..n as UserId {
-        for &(v, rank_v_at_u) in &rank_of[u as usize] {
-            if v <= u {
-                continue;
-            }
-            if let Some(&(_, rank_u_at_v)) = rank_of[v as usize].iter().find(|&&(x, _)| x == u) {
-                edges.push(Edge::new(u, v, rank_v_at_u.min(rank_u_at_v)));
-            }
+        for (slot, &(_, v)) in ids[u * width..].iter_mut().zip(&scored) {
+            *slot = v;
         }
+        lens[u] = scored.len() as u32;
     }
-    Ok((Wpg::from_edges(n, &edges), stats))
+    Ok((RankRows::new(&ids, &lens, width).to_wpg(), stats))
 }
 
 /// Measures how much of the reference WPG's edge set survives in the
@@ -217,16 +215,6 @@ pub fn edge_recall(reference: &Wpg, discovered: &Wpg) -> f64 {
         .filter(|e| found.contains(&(e.u, e.v)))
         .count();
     hit as f64 / reference.m() as f64
-}
-
-fn standard_normal(rng: &mut ChaCha8Rng) -> f64 {
-    loop {
-        let u1: f64 = rng.gen();
-        let u2: f64 = rng.gen();
-        if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -250,22 +238,57 @@ mod tests {
         }
     }
 
+    fn ideal_wpg(points: &[Point], grid: &GridIndex, max_peers: usize) -> Wpg {
+        WpgBuilder::new(0.05, max_peers, InverseDistanceRss)
+            .build_with_index_threads(points, grid, 1)
+    }
+
     #[test]
     fn lossless_noiseless_discovery_matches_ideal_wpg() {
         let (points, grid) = population(400, 1);
-        let (discovered, stats) = run_discovery(&points, &grid, &cfg()).unwrap();
-        let ideal = WpgBuilder::new(0.05, 6, InverseDistanceRss).build_with_index(&points, &grid);
-        let a: Vec<_> = discovered.edges().collect();
-        let b: Vec<_> = ideal.edges().collect();
-        assert_eq!(a, b, "perfect channel must reproduce the ideal WPG");
-        assert_eq!(stats.lost, 0);
-        assert_eq!(stats.beacons, 400 * 4);
+        for max_peers in [1, 3, 6, 10] {
+            let cfg = DiscoveryConfig { max_peers, ..cfg() };
+            let (discovered, stats) = run_discovery(&points, &grid, &cfg).unwrap();
+            let a: Vec<_> = discovered.edges().collect();
+            let b: Vec<_> = ideal_wpg(&points, &grid, max_peers).edges().collect();
+            assert!(!b.is_empty());
+            assert_eq!(
+                a, b,
+                "perfect channel must reproduce the ideal WPG at M = {max_peers}"
+            );
+            assert_eq!(stats.lost, 0);
+            assert_eq!(stats.beacons, 400 * 4);
+        }
+    }
+
+    #[test]
+    fn peer_cap_far_above_every_heard_count_keeps_every_peer() {
+        // The rank table is as wide as the longest kept list, not M: a cap
+        // no population reaches discovers the graph a cap of n − 1 does.
+        let (points, grid) = population(300, 8);
+        let noisy = DiscoveryConfig {
+            beacon_loss: 0.2,
+            rss_noise: 0.002,
+            ..cfg()
+        };
+        let all = DiscoveryConfig {
+            max_peers: points.len() - 1,
+            ..noisy
+        };
+        let huge = DiscoveryConfig {
+            max_peers: 1 << 40,
+            ..noisy
+        };
+        let (a, _) = run_discovery(&points, &grid, &all).unwrap();
+        let (b, _) = run_discovery(&points, &grid, &huge).unwrap();
+        assert!(a.m() > 0);
+        assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
     }
 
     #[test]
     fn loss_removes_edges_gracefully() {
         let (points, grid) = population(400, 2);
-        let ideal = WpgBuilder::new(0.05, 6, InverseDistanceRss).build_with_index(&points, &grid);
+        let ideal = ideal_wpg(&points, &grid, 6);
         let lossy = DiscoveryConfig {
             beacon_loss: 0.6,
             rounds: 1, // single round: losses directly erase peers
@@ -281,7 +304,7 @@ mod tests {
     #[test]
     fn more_rounds_recover_lossy_channels() {
         let (points, grid) = population(400, 3);
-        let ideal = WpgBuilder::new(0.05, 6, InverseDistanceRss).build_with_index(&points, &grid);
+        let ideal = ideal_wpg(&points, &grid, 6);
         let one = DiscoveryConfig {
             beacon_loss: 0.5,
             rounds: 1,
@@ -304,7 +327,7 @@ mod tests {
     #[test]
     fn noise_perturbs_ranks_but_keeps_the_graph_similar() {
         let (points, grid) = population(400, 4);
-        let ideal = WpgBuilder::new(0.05, 6, InverseDistanceRss).build_with_index(&points, &grid);
+        let ideal = ideal_wpg(&points, &grid, 6);
         let noisy = DiscoveryConfig {
             rss_noise: 0.005, // 10% of the radio range per beacon
             rounds: 6,        // averaging tames it

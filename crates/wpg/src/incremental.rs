@@ -62,10 +62,9 @@
 //! (Algorithm 2's host fetches, the lifetime audit) never pays for a
 //! snapshot of the whole graph.
 
-use crate::builder::{keep_strongest, rank_order, WpgBuilder};
+use crate::builder::{rank_order, RankRows, WpgBuilder};
 use crate::graph::{Edge, Wpg};
 use crate::rss::RssModel;
-use crate::Weight;
 use nela_geo::{GridError, Point, ShardedDynamicGrid, UserId};
 
 /// Counters describing one [`IncrementalWpg::apply_moves`] batch.
@@ -252,10 +251,9 @@ fn prefetch_span<T>(at: *const T, len: usize) {
 /// How many movers or receivers ahead a pass prefetches their lists.
 const PREFETCH_AHEAD: usize = 4;
 
-/// `u`'s full δ-probe: every in-range peer scored with `u` as receiver (the
-/// grid's squared distance feeds the RSS fast path, as in the builder), cut
-/// to the `cap` strongest in `scored`. Returns the list's floor; `buf` keeps
-/// the probe's `(peer, d_sq)` pairs.
+/// `u`'s full δ-probe: every in-range peer ranked with `u` as receiver, as
+/// in the builder's rank pass, cut to the `cap` strongest in `scored`.
+/// Returns the list's floor; `buf` keeps the probe's `(peer, d_sq)` pairs.
 fn probe<R: RssModel>(
     grid: &ShardedDynamicGrid,
     builder: &WpgBuilder<R>,
@@ -265,18 +263,7 @@ fn probe<R: RssModel>(
     scored: &mut Vec<(f64, UserId)>,
 ) -> Floor {
     grid.neighbors_within(u, builder.delta, buf);
-    let points = grid.points();
-    let pu = points[u as usize];
-    scored.clear();
-    scored.extend(buf.iter().map(|&(v, d_sq)| {
-        (
-            builder
-                .rss
-                .rss_from_dist_sq(u, pu, v, points[v as usize], d_sq),
-            v,
-        )
-    }));
-    keep_strongest(scored, cap)
+    builder.rank_peers(grid.points(), u, buf, cap, scored)
 }
 
 /// One mover's effect on a non-mover's candidate list.
@@ -361,7 +348,7 @@ fn sort_by_tag(pushes: &mut Vec<Push>, scratch: &mut Vec<Push>, bits: u32) {
 pub struct IncrementalWpg<R: RssModel> {
     builder: WpgBuilder<R>,
     grid: ShardedDynamicGrid,
-    /// Worker threads for whole-population probes and threaded snapshots.
+    /// Worker threads for whole-population probes.
     threads: usize,
     /// Candidate lists; their first M ids are the rank rows (module docs).
     lists: Candidates,
@@ -457,8 +444,8 @@ impl<R: RssModel> IncrementalWpg<R> {
     }
 
     /// Sets the worker-thread count of whole-population probes (construction
-    /// and ticks that re-probe everyone) and snapshots (1 = serial; results
-    /// are bit-identical for any value).
+    /// and ticks that re-probe everyone; 1 = serial, and results are
+    /// bit-identical for any value).
     #[inline]
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -472,13 +459,14 @@ impl<R: RssModel> IncrementalWpg<R> {
     }
 
     /// The rank rows, borrowed: the current graph read one vertex at a
-    /// time, with no snapshot built.
+    /// time, with no snapshot built. Each user's row is the first M ids of
+    /// its candidate list's slot.
     #[inline]
     pub fn rows(&self) -> RankRows<'_> {
         RankRows {
             ids: &self.lists.ids,
             lens: &self.lists.lens,
-            cap: self.lists.cap,
+            stride: self.lists.cap,
             m: self.builder.max_peers,
         }
     }
@@ -747,29 +735,7 @@ impl<R: RssModel> IncrementalWpg<R> {
     /// pass (O(n · M log M)); the expensive δ-query/sort work is already
     /// folded into the maintained rank lists.
     pub fn snapshot(&self) -> Wpg {
-        self.snapshot_threads(1)
-    }
-
-    /// [`IncrementalWpg::snapshot`] with the edge emission and CSR fill
-    /// chunked over `threads` workers — bit-identical to the serial snapshot
-    /// for any thread count (chunk concatenation reproduces the serial
-    /// emission order; `Wpg::from_edges_threads` is pinned bit-identical).
-    pub fn snapshot_threads(&self, threads: usize) -> Wpg {
-        let rows = self.rows();
-        let n = rows.n();
-        if threads <= 1 {
-            return rows.to_wpg();
-        }
-        let chunks: Vec<Vec<Edge>> = nela_par::map_chunks(threads, n, |range| {
-            let mut edges = Vec::new();
-            rows.emit_edges(range, &mut edges);
-            edges
-        });
-        let mut edges = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for chunk in chunks {
-            edges.extend(chunk);
-        }
-        Wpg::from_edges_threads(n, &edges, threads)
+        self.rows().to_wpg()
     }
 
     /// Rebuilds `wpg` in place from the current rank lists, reusing both the
@@ -787,118 +753,6 @@ impl<R: RssModel> IncrementalWpg<R> {
         wpg.refill_from_edges(n, &edges);
         drop(refill_span);
         self.edges_scratch = edges;
-    }
-}
-
-/// A borrowed view of an [`IncrementalWpg`]'s rank rows: the
-/// graph [`IncrementalWpg::snapshot`] would build, read one vertex at a
-/// time.
-///
-/// An edge `(u, v)` exists when each lists the other, with weight the
-/// smaller of the two ranks ([`RankRows::mutual_weight`], which the
-/// snapshot's edge pass uses too). [`RankRows::row_into`] returns `u`'s CSR
-/// row of the snapshot exactly, in order: the snapshot's edge pass emits
-/// each edge from its lower endpoint, lower endpoints ascending and each
-/// one's peers in rank order, and the CSR fill appends every edge to both
-/// endpoints' rows in emission order. So `u`'s row holds first the edges it
-/// received from lower peers, ascending by id, then the edges it emitted to
-/// higher peers, in `u`'s rank order.
-#[derive(Debug, Clone, Copy)]
-pub struct RankRows<'a> {
-    /// User `u`'s peers, strongest first, are the first min(M, len) ids of
-    /// its candidate list `ids[u·cap .. u·cap + lens[u]]`.
-    ids: &'a [UserId],
-    lens: &'a [u32],
-    cap: usize,
-    m: usize,
-}
-
-impl<'a> RankRows<'a> {
-    /// Number of users.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// `u`'s retained peers, strongest first; a peer's 1-based RSS rank is
-    /// its position in the slice plus one.
-    #[inline]
-    pub fn peers_of(&self, u: UserId) -> &'a [UserId] {
-        let lo = u as usize * self.cap;
-        &self.ids[lo..lo + self.m.min(self.lens[u as usize] as usize)]
-    }
-
-    /// The weight of the edge between `u` and `v = peers_of(u)[i]`: the
-    /// smaller of the two mutual ranks, or `None` when `v` does not list
-    /// `u` (no edge). The reverse rank is a linear probe of `v`'s ≤ M-entry
-    /// row, the same scan the builder's `rank_of` uses.
-    #[inline]
-    pub fn mutual_weight(&self, u: UserId, i: usize, v: UserId) -> Option<Weight> {
-        let at = self.peers_of(v).iter().position(|&p| p == u)?;
-        Some((i as Weight + 1).min(at as Weight + 1))
-    }
-
-    /// Appends to `out` `u`'s `(neighbor, weight)` row exactly as the
-    /// snapshot's CSR holds it: peers below `u` ascending by id, then peers
-    /// above `u` in `u`'s rank order (see the type docs for why). What
-    /// `out` held before is left as it was, so a caller can gather rows
-    /// into one arena.
-    pub fn row_into(&self, u: UserId, out: &mut Vec<(UserId, Weight)>) {
-        let start = out.len();
-        let row = self.peers_of(u);
-        for (i, &v) in row.iter().enumerate() {
-            if v < u {
-                if let Some(w) = self.mutual_weight(u, i, v) {
-                    out.push((v, w));
-                }
-            }
-        }
-        out[start..].sort_unstable_by_key(|&(v, _)| v);
-        for (i, &v) in row.iter().enumerate() {
-            if v > u {
-                if let Some(w) = self.mutual_weight(u, i, v) {
-                    out.push((v, w));
-                }
-            }
-        }
-    }
-
-    /// Emits the mutual min-rank edges whose lower endpoint lies in `users`
-    /// — the exact emission order of `WpgBuilder`'s edge pass (u ascending,
-    /// peers in rank order).
-    pub fn emit_edges(&self, users: std::ops::Range<usize>, edges: &mut Vec<Edge>) {
-        for u in users {
-            let u = u as UserId;
-            for (i, &v) in self.peers_of(u).iter().enumerate() {
-                if v <= u {
-                    continue; // handle each unordered pair once, from the lower id
-                }
-                if let Some(w) = self.mutual_weight(u, i, v) {
-                    edges.push(Edge::new(u, v, w));
-                }
-            }
-        }
-    }
-
-    /// True when `g` covers the same users and every CSR row of `g` equals
-    /// this view's row, in order and with weights — the check a rebuild
-    /// must pass against the maintained rows.
-    pub fn matches_csr(&self, g: &Wpg) -> bool {
-        let mut row = Vec::new();
-        g.n() == self.n()
-            && (0..g.n() as UserId).all(|u| {
-                row.clear();
-                self.row_into(u, &mut row);
-                row.iter().copied().eq(g.neighbors(u))
-            })
-    }
-
-    /// Materializes the whole graph as a CSR — bit-identical to
-    /// [`IncrementalWpg::snapshot`], for readers of the whole graph.
-    pub fn to_wpg(&self) -> Wpg {
-        let mut edges = Vec::new();
-        self.emit_edges(0..self.n(), &mut edges);
-        Wpg::from_edges(self.n(), &edges)
     }
 }
 
@@ -1109,7 +963,9 @@ mod tests {
                 for u in 0..500u32 {
                     assert_eq!(serial.peers_of(u), par.peers_of(u), "threads={threads}");
                 }
-                assert_graphs_equal(&par.snapshot_threads(threads), &serial.snapshot());
+                let edges = par.rows().edges_threads(threads);
+                let snap = Wpg::from_edges_threads(par.len(), &edges, threads);
+                assert_graphs_equal(&snap, &serial.snapshot());
             }
             // Rewind the serial instance for the next thread count.
             serial = IncrementalWpg::with_topology(builder.clone(), &pts, 4, 1);

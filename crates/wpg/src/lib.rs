@@ -11,7 +11,8 @@
 //!   plus a noisy log-distance model used for robustness testing),
 //! - [`graph`] — a compact CSR representation of the WPG ([`Wpg`]),
 //! - [`builder`] — construction of a WPG from user positions under a radio
-//!   range δ and a peer cap M, with the paper's mutual-rank edge weights,
+//!   range δ and a peer cap M, and [`RankRows`], the per-user rank table
+//!   every WPG is built from, with the paper's mutual-rank edge weights,
 //! - [`incremental`] — incremental maintenance of the WPG under mobility:
 //!   rank lists are updated from the users who moved, with an
 //!   exact-equivalence guarantee against a from-scratch build, and served
@@ -29,10 +30,10 @@ pub mod incremental;
 pub mod rss;
 pub mod topology;
 
-pub use builder::{keep_strongest, WpgBuilder};
+pub use builder::{keep_strongest, RankRows, WpgBuilder};
 pub use connectivity::DisjointSets;
 pub use graph::{Edge, Wpg};
-pub use incremental::{IncrementalWpg, RankRows, UpdateStats};
+pub use incremental::{IncrementalWpg, UpdateStats};
 pub use rss::{InverseDistanceRss, LogDistanceRss, RssModel};
 
 /// Edge weights are small positive integers: RSS ranks (1..=M) in built

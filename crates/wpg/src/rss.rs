@@ -14,8 +14,9 @@ use nela_geo::{Point, UserId};
 /// Larger return values mean *stronger* signal (closer peer).
 ///
 /// `Sync` is a supertrait so WPG builds can score users from multiple
-/// threads ([`crate::builder::WpgBuilder::build_threads`]); models are
-/// immutable parameter bundles, so this costs implementors nothing.
+/// threads ([`crate::builder::WpgBuilder::build_with_index_threads`]);
+/// models are immutable parameter bundles, so this costs implementors
+/// nothing.
 pub trait RssModel: Sync {
     /// Signal strength measured at `receiver` for a beacon from `sender`.
     ///

@@ -115,12 +115,8 @@ proptest! {
                 // Serial, threaded, and in-place snapshots all bit-match the
                 // single-shard serial reference.
                 prop_assert_eq!(edges_of(&inc.snapshot()), ref_edges.clone(), "variant {}", vi);
-                prop_assert_eq!(
-                    edges_of(&inc.snapshot_threads(4)),
-                    ref_edges.clone(),
-                    "variant {}",
-                    vi
-                );
+                let threaded = Wpg::from_edges_threads(inc.len(), &inc.rows().edges_threads(4), 4);
+                prop_assert_eq!(edges_of(&threaded), ref_edges.clone(), "variant {}", vi);
                 let mut reused = inc.snapshot();
                 inc.snapshot_into(&mut reused);
                 prop_assert_eq!(edges_of(&reused), ref_edges.clone(), "variant {}", vi);

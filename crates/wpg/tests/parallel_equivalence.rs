@@ -39,8 +39,9 @@ proptest! {
     ) {
         let serial = WpgBuilder::new(delta, m, InverseDistanceRss).build(&points);
         for threads in [1usize, 2, 4, 8] {
+            let grid = GridIndex::build_threads(&points, delta, threads);
             let par = WpgBuilder::new(delta, m, InverseDistanceRss)
-                .build_threads(&points, threads);
+                .build_with_index_threads(&points, &grid, threads);
             prop_assert_eq!(
                 serial.edges().collect::<Vec<_>>(),
                 par.edges().collect::<Vec<_>>(),
