@@ -2,7 +2,7 @@
 //!
 //! **Part A — continuous pipeline.** Runs `nela-mobility`: the population
 //! moves under a seeded waypoint/Gauss–Markov/stationary mixture, the WPG's
-//! rank rows are maintained incrementally over the region-sharded grid,
+//! rank rows are maintained incrementally over the `DynamicGrid`,
 //! broken clusters are retired by the epoch audit, and a Poisson stream of
 //! requests is served from the rank rows with the cluster registry carried
 //! across ticks. Reports per-tick and aggregate cluster-reuse rate,
@@ -11,7 +11,7 @@
 //! maintenance a served tick pays.
 //!
 //! **Part B — maintenance sweep.** Times what a served tick pays for
-//! maintenance, one `apply_moves` (staged moves folded into the sharded
+//! maintenance, one `apply_moves` (staged moves folded into the maintained
 //! grid and pushed into the candidate lists, or every user re-probed past
 //! the mover crossover), against a from-scratch `WpgBuilder::build` across
 //! populations and move fractions. Each cell runs three times over the

@@ -1,16 +1,19 @@
 //! Parallel cloaking pipeline: scaling and bit-identity of the threaded
-//! build paths (grid fill, WPG construction, connected components, batched
-//! request serving) against their serial baselines.
+//! build paths (WPG construction, batched request serving) against their
+//! serial baselines, beside the grid build, which is serial at every
+//! thread count.
 //!
 //! Full mode sweeps n ∈ {10k, 50k, 100k} × threads ∈ {1, 2, 4, 8}, runs
 //! every cell [`RUNS`] times over the same inputs, checks every run's
 //! result against the single-threaded one, and writes the timing series to
 //! `BENCH_parallel.json` at the repository root, under a `provenance` block
-//! (git rev, cores, profile, the sweep's knobs). A cell reports each
-//! stage's median over its runs with the stage's spread (median, min,
-//! max): single runs on a small shared host swing by up to half. Speedups
-//! require real cores (the block records how many were available); on any
-//! machine the bit-identity checks are exact.
+//! (git rev, cores, profile, the sweep's knobs). The runs are pass-major:
+//! every cell once, then every cell again, so a cell's runs sit as far
+//! apart as the sweep allows. A cell reports each stage's median over its
+//! runs with the stage's spread (median, min, max): single runs on a small
+//! shared host swing by up to half. Speedups require real cores (the block
+//! records how many were available); on any machine the bit-identity
+//! checks are exact.
 //!
 //! `--smoke` runs a small population with 2 threads and exits non-zero on
 //! any parallel/serial divergence — the CI guard for the determinism
@@ -30,7 +33,6 @@ use nela::{
 };
 use nela_bench::{fmt, print_table, write_obs_snapshot, ExpConfig, Knob, Provenance, Spread};
 use nela_geo::{DatasetSpec, GridIndex, Point};
-use nela_wpg::connectivity::{components_under, components_under_threads, nothing_removed};
 use nela_wpg::{Edge, InverseDistanceRss, Wpg, WpgBuilder};
 use serde::Serialize;
 use std::time::Instant;
@@ -53,13 +55,12 @@ struct Cell {
     /// The median of each stage over the cell's runs.
     grid_ms: f64,
     wpg_ms: f64,
-    components_ms: f64,
     request_many_ms: f64,
-    /// The median over the runs of their totals over the four stages.
+    /// The median over the runs of their totals over the three stages.
     total_ms: f64,
     /// Speedup of `total_ms` relative to the 1-thread row at the same n.
     speedup: f64,
-    /// Every run's parallel artifacts equalled the serial ones bit for bit.
+    /// Every run's WPG equalled the serial one bit for bit.
     identical: bool,
     spread: CellSpread,
 }
@@ -70,17 +71,12 @@ struct CellSpread {
     runs: usize,
     grid_ms: Spread,
     wpg_ms: Spread,
-    components_ms: Spread,
     request_many_ms: Spread,
     total_ms: Spread,
 }
 
-/// One run's stage times: grid, WPG, components, batch.
-type Times = [f64; 4];
-
-/// The artifacts of one run that the identity check compares: the WPG's
-/// edge list, the components, and how many requests were served.
-type Artifacts = (Vec<Edge>, Vec<Vec<nela_geo::UserId>>, usize);
+/// One run's stage times: grid, WPG, batch.
+type Times = [f64; 3];
 
 #[derive(Debug, Clone, Serialize)]
 struct Report {
@@ -94,94 +90,62 @@ fn edges_of(g: &Wpg) -> Vec<Edge> {
     g.edges().collect()
 }
 
-/// One timed run of the four stages at `threads`.
-fn run_once(points: &[Point], params: &Params, threads: usize) -> (Times, Artifacts) {
+/// One timed run of the three stages at `threads`. Returns the stage times
+/// and the WPG's edge list, the artifact the identity check compares.
+fn run_once(points: &[Point], params: &Params, threads: usize) -> (Times, Vec<Edge>) {
     let n = points.len();
     let t0 = Instant::now();
-    let grid = GridIndex::build_threads(points, params.delta, threads);
+    let grid = GridIndex::build(points, params.delta);
     let grid_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
     let wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
         .build_with_index_threads(points, &grid, threads);
     let wpg_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let t2 = Instant::now();
-    let comps = components_under_threads(&wpg, 3, &nothing_removed, threads);
-    let components_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let edges = edges_of(&wpg);
 
     // Batched serving over a fixed host sample (scaled with n, capped so the
     // sweep stays tractable at 100k).
-    let system = System::with_parts(params.clone(), points.to_vec(), grid, wpg.clone());
+    let system = System::with_parts(params.clone(), points.to_vec(), grid, wpg);
     let hosts = system.host_sequence((n / 50).clamp(100, 1_000), 7);
-    let t3 = Instant::now();
+    let t2 = Instant::now();
     let mut engine = CloakingEngine::new(
         &system,
         ClusteringAlgo::TConnDistributed,
         BoundingAlgo::Secure,
     );
-    let outcomes = engine.request_many(&hosts, threads);
-    let request_many_ms = t3.elapsed().as_secs_f64() * 1e3;
-    let served = outcomes.iter().filter(|o| o.is_ok()).count();
-    (
-        [grid_ms, wpg_ms, components_ms, request_many_ms],
-        (edges_of(&wpg), comps, served),
-    )
+    engine.request_many(&hosts, threads);
+    let request_many_ms = t2.elapsed().as_secs_f64() * 1e3;
+    ([grid_ms, wpg_ms, request_many_ms], edges)
 }
 
-/// One (n, threads) cell: [`RUNS`] runs over the same inputs, each checked
-/// against `reference`, the serial artifacts (`None` when this cell *is*
-/// the serial one: its first run becomes the reference of the others).
-/// Returns the cell and its first run's artifacts.
-fn measure(
-    points: &[Point],
-    params: &Params,
-    threads: usize,
-    reference: Option<&Artifacts>,
-) -> (Cell, Artifacts) {
-    let mut times = Vec::with_capacity(RUNS);
-    let mut first: Option<Artifacts> = None;
-    let mut identical = true;
-    for _ in 0..RUNS {
-        let (t, artifacts) = run_once(points, params, threads);
-        times.push(t);
-        // `served` can differ across thread counts only through contention
-        // retries; edge lists and components are hard guarantees.
-        if let Some(r) = reference.or(first.as_ref()) {
-            identical &= r.0 == artifacts.0 && r.1 == artifacts.1;
-        }
-        first.get_or_insert(artifacts);
-    }
+/// One (n, threads) cell from its runs' stage times.
+fn cell(n: usize, threads: usize, times: &[Times], identical: bool) -> Cell {
     let stage = |i: usize| Spread::of(times.iter().map(|t| Some(t[i]))).expect("runs > 0");
     let total = Spread::of(times.iter().map(|t| Some(t.iter().sum()))).expect("runs > 0");
     let spread = CellSpread {
-        runs: RUNS,
+        runs: times.len(),
         grid_ms: stage(0),
         wpg_ms: stage(1),
-        components_ms: stage(2),
-        request_many_ms: stage(3),
+        request_many_ms: stage(2),
         total_ms: total,
     };
-    (
-        Cell {
-            n: points.len(),
-            threads,
-            shards: if threads <= 1 {
-                0
-            } else {
-                auto_shard_axis(threads).pow(2)
-            },
-            grid_ms: spread.grid_ms.median,
-            wpg_ms: spread.wpg_ms.median,
-            components_ms: spread.components_ms.median,
-            request_many_ms: spread.request_many_ms.median,
-            total_ms: spread.total_ms.median,
-            speedup: 1.0, // filled in by the caller from the serial row
-            identical,
-            spread,
+    Cell {
+        n,
+        threads,
+        shards: if threads <= 1 {
+            0
+        } else {
+            auto_shard_axis(threads).pow(2)
         },
-        first.expect("runs > 0"),
-    )
+        grid_ms: spread.grid_ms.median,
+        wpg_ms: spread.wpg_ms.median,
+        request_many_ms: spread.request_many_ms.median,
+        total_ms: spread.total_ms.median,
+        speedup: 1.0, // filled in by the caller from the serial row
+        identical,
+        spread,
+    }
 }
 
 fn population(n: usize) -> (Vec<Point>, Params) {
@@ -198,28 +162,19 @@ fn population(n: usize) -> (Vec<Point>, Params) {
 fn smoke() -> i32 {
     let (points, params) = population(5_000);
     eprintln!("[smoke] 5,000 users, serial vs 2 threads");
-    let serial_grid = GridIndex::build(&points, params.delta);
+    let grid = GridIndex::build(&points, params.delta);
     let serial_wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
-        .build_with_index_threads(&points, &serial_grid, 1);
-    let serial_comps = components_under(&serial_wpg, 3, &nothing_removed);
-
-    let par_grid = GridIndex::build_threads(&points, params.delta, 2);
+        .build_with_index_threads(&points, &grid, 1);
     let par_wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
-        .build_with_index_threads(&points, &par_grid, 2);
-    let par_comps = components_under_threads(&par_wpg, 3, &nothing_removed, 2);
-
+        .build_with_index_threads(&points, &grid, 2);
     if edges_of(&serial_wpg) != edges_of(&par_wpg) {
         eprintln!("[smoke] FAIL: parallel WPG edge list diverged from serial");
-        return 1;
-    }
-    if serial_comps != par_comps {
-        eprintln!("[smoke] FAIL: parallel components diverged from serial");
         return 1;
     }
 
     // Batched serving: the single-thread batch must equal the request loop;
     // the 2-thread batch must keep the registry consistent.
-    let system = System::with_parts(params.clone(), points, par_grid, par_wpg);
+    let system = System::with_parts(params.clone(), points, grid, par_wpg);
     let hosts = system.host_sequence(100, 7);
     let engine = || {
         CloakingEngine::new(
@@ -303,7 +258,7 @@ fn main() {
     }
     // NOTE: metrics are enabled only *after* the timed sweep below —
     // enabling here used to make every span in the hot loops record real
-    // histogram samples during `measure()`, so the wall times written to
+    // histogram samples during the timed runs, so the wall times written to
     // BENCH_parallel.json depended on whether `--metrics` was passed. The
     // sweep now always runs uninstrumented; `--metrics` replays an
     // instrumented (untimed) pipeline afterwards to populate the snapshot.
@@ -320,24 +275,41 @@ fn main() {
         false,
     );
     let cores = provenance.cores;
-    let mut rows = Vec::new();
-    for n in POPULATIONS {
-        let (points, params) = population(n);
-        eprintln!("[parallel] n = {n}, sweeping {THREADS:?} threads");
-        let mut reference = None;
-        let mut serial_total = 0.0;
-        for threads in THREADS {
-            let (mut cell, artifacts) = measure(&points, &params, threads, reference.as_ref());
-            if threads == 1 {
-                serial_total = cell.total_ms;
-                reference = Some(artifacts);
+    let inputs: Vec<(Vec<Point>, Params)> = POPULATIONS.iter().map(|&n| population(n)).collect();
+    let cells = POPULATIONS.len() * THREADS.len();
+    let mut times: Vec<Vec<Times>> = vec![Vec::with_capacity(RUNS); cells];
+    let mut identical = vec![true; cells];
+    // Each n's first serial run: the reference every later run must equal.
+    let mut reference: Vec<Option<Vec<Edge>>> = vec![None; POPULATIONS.len()];
+    for pass in 1..=RUNS {
+        eprintln!("[parallel] pass {pass}/{RUNS}: n ∈ {POPULATIONS:?} × {THREADS:?} threads");
+        for (ni, (points, params)) in inputs.iter().enumerate() {
+            for (ti, &threads) in THREADS.iter().enumerate() {
+                let (t, edges) = run_once(points, params, threads);
+                let at = ni * THREADS.len() + ti;
+                times[at].push(t);
+                match &reference[ni] {
+                    Some(r) => identical[at] &= *r == edges,
+                    None => reference[ni] = Some(edges),
+                }
             }
-            cell.speedup = serial_total / cell.total_ms;
+        }
+    }
+    let mut rows = Vec::with_capacity(cells);
+    for (ni, &n) in POPULATIONS.iter().enumerate() {
+        let mut serial_total = 0.0;
+        for (ti, &threads) in THREADS.iter().enumerate() {
+            let at = ni * THREADS.len() + ti;
+            let mut c = cell(n, threads, &times[at], identical[at]);
+            if threads == 1 {
+                serial_total = c.total_ms;
+            }
+            c.speedup = serial_total / c.total_ms;
             assert!(
-                cell.identical,
+                c.identical,
                 "parallel output diverged from serial at n = {n}, {threads} threads"
             );
-            rows.push(cell);
+            rows.push(c);
         }
     }
 
@@ -350,7 +322,6 @@ fn main() {
                 c.shards.to_string(),
                 fmt(c.grid_ms),
                 fmt(c.wpg_ms),
-                fmt(c.components_ms),
                 fmt(c.request_many_ms),
                 fmt(c.total_ms),
                 format!(
@@ -371,7 +342,6 @@ fn main() {
             "shards",
             "grid ms",
             "wpg ms",
-            "comps ms",
             "batch ms",
             "total ms",
             "total min-max",

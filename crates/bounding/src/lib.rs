@@ -32,6 +32,8 @@
 //! - [`adversary`] — crashing and lying verification transports for the
 //!   scenario matrix's stronger-than-semi-honest adversaries.
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod baselines;
 pub mod bbox;

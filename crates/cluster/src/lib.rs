@@ -23,6 +23,8 @@
 //! - [`isolation`] — an executable checker of the cluster-isolation property
 //!   used by the test suite.
 
+#![forbid(unsafe_code)]
+
 pub mod centralized;
 pub mod distributed;
 pub mod fetch;

@@ -6,10 +6,11 @@
 //! around the query point, which is optimal for the short, fixed radii used
 //! in the paper (δ = 2×10⁻³ in the unit square).
 //!
-//! The index is built once over the full population (users do not move during
-//! an experiment, matching the paper's static snapshot model) and stores
-//! point indices bucketed per cell in a flat CSR-style layout to keep the
-//! ~10⁵-point index allocation-light.
+//! The index is built over the full population by one serial counting fill
+//! and stores point indices bucketed per cell in a flat CSR-style layout to
+//! keep the ~10⁵-point index allocation-light. Under mobility the same index
+//! is maintained by [`crate::DynamicGrid`], which commits batches of moves
+//! into it, so every δ-probe and rectangle count runs the code below.
 //!
 //! **Boundary semantics:** a peer at *exactly* distance δ is in range
 //! (`d ≤ δ`), matching the paper's "each user can hear peers within the
@@ -52,7 +53,7 @@ pub(crate) fn cell_id_of(p: &Point, cell_side: f64, cells: usize) -> usize {
 /// overlaps on a `cells × cells` grid, or `None` for a radius of minus one
 /// cell or less.
 #[inline]
-pub(crate) fn ball_block(
+fn ball_block(
     q: Point,
     radius: f64,
     cell_side: f64,
@@ -73,11 +74,7 @@ pub(crate) fn ball_block(
 /// like the points themselves; an inverted rectangle gives an inverted
 /// range.
 #[inline]
-pub(crate) fn rect_block(
-    rect: &Rect,
-    cell_side: f64,
-    cells: usize,
-) -> ((usize, usize), (usize, usize)) {
+fn rect_block(rect: &Rect, cell_side: f64, cells: usize) -> ((usize, usize), (usize, usize)) {
     let axis = |v: f64| ((v / cell_side) as isize).clamp(0, cells as isize - 1) as usize;
     (
         (axis(rect.min_x), axis(rect.max_x)),
@@ -85,30 +82,14 @@ pub(crate) fn rect_block(
     )
 }
 
-/// The number of points of `runs` that `rect` contains (inclusive bounds):
-/// the count both grids' `count_in_rect` share.
-pub(crate) fn count_in_runs<'a>(
-    runs: impl Iterator<Item = (&'a [UserId], &'a [f64], &'a [f64])>,
-    rect: &Rect,
-) -> usize {
-    runs.map(|(_, xs, ys)| {
-        xs.iter()
-            .zip(ys)
-            .filter(|&(&x, &y)| rect.contains(&Point::new(x, y)))
-            .count()
-    })
-    .sum()
-}
-
-/// The δ-probe kernel both grids share: appends to `out` every
-/// `(id, squared distance)` of `runs` within `radius` of `q`, skipping
-/// `exclude`, in run order.
+/// The δ-probe kernel: appends to `out` every `(id, squared distance)` of
+/// `runs` within `radius` of `q`, skipping `exclude`, in run order.
 ///
 /// Each run is split into blocks: a branch-free squared-distance kernel over
 /// the SoA streams (which autovectorizes), then a compare-and-select pass
 /// over the distances. Both the per-lane arithmetic and the push order
 /// match the fused scalar loop exactly, so results are bit-identical to it.
-pub(crate) fn scan_runs<'a>(
+fn scan_runs<'a>(
     runs: impl Iterator<Item = (&'a [UserId], &'a [f64], &'a [f64])>,
     q: Point,
     radius: f64,
@@ -140,30 +121,27 @@ pub(crate) fn scan_runs<'a>(
     }
 }
 
-/// A static uniform-grid index over a set of points in the unit square.
+/// A uniform-grid index over a set of points in the unit square. The
+/// fields are crate-visible so that [`crate::DynamicGrid`] can commit
+/// staged moves into them in place.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     /// Number of cells per axis.
-    cells: usize,
+    pub(crate) cells: usize,
     /// Side length of one cell.
-    cell_side: f64,
+    pub(crate) cell_side: f64,
     /// CSR offsets: `bucket[c]..bucket[c+1]` slices `entries` for cell `c`.
-    bucket_offsets: Vec<u32>,
-    /// Point ids, grouped by cell.
-    entries: Vec<UserId>,
+    pub(crate) bucket_offsets: Vec<u32>,
+    /// Point ids, grouped by cell, ascending within each cell.
+    pub(crate) entries: Vec<UserId>,
     /// Coordinates of `entries[i]` at position `i` — the cell-grouped SoA
     /// mirror of `points`. Range scans read these two sequential streams
     /// instead of gathering `points[entries[i]]`, which keeps the
     /// squared-distance kernel branch-free and autovectorizable.
-    entry_coords: PointsSoA,
+    pub(crate) entry_coords: PointsSoA,
     /// The indexed points (owned copy so queries need no external lookup).
-    points: Vec<Point>,
+    pub(crate) points: Vec<Point>,
 }
-
-/// Above this cell count the per-thread count arrays of the parallel build
-/// would dominate memory; fall back to a serial counting pass (the cell-id
-/// computation stays parallel).
-const PARALLEL_FILL_MAX_CELLS: usize = 1 << 22;
 
 impl GridIndex {
     /// Builds an index whose cell side is at least `min_cell_side` (typically
@@ -172,17 +150,20 @@ impl GridIndex {
     /// # Panics
     /// Panics if `min_cell_side` is not finite and positive.
     pub fn build(points: &[Point], min_cell_side: f64) -> Self {
-        Self::build_threads(points, min_cell_side, 1)
+        Self::build_with_cells(points, min_cell_side).0
     }
 
-    /// Builds the index splitting the counting and bucket-fill passes over
-    /// `threads` scoped worker threads. The result is bit-identical to the
-    /// serial [`GridIndex::build`] for any thread count: entries stay
-    /// grouped by cell and ordered by point index within each cell.
-    ///
-    /// # Panics
-    /// Panics if `min_cell_side` is not finite and positive.
-    pub fn build_threads(points: &[Point], min_cell_side: f64, threads: usize) -> Self {
+    /// [`GridIndex::build`]; `threads` is unused. Kept because the benchmark
+    /// under `benchmark/` names it.
+    pub fn build_threads(points: &[Point], min_cell_side: f64, _threads: usize) -> Self {
+        Self::build(points, min_cell_side)
+    }
+
+    /// [`GridIndex::build`], also returning every point's flat cell id.
+    /// One counting fill: a histogram of the cell ids, its prefix sum, then
+    /// each id written at its cell's cursor in ascending order, so entries
+    /// ascend by id within each cell.
+    pub(crate) fn build_with_cells(points: &[Point], min_cell_side: f64) -> (Self, Vec<u32>) {
         assert!(
             min_cell_side.is_finite() && min_cell_side > 0.0,
             "cell side must be positive, got {min_cell_side}"
@@ -190,130 +171,38 @@ impl GridIndex {
         let _span = nela_obs::span(nela_obs::stage::GRID_BUILD);
         let cells = cells_per_axis(min_cell_side);
         let cell_side = 1.0 / cells as f64;
-        let n = points.len();
-        let n_cells = cells * cells;
-        let threads = nela_par::effective_threads(threads, n);
-
-        // Pass 0 (parallel): flat cell id of every point.
-        let cell_ids: Vec<u32> = nela_par::map_indexed(threads, n, |i| {
-            cell_id_of(&points[i], cell_side, cells) as u32
-        });
-
-        let mut offsets = vec![0u32; n_cells + 1];
-        let mut entries = vec![0 as UserId; n];
-        if threads > 1 && n_cells <= PARALLEL_FILL_MAX_CELLS {
-            // Pass 1 (parallel): per-chunk cell histograms.
-            let ranges = nela_par::chunk_ranges(n, threads);
-            let cell_ids_ref = &cell_ids;
-            let mut chunk_counts: Vec<Vec<u32>> = nela_par::map_chunks(threads, n, move |range| {
-                let mut counts = vec![0u32; n_cells];
-                for i in range {
-                    counts[cell_ids_ref[i] as usize] += 1;
-                }
-                counts
-            });
-            // Exclusive prefix over (cell, chunk): chunk_counts[t][c] becomes
-            // the first write cursor of chunk t inside cell c's bucket.
-            for c in 0..n_cells {
-                let mut acc = 0u32;
-                for counts in chunk_counts.iter_mut() {
-                    let here = counts[c];
-                    counts[c] = acc;
-                    acc += here;
-                }
-                offsets[c + 1] = acc;
-            }
-            for c in 1..=n_cells {
-                offsets[c] += offsets[c - 1];
-            }
-            // Pass 2 (parallel): scatter ids into disjoint cursor ranges.
-            let writer = nela_par::ScatterWriter::new(&mut entries);
-            let offsets_ref = &offsets;
-            std::thread::scope(|scope| {
-                for (range, mut cursors) in ranges.into_iter().zip(chunk_counts) {
-                    let writer = &writer;
-                    let cell_ids = &cell_ids;
-                    scope.spawn(move || {
-                        for i in range {
-                            let c = cell_ids[i] as usize;
-                            let at = offsets_ref[c] + cursors[c];
-                            cursors[c] += 1;
-                            // SAFETY: cursor ranges are disjoint per (cell,
-                            // chunk) by the prefix-sum construction, so every
-                            // index is written exactly once.
-                            unsafe { writer.write(at as usize, i as UserId) };
-                        }
-                    });
-                }
-            });
-        } else {
-            for &c in &cell_ids {
-                offsets[c as usize + 1] += 1;
-            }
-            for c in 1..=n_cells {
-                offsets[c] += offsets[c - 1];
-            }
-            let mut cursor = offsets.clone();
-            for (i, &c) in cell_ids.iter().enumerate() {
-                entries[cursor[c as usize] as usize] = i as UserId;
-                cursor[c as usize] += 1;
-            }
+        let cell_ids: Vec<u32> = points
+            .iter()
+            .map(|p| cell_id_of(p, cell_side, cells) as u32)
+            .collect();
+        let mut offsets = vec![0u32; cells * cells + 1];
+        for &c in &cell_ids {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 1..offsets.len() {
+            offsets[c] += offsets[c - 1];
+        }
+        let mut entries = vec![0 as UserId; points.len()];
+        let mut cursor = offsets.clone();
+        for (i, &c) in cell_ids.iter().enumerate() {
+            entries[cursor[c as usize] as usize] = i as UserId;
+            cursor[c as usize] += 1;
         }
         // Gather the cell-grouped coordinate streams once at build time so
         // every later range scan is sequential.
-        let mut entry_coords = PointsSoA::with_capacity(n);
+        let mut entry_coords = PointsSoA::with_capacity(points.len());
         for &id in &entries {
             entry_coords.push(points[id as usize]);
         }
-        GridIndex {
+        let index = GridIndex {
             cells,
             cell_side,
             bucket_offsets: offsets,
             entries,
             entry_coords,
             points: points.to_vec(),
-        }
-    }
-
-    /// Assembles an index from pre-built CSR parts (used by
-    /// `ShardedDynamicGrid::to_grid_index` to freeze a maintained grid
-    /// without re-bucketing). Callers must uphold the build invariants:
-    /// `bucket_offsets` is a valid CSR over `cells²` cells, `entries` are
-    /// grouped by cell and ascend within each cell, and `entry_coords[i]`
-    /// mirrors `points[entries[i]]`.
-    pub(crate) fn assemble(
-        cells: usize,
-        cell_side: f64,
-        bucket_offsets: Vec<u32>,
-        entries: Vec<UserId>,
-        entry_coords: PointsSoA,
-        points: Vec<Point>,
-    ) -> Self {
-        debug_assert_eq!(bucket_offsets.len(), cells * cells + 1);
-        debug_assert_eq!(bucket_offsets.last().copied(), Some(entries.len() as u32));
-        debug_assert_eq!(entry_coords.len(), entries.len());
-        GridIndex {
-            cells,
-            cell_side,
-            bucket_offsets,
-            entries,
-            entry_coords,
-            points,
-        }
-    }
-
-    /// The index taken apart: `(cells, cell_side, bucket_offsets, entries,
-    /// entry_coords, points)`, the parts `ShardedDynamicGrid` cuts into
-    /// row bands.
-    pub(crate) fn into_parts(self) -> (usize, f64, Vec<u32>, Vec<UserId>, PointsSoA, Vec<Point>) {
-        (
-            self.cells,
-            self.cell_side,
-            self.bucket_offsets,
-            self.entries,
-            self.entry_coords,
-            self.points,
-        )
+        };
+        (index, cell_ids)
     }
 
     /// The raw CSR parts, for bit-identity assertions in in-crate tests.
@@ -359,13 +248,28 @@ impl GridIndex {
     /// `query_id` itself. Results are appended to `out` (cleared first) as
     /// `(id, squared distance)` pairs in arbitrary order.
     ///
-    /// One run per cell row of the ball's cell block feeds the shared
-    /// blocked distance kernel ([`scan_runs`]).
+    /// One run per cell row of the ball's cell block feeds the blocked
+    /// distance kernel ([`scan_runs`]).
+    #[inline]
     pub fn neighbors_within(&self, query_id: UserId, radius: f64, out: &mut Vec<(UserId, f64)>) {
+        self.neighbors_of_point(self.points[query_id as usize], query_id, radius, out);
+    }
+
+    /// All point ids within Euclidean distance `radius` (inclusive) of
+    /// `center`, excluding `exclude` (pass an out-of-range id such as
+    /// `u32::MAX` to exclude nothing). Results are appended to `out`
+    /// (cleared first) as `(id, squared distance)` pairs, in cell-row
+    /// order, each cell's entries ascending by id.
+    pub fn neighbors_of_point(
+        &self,
+        center: Point,
+        exclude: UserId,
+        radius: f64,
+        out: &mut Vec<(UserId, f64)>,
+    ) {
         out.clear();
-        let q = self.points[query_id as usize];
-        if let Some((cols, rows)) = ball_block(q, radius, self.cell_side, self.cells) {
-            scan_runs(self.row_runs(cols, rows), q, radius, query_id, out);
+        if let Some((cols, rows)) = ball_block(center, radius, self.cell_side, self.cells) {
+            scan_runs(self.row_runs(cols, rows), center, radius, exclude, out);
         }
     }
 
@@ -437,7 +341,14 @@ impl GridIndex {
     /// Count of points inside `rect` (inclusive bounds). Used to evaluate how
     /// many users a cloaked region actually covers (k-anonymity audit).
     pub fn count_in_rect(&self, rect: &Rect) -> usize {
-        count_in_runs(self.rect_cells(rect), rect)
+        self.rect_cells(rect)
+            .map(|(_, xs, ys)| {
+                xs.iter()
+                    .zip(ys)
+                    .filter(|&(&x, &y)| rect.contains(&Point::new(x, y)))
+                    .count()
+            })
+            .sum()
     }
 }
 
@@ -588,19 +499,6 @@ mod tests {
         let near_corner = idx.neighbors_within_sorted(2, 0.05);
         assert_eq!(near_corner.len(), 1);
         assert_eq!(near_corner[0].0, 3);
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        let pts = sample_points();
-        let serial = GridIndex::build(&pts, 0.03);
-        for threads in [2usize, 3, 4, 8] {
-            let par = GridIndex::build_threads(&pts, 0.03, threads);
-            assert_eq!(par.bucket_offsets, serial.bucket_offsets, "t={threads}");
-            assert_eq!(par.entries, serial.entries, "t={threads}");
-            assert_eq!(par.entry_coords, serial.entry_coords, "t={threads}");
-            assert_eq!(par.points, serial.points, "t={threads}");
-        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   unit square),
 //! - [`grid::GridIndex`], a uniform-grid spatial index supporting the
 //!   δ-range neighbor queries needed to construct weighted proximity graphs
-//!   over ~10⁵ users, and
+//!   over ~10⁵ users, and [`DynamicGrid`], the same index maintained under
+//!   batches of moves,
 //! - [`dataset`], seeded synthetic spatial dataset generators, including a
 //!   "California-POI-like" skewed mixture that substitutes for the USGS
 //!   California POI dataset used in the paper (see `DESIGN.md` for the
@@ -16,6 +17,8 @@
 //!
 //! All randomness is driven by caller-provided seeds through ChaCha8 so every
 //! experiment in the repository is exactly reproducible.
+
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod grid;
@@ -28,7 +31,7 @@ pub use dataset::{standard_normal, DatasetSpec, SpatialDistribution};
 pub use grid::GridIndex;
 pub use point::Point;
 pub use rect::Rect;
-pub use sharded::{GridError, ShardedDynamicGrid};
+pub use sharded::{DynamicGrid, GridError};
 pub use soa::PointsSoA;
 
 /// Identifier of a user (vertex) in the system. Users are dense indices into

@@ -22,6 +22,8 @@
 //!   accounting, used by the experiments to validate the paper's analytic
 //!   `Cr · |D| · area` cost model against an actually executed query.
 
+#![forbid(unsafe_code)]
+
 pub mod query;
 pub mod server;
 pub mod store;

@@ -2,7 +2,7 @@
 //!
 //! Ties the pieces into the pipeline the paper's static evaluation lacks:
 //! every tick the population moves ([`crate::MobileWorld`]), the WPG is
-//! maintained incrementally over the region-sharded grid, clusters touched
+//! maintained incrementally over the `DynamicGrid`, clusters touched
 //! by a changed rank list are re-audited ([`crate::lifetime`]), and a
 //! Poisson stream of cloaking requests is served through the standard
 //! [`nela::CloakingEngine`] with the cluster registry carried across ticks.

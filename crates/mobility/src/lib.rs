@@ -10,7 +10,7 @@
 //!   per seed exactly like `nela_geo::dataset`;
 //! - [`world`] — [`MobileWorld`], which folds each tick's moves into an
 //!   incrementally maintained [`nela_wpg::IncrementalWpg`] (over its
-//!   region-sharded [`nela_geo::ShardedDynamicGrid`]) with an
+//!   maintained [`nela_geo::DynamicGrid`]) with an
 //!   exact-equivalence guarantee against a from-scratch build;
 //! - [`lifetime`] — cluster lifetime management: registered clusters whose
 //!   t-connectivity certificate no longer holds in the current WPG (a
@@ -27,6 +27,8 @@
 //!
 //! Surfaces: the `exp_mobility` binary and `bench_mobility` criterion bench
 //! in `nela-bench`, and the `mobility` subcommand of the `nela` CLI.
+
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod lifetime;

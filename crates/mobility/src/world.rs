@@ -5,8 +5,8 @@ use nela::{Params, System};
 use nela_geo::{DatasetSpec, GridIndex, Point, Rect, UserId};
 use nela_wpg::{IncrementalWpg, InverseDistanceRss, RankRows, UpdateStats, Wpg, WpgBuilder};
 
-/// The live state of a mobile deployment: positions, the sharded dynamic
-/// grid, and the incrementally maintained WPG, all stepped together.
+/// The live state of a mobile deployment: positions, the maintained grid,
+/// and the incrementally maintained WPG, all stepped together.
 pub struct MobileWorld {
     params: Params,
     field: MobilityField,
@@ -27,20 +27,14 @@ impl MobileWorld {
     }
 
     /// Attaches motion and incremental maintenance to an existing snapshot.
-    /// `params.shards` picks the region-shard layout (0 = default) and
-    /// `params.threads` the workers of whole-population probes; both only
-    /// affect performance, never the maintained graph.
+    /// `params.threads` picks the workers of whole-population probes, which
+    /// only affects performance, never the maintained graph.
     pub fn from_points(params: &Params, mobility: &MobilityConfig, points: &[Point]) -> Self {
         let builder = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss);
-        let shards = if params.shards > 0 {
-            params.shards
-        } else {
-            nela_geo::sharded::DEFAULT_SHARDS
-        };
         MobileWorld {
             params: params.clone(),
             field: MobilityField::new(points.len(), mobility),
-            wpg: IncrementalWpg::with_topology(builder, points, shards, params.threads),
+            wpg: IncrementalWpg::with_threads(builder, points, params.threads),
         }
     }
 
@@ -215,9 +209,8 @@ mod tests {
     fn sharded_and_threaded_worlds_stay_bit_identical() {
         let cfg = MobilityConfig::default();
         let base = small_params();
-        for (shards, threads) in [(1usize, 1usize), (7, 2), (64, 4)] {
+        for threads in [1usize, 2, 4] {
             let params = Params {
-                shards,
                 threads,
                 ..base.clone()
             };
@@ -232,7 +225,7 @@ mod tests {
             assert_eq!(world.points(), ref2.points());
             let a: Vec<_> = world.wpg_snapshot().edges().collect();
             let b: Vec<_> = ref2.wpg_snapshot().edges().collect();
-            assert_eq!(a, b, "shards={shards} threads={threads}");
+            assert_eq!(a, b, "threads={threads}");
         }
     }
 }

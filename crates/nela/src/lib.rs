@@ -38,6 +38,8 @@
 //! The evaluation harness in `crates/bench` regenerates every figure of the
 //! paper's §VI from this API; `EXPERIMENTS.md` records the outcomes.
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod engine;
 pub mod metrics;

@@ -31,7 +31,8 @@ pub struct Params {
     pub seed: u64,
     /// Worker threads for system construction and batched request serving.
     /// `1` (the default) runs every pipeline stage serially. Higher values
-    /// build a bit-identical system (grid, proximity graph) in parallel;
+    /// build a bit-identical proximity graph in parallel (the grid build
+    /// stays serial) and, under mobility, re-probe every user in parallel;
     /// batch serving then runs concurrently, preserving every cloaking
     /// invariant though per-request attribution may differ from serial
     /// order under registry contention.
@@ -39,8 +40,9 @@ pub struct Params {
     /// Total registry shards for concurrent batch serving (laid out on the
     /// smallest square grid holding at least this many). `0` (the default)
     /// picks ≈ 4 shards per worker automatically. Ignored when batches run
-    /// serially. (The vendored serde derive has no `default` attribute, so
-    /// serialized `Params` always carry this field explicitly.)
+    /// serially. This is its only meaning: no grid reads it. (The vendored
+    /// serde derive has no `default` attribute, so serialized `Params`
+    /// always carry this field explicitly.)
     pub shards: usize,
 }
 

@@ -35,7 +35,7 @@ impl System {
         };
         let threads = params.threads.max(1);
         let points = spec.generate();
-        let grid = GridIndex::build_threads(&points, params.delta, threads);
+        let grid = GridIndex::build(&points, params.delta);
         let wpg = WpgBuilder::new(params.delta, params.max_peers, InverseDistanceRss)
             .build_with_index_threads(&points, &grid, threads);
         System {

@@ -23,6 +23,8 @@
 //! `nela_cluster::registry::ShardedRegistry`), which runs over this crate's
 //! network when a session is built `with_network`.
 
+#![forbid(unsafe_code)]
+
 pub mod discovery;
 pub mod event;
 pub mod network;

@@ -22,6 +22,8 @@
 //! **nanoseconds** into every `*` stage histogram (see [`stage`]) and plain
 //! event counts into the [`counter`] names.
 
+#![forbid(unsafe_code)]
+
 mod hist;
 mod registry;
 mod snapshot;
@@ -38,7 +40,7 @@ use std::time::{Duration, Instant};
 /// nanoseconds unless noted). Shared constants so producers and consumers
 /// (CLI `stats` render, CI smoke checks) cannot drift apart.
 pub mod stage {
-    /// One `GridIndex::build_threads` call (serial or parallel).
+    /// One `GridIndex::build` call (the serial counting fill).
     pub const GRID_BUILD: &str = "grid.build";
     /// One whole `WpgBuilder::build_with_index_threads` call.
     pub const WPG_BUILD: &str = "wpg.build";
@@ -64,9 +66,11 @@ pub mod stage {
     /// One mobility tick's serving: the engine over the maintained state,
     /// every request of the tick and the validity counts.
     pub const MOBILITY_SERVE: &str = "mobility.tick.serve";
-    /// Incremental sub-stage: staging the move batch into the sharded grid.
+    /// Incremental sub-stage: staging the move batch into the maintained
+    /// grid.
     pub const INC_STAGE: &str = "wpg.inc.stage";
-    /// Incremental sub-stage: committing the staged shards (CSR rebuild).
+    /// Incremental sub-stage: committing the staged moves (one merge of
+    /// the grid's CSR with the batch's cell changes).
     pub const INC_COMMIT: &str = "wpg.inc.commit";
     /// Incremental push tick, the mover pass: each mover's departures (read
     /// off its tick-start list, or probed around its tick-start position),

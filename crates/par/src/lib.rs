@@ -11,7 +11,8 @@
 //!
 //! The one piece of `unsafe` lives in [`ScatterWriter`]: a shared write-only
 //! view of a slice for counting-sort-style scatter phases where each index
-//! is provably written by exactly one thread (the grid index bucket fill).
+//! is provably written by exactly one thread (the WPG's CSR fill,
+//! `Wpg::from_edges_threads`).
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -62,21 +63,6 @@ where
         .into_iter()
         .map(|s| s.expect("chunk thread completed"))
         .collect()
-}
-
-/// Element-wise parallel map over `0..n`, preserving index order. The
-/// output equals `(0..n).map(f).collect()` for any thread count.
-pub fn map_indexed<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let chunks = map_chunks(threads, n, |range| range.map(&f).collect::<Vec<R>>());
-    let mut out = Vec::with_capacity(n);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
 }
 
 /// Splits `data` into contiguous chunks and mutates each on its own scoped
@@ -166,15 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_matches_serial_for_any_thread_count() {
-        let serial: Vec<u64> = (0..1000).map(|i| (i as u64).wrapping_mul(31)).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let par = map_indexed(threads, 1000, |i| (i as u64).wrapping_mul(31));
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn map_chunks_preserves_chunk_order() {
         let chunks = map_chunks(4, 10, |r| (r.start, r.end));
         let flat: Vec<usize> = chunks.iter().flat_map(|&(a, b)| [a, b]).collect();
@@ -218,7 +195,7 @@ mod tests {
 
     #[test]
     fn zero_items_spawn_nothing() {
-        let out: Vec<u8> = map_indexed(8, 0, |_| 0);
+        let out: Vec<u8> = map_chunks(8, 0, |_| 0);
         assert!(out.is_empty());
         let mut empty: [u8; 0] = [];
         for_each_chunk_mut(8, &mut empty, |_, _| panic!("no chunks expected"));

@@ -34,6 +34,8 @@
 //! query type into `BENCH_serve.json`; the `nela serve` CLI subcommand runs
 //! one session interactively.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod config;
 pub mod queue;

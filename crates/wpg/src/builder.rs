@@ -404,7 +404,7 @@ mod tests {
         let serial = b.build(&pts);
         let serial_edges: Vec<_> = serial.edges().collect();
         for threads in [1usize, 2, 3, 4, 8] {
-            let grid = GridIndex::build_threads(&pts, b.delta, threads);
+            let grid = GridIndex::build(&pts, b.delta);
             let par = b.build_with_index_threads(&pts, &grid, threads);
             let par_edges: Vec<_> = par.edges().collect();
             assert_eq!(par_edges, serial_edges, "threads={threads}");
@@ -501,7 +501,7 @@ mod tests {
         let all = WpgBuilder::new(0.2, pts.len() - 1, InverseDistanceRss).build(&pts);
         assert!(all.m() > 0);
         for threads in [1usize, 2] {
-            let grid = GridIndex::build_threads(&pts, 0.2, threads);
+            let grid = GridIndex::build(&pts, 0.2);
             let huge = WpgBuilder::new(0.2, 1 << 40, InverseDistanceRss)
                 .build_with_index_threads(&pts, &grid, threads);
             assert_eq!(

@@ -176,45 +176,6 @@ pub fn components_under(g: &Wpg, t: Weight, removed: &dyn Fn(UserId) -> bool) ->
     group_by_root(g, &mut ds, removed)
 }
 
-/// [`components_under`] with the adjacency scan (the dominant cost on dense
-/// graphs) split across `threads` scoped worker threads: each chunk of
-/// vertices collects its qualifying edges, which are then unioned serially.
-/// The class partition is canonicalized by sorting, so the result equals the
-/// serial [`components_under`] exactly for any thread count.
-pub fn components_under_threads<F>(
-    g: &Wpg,
-    t: Weight,
-    removed: &F,
-    threads: usize,
-) -> Vec<Vec<UserId>>
-where
-    F: Fn(UserId) -> bool + Sync,
-{
-    let n = g.n();
-    let pair_chunks: Vec<Vec<(u32, u32)>> = nela_par::map_chunks(threads, n, |range| {
-        let mut out = Vec::new();
-        for u in range {
-            let u = u as UserId;
-            if removed(u) {
-                continue;
-            }
-            for (v, w) in g.neighbors(u) {
-                if v > u && w <= t && !removed(v) {
-                    out.push((u, v));
-                }
-            }
-        }
-        out
-    });
-    let mut ds = DisjointSets::new(n);
-    for chunk in pair_chunks {
-        for (a, b) in chunk {
-            ds.union(a, b);
-        }
-    }
-    group_by_root(g, &mut ds, removed)
-}
-
 /// Groups non-removed vertices by union-find root into the canonical class
 /// order (members sorted, classes ordered by smallest member).
 ///
@@ -384,27 +345,6 @@ mod tests {
         let comps = components_under(&g, 8, &|u| u < 5);
         let all: Vec<UserId> = comps.concat();
         assert_eq!(all, vec![5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn threaded_components_match_serial() {
-        let pts = nela_geo::DatasetSpec::small_uniform(400, 33).generate();
-        let g = crate::builder::WpgBuilder::new(0.1, 6, crate::rss::InverseDistanceRss).build(&pts);
-        for t in [1u32, 2, 4, 6] {
-            for (removed, tag) in [
-                (
-                    &(|_: UserId| false) as &(dyn Fn(UserId) -> bool + Sync),
-                    "none",
-                ),
-                (&(|u: UserId| u % 7 == 0) as _, "mod7"),
-            ] {
-                let serial = components_under(&g, t, &|u| removed(u));
-                for threads in [1usize, 2, 4, 8] {
-                    let par = components_under_threads(&g, t, &removed, threads);
-                    assert_eq!(par, serial, "t={t} threads={threads} removed={tag}");
-                }
-            }
-        }
     }
 
     #[test]

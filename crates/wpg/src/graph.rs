@@ -107,9 +107,8 @@ impl Wpg {
     }
 
     /// Builds the same CSR as [`Wpg::from_edges`] with the degree count and
-    /// the neighbor scatter split across `threads` scoped worker threads —
-    /// the counting-sort scheme of `GridIndex::build_threads`: per-chunk
-    /// degree histograms, an exclusive prefix over (vertex, chunk) turning
+    /// the neighbor scatter split across `threads` scoped worker threads, as
+    /// a parallel counting sort: per-chunk degree histograms, an exclusive prefix over (vertex, chunk) turning
     /// the histograms into disjoint write cursors, and a parallel scatter
     /// through `nela_par::ScatterWriter`. Chunk `t`'s entries for a vertex
     /// land after every earlier chunk's, in chunk-local edge order — exactly

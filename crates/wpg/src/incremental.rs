@@ -16,7 +16,7 @@
 //! list that has a floor and fewer than M entries. On
 //! [`IncrementalWpg::apply_moves`]:
 //!
-//! 1. every move is staged in the [`nela_geo::ShardedDynamicGrid`] and the
+//! 1. every move is staged in the [`nela_geo::DynamicGrid`] and the
 //!    batch is committed in one merge; the first staging of an id returns
 //!    its tick-start position;
 //! 2. **one pass per mover**, in cell order: the mover records a departure
@@ -65,7 +65,7 @@
 use crate::builder::{rank_order, RankRows, WpgBuilder};
 use crate::graph::{Edge, Wpg};
 use crate::rss::RssModel;
-use nela_geo::{GridError, Point, ShardedDynamicGrid, UserId};
+use nela_geo::{DynamicGrid, GridError, Point, UserId};
 
 /// Counters describing one [`IncrementalWpg::apply_moves`] batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -255,7 +255,7 @@ const PREFETCH_AHEAD: usize = 4;
 /// in the builder's rank pass, cut to the `cap` strongest in `scored`.
 /// Returns the list's floor; `buf` keeps the probe's `(peer, d_sq)` pairs.
 fn probe<R: RssModel>(
-    grid: &ShardedDynamicGrid,
+    grid: &DynamicGrid,
     builder: &WpgBuilder<R>,
     u: UserId,
     cap: usize,
@@ -347,7 +347,7 @@ fn sort_by_tag(pushes: &mut Vec<Push>, scratch: &mut Vec<Push>, bits: u32) {
 #[derive(Debug, Clone)]
 pub struct IncrementalWpg<R: RssModel> {
     builder: WpgBuilder<R>,
-    grid: ShardedDynamicGrid,
+    grid: DynamicGrid,
     /// Worker threads for whole-population probes.
     threads: usize,
     /// Candidate lists; their first M ids are the rank rows (module docs).
@@ -371,27 +371,22 @@ pub struct IncrementalWpg<R: RssModel> {
 }
 
 impl<R: RssModel> IncrementalWpg<R> {
-    /// Builds the initial state from scratch over `points` with the default
-    /// shard layout, probing serially.
+    /// Builds the initial state from scratch over `points`, probing
+    /// serially.
     pub fn new(builder: WpgBuilder<R>, points: &[Point]) -> Self {
-        Self::with_topology(builder, points, nela_geo::sharded::DEFAULT_SHARDS, 1)
+        Self::with_threads(builder, points, 1)
     }
 
-    /// Builds the initial state with an explicit region-shard count and
-    /// probe thread count. Both only affect performance: the maintained
-    /// graph is bit-identical for every `(shards, threads)` combination.
+    /// Builds the initial state with `threads` probe workers. The count
+    /// only affects performance: the maintained graph is bit-identical for
+    /// every value.
     ///
     /// # Panics
     /// Panics past 2³¹ users (a push tags its receiver id with one bit).
-    pub fn with_topology(
-        builder: WpgBuilder<R>,
-        points: &[Point],
-        shards: usize,
-        threads: usize,
-    ) -> Self {
+    pub fn with_threads(builder: WpgBuilder<R>, points: &[Point], threads: usize) -> Self {
         let n = points.len();
         assert!(n <= 1 << 31, "population of {n} exceeds 2^31 users");
-        let grid = ShardedDynamicGrid::build_with_shards(points, builder.delta, shards);
+        let grid = DynamicGrid::build(points, builder.delta);
         let cap = CAPACITY_PER_PEER * builder.max_peers;
         let mut this = IncrementalWpg {
             builder,
@@ -413,6 +408,17 @@ impl<R: RssModel> IncrementalWpg<R> {
         this
     }
 
+    /// [`IncrementalWpg::with_threads`]; `shards` is unused. Kept because
+    /// the benchmark under `benchmark/` names it.
+    pub fn with_topology(
+        builder: WpgBuilder<R>,
+        points: &[Point],
+        _shards: usize,
+        threads: usize,
+    ) -> Self {
+        Self::with_threads(builder, points, threads)
+    }
+
     /// Number of users.
     #[inline]
     pub fn len(&self) -> usize {
@@ -431,9 +437,10 @@ impl<R: RssModel> IncrementalWpg<R> {
         self.grid.points()
     }
 
-    /// The underlying sharded grid (for δ-queries against current state).
+    /// The underlying maintained grid (for δ-queries against current
+    /// state).
     #[inline]
-    pub fn grid(&self) -> &ShardedDynamicGrid {
+    pub fn grid(&self) -> &DynamicGrid {
         &self.grid
     }
 
@@ -945,7 +952,7 @@ mod tests {
     fn threaded_rescore_and_snapshot_are_bit_identical() {
         let pts = random_points(500, 23);
         let builder = WpgBuilder::new(0.06, 6, InverseDistanceRss);
-        let mut serial = IncrementalWpg::with_topology(builder.clone(), &pts, 4, 1);
+        let mut serial = IncrementalWpg::new(builder.clone(), &pts);
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let ticks: Vec<Vec<(UserId, Point)>> = (0..5)
             .map(|_| {
@@ -955,7 +962,7 @@ mod tests {
             })
             .collect();
         for threads in [2usize, 4] {
-            let mut par = IncrementalWpg::with_topology(builder.clone(), &pts, 4, threads);
+            let mut par = IncrementalWpg::with_threads(builder.clone(), &pts, threads);
             for moves in &ticks {
                 let a = serial.apply_moves(moves);
                 let b = par.apply_moves(moves);
@@ -968,7 +975,7 @@ mod tests {
                 assert_graphs_equal(&snap, &serial.snapshot());
             }
             // Rewind the serial instance for the next thread count.
-            serial = IncrementalWpg::with_topology(builder.clone(), &pts, 4, 1);
+            serial = IncrementalWpg::new(builder.clone(), &pts);
         }
     }
 

@@ -64,10 +64,9 @@ proptest! {
         }
     }
 
-    /// High-churn ticks — 50% and 100% of the population moving every tick,
-    /// the regime the sharded dirty-region path must win in — stay exactly
-    /// equivalent to a rebuild across region-shard counts and thread counts,
-    /// with every variant bit-identical to the serial single-shard snapshot.
+    /// High-churn ticks — 50% and 100% of the population moving every tick
+    /// — stay exactly equivalent to a rebuild across thread counts, with
+    /// every variant bit-identical to the serial snapshot.
     #[test]
     fn high_move_fraction_equals_rebuild_across_shards_and_threads(
         seed in 0u64..1_000_000,
@@ -93,15 +92,12 @@ proptest! {
                     .collect()
             })
             .collect();
-        // Serial single-shard reference plus sharded/threaded variants.
-        let mut reference = IncrementalWpg::with_topology(builder.clone(), &pts, 1, 1);
-        let mut variants: Vec<IncrementalWpg<InverseDistanceRss>> =
-            [(4usize, 1usize), (16, 2), (64, 4)]
-                .iter()
-                .map(|&(shards, threads)| {
-                    IncrementalWpg::with_topology(builder.clone(), &pts, shards, threads)
-                })
-                .collect();
+        // Serial reference plus threaded variants.
+        let mut reference = IncrementalWpg::new(builder.clone(), &pts);
+        let mut variants: Vec<IncrementalWpg<InverseDistanceRss>> = [1usize, 2, 4]
+            .iter()
+            .map(|&threads| IncrementalWpg::with_threads(builder.clone(), &pts, threads))
+            .collect();
         for moves in &ticks {
             let ref_stats = reference.apply_moves(moves);
             let rebuilt = builder.build(reference.points());
@@ -109,11 +105,11 @@ proptest! {
             prop_assert_eq!(&ref_edges, &edges_of(&rebuilt));
             for (vi, inc) in variants.iter_mut().enumerate() {
                 let stats = inc.apply_moves(moves);
-                // Mover accounting is topology-independent.
+                // Mover accounting is thread-count-independent.
                 prop_assert_eq!(stats.moved, ref_stats.moved, "variant {}", vi);
                 prop_assert_eq!(inc.points(), reference.points(), "variant {}", vi);
                 // Serial, threaded, and in-place snapshots all bit-match the
-                // single-shard serial reference.
+                // serial reference.
                 prop_assert_eq!(edges_of(&inc.snapshot()), ref_edges.clone(), "variant {}", vi);
                 let threaded = Wpg::from_edges_threads(inc.len(), &inc.rows().edges_threads(4), 4);
                 prop_assert_eq!(edges_of(&threaded), ref_edges.clone(), "variant {}", vi);
@@ -125,19 +121,17 @@ proptest! {
     }
 
     /// Duplicate-heavy batches (every id appears several times, last position
-    /// wins) stay exact and count each mover once, across shard layouts.
+    /// wins) stay exact and count each mover once.
     #[test]
     fn duplicate_heavy_batches_stay_exact(
         seed in 0u64..1_000_000,
         n in 40usize..150,
         unique_movers in 2usize..20,
         repeats in 2usize..6,
-        shard_sel in 0usize..3,
     ) {
-        let shards = [1usize, 8, 32][shard_sel];
         let pts = random_points(n, seed);
         let builder = WpgBuilder::new(0.06, 5, InverseDistanceRss);
-        let mut inc = IncrementalWpg::with_topology(builder.clone(), &pts, shards, 1);
+        let mut inc = IncrementalWpg::new(builder.clone(), &pts);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD0D0);
         let ids: Vec<u32> = (0..unique_movers)
             .map(|_| rng.gen_range(0..n as u32))

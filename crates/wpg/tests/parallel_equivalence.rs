@@ -1,12 +1,11 @@
 //! Property tests pinning the parallel build paths to the serial ones.
 //!
 //! The contract of every `*_threads` entry point is *bit-identical output*:
-//! for any population and any thread count, the grid buckets, WPG edge list,
-//! and connected components must equal the single-threaded result exactly —
-//! parallelism is an implementation detail, never an observable one.
+//! for any population and any thread count, the WPG edge list and its CSR
+//! must equal the single-threaded result exactly — parallelism is an
+//! implementation detail, never an observable one.
 
 use nela_geo::{GridIndex, Point, UserId};
-use nela_wpg::connectivity::{components_under, components_under_threads, nothing_removed};
 use nela_wpg::{Edge, InverseDistanceRss, Wpg, WpgBuilder};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -39,7 +38,7 @@ proptest! {
     ) {
         let serial = WpgBuilder::new(delta, m, InverseDistanceRss).build(&points);
         for threads in [1usize, 2, 4, 8] {
-            let grid = GridIndex::build_threads(&points, delta, threads);
+            let grid = GridIndex::build(&points, delta);
             let par = WpgBuilder::new(delta, m, InverseDistanceRss)
                 .build_with_index_threads(&points, &grid, threads);
             prop_assert_eq!(
@@ -69,48 +68,6 @@ proptest! {
                     "neighbor slice of {} diverged at {} threads", u, threads
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_grid_matches_serial(
-        points in arb_points(),
-        delta in 0.02f64..0.4,
-    ) {
-        let serial = GridIndex::build(&points, delta);
-        let mut sbuf = Vec::new();
-        let mut pbuf = Vec::new();
-        for threads in [2usize, 3, 8] {
-            let par = GridIndex::build_threads(&points, delta, threads);
-            // The public probe surface must agree exactly for every user.
-            for u in 0..points.len() as UserId {
-                serial.neighbors_within(u, delta, &mut sbuf);
-                par.neighbors_within(u, delta, &mut pbuf);
-                prop_assert_eq!(&sbuf, &pbuf, "neighbors diverged at {} threads", threads);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_components_match_serial(
-        points in arb_points(),
-        t in 1u32..6,
-    ) {
-        let g = WpgBuilder::new(0.2, 5, InverseDistanceRss).build(&points);
-        let serial = components_under(&g, t, &nothing_removed);
-        let removed = |u: UserId| u % 5 == 0;
-        let serial_removed = components_under(&g, t, &removed);
-        for threads in [1usize, 2, 4, 8] {
-            prop_assert_eq!(
-                &serial,
-                &components_under_threads(&g, t, &nothing_removed, threads),
-                "components diverged at {} threads", threads
-            );
-            prop_assert_eq!(
-                &serial_removed,
-                &components_under_threads(&g, t, &removed, threads),
-                "components with removals diverged at {} threads", threads
-            );
         }
     }
 }
