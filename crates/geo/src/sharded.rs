@@ -57,9 +57,9 @@ impl std::fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
-/// The row-band count the maintained grid once took. Nothing in the
-/// workspace reads it; kept because the benchmark under `benchmark/` names
-/// it.
+/// Unused by the workspace; kept because the benchmark under `benchmark/`
+/// names it (as the `shards` argument `IncrementalWpg::with_topology`
+/// ignores).
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// An edit of the commit: `(cell << 32) | id`, so sorting the keys orders
