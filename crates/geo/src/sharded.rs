@@ -228,18 +228,6 @@ impl DynamicGrid {
         }
     }
 
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when the index holds no points.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// The current positions, indexed by id. Staged moves are already
     /// reflected here (positions update eagerly; only the cell structure
     /// waits for [`DynamicGrid::commit_moves`]).
