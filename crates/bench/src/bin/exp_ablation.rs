@@ -6,7 +6,7 @@
 //! literal pseudocode reading on rank-weighted WPGs, and (b) how close the
 //! paper's CPU-cheap increment approximation is to the exact optimum.
 
-use nela::bounding::cost::{AreaCost, RequestCost};
+use nela::bounding::cost::RequestCost;
 use nela::bounding::distribution::{ExcessDistribution, Uniform};
 use nela::bounding::nbound::{exact_dp_increment, n_bounding_increment};
 use nela::cluster::centralized::{centralized_k_clustering, single_linkage_k_clustering};
@@ -112,9 +112,7 @@ fn main() {
         overhead_pct: f64,
     }
     let dist = Uniform::new(10.0 / params.n_users as f64);
-    let cost = AreaCost {
-        cr: params.cr * params.n_users as f64,
-    };
+    let cost = params.area_cost();
     let dp = exact_dp_increment(20, &dist, &cost, params.cb);
     let eval = |x: f64, n: usize| -> f64 {
         // Expected cost of taking increment x in state n and then playing

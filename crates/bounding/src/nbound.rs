@@ -19,7 +19,7 @@ use crate::distribution::{ExcessDistribution, Uniform};
 use crate::protocol::IncrementPolicy;
 use crate::unary::{golden_section_min, unary_optimal};
 use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 
 /// Approximate optimal N-bounding increment (Equation 5), solved generically
 /// by minimizing the approximate cost of Equation 4 over `(0, span]`.
@@ -156,11 +156,11 @@ pub fn exact_dp_increment(
 ///
 /// Every input of a solve is public — the modeled span U·2^w, the
 /// disagreeing count N, `Cr` and `Cb` — so every host bounding a cluster of
-/// the same size solves the same optimizations. One table serves every
-/// directional run, request and worker of an engine. The key is the exact
-/// input of the solve (the widened span's bits and N) and
-/// [`n_bounding_increment`] is a pure function, so a hit returns the bits a
-/// fresh solve would.
+/// the same size solves the same optimizations. One table per cost model
+/// ([`IncrementTable::shared`]) serves every directional run, request,
+/// worker and engine of the process. The key is the exact input of the
+/// solve (the widened span's bits and N) and [`n_bounding_increment`] is a
+/// pure function, so a hit returns the bits a fresh solve would.
 ///
 /// The table fills lazily and is safe to share across threads. No lock is
 /// held while solving: racing writers of one key compute equal bits, and
@@ -181,6 +181,24 @@ impl IncrementTable {
             cb,
             solved: RwLock::new(HashMap::new()),
         }
+    }
+
+    /// The process's table for the request cost `cost` and per-user
+    /// verification cost `cb`: the first caller creates it, and every later
+    /// caller with bit-equal `cost.cr` and `cb` gets the same table, with
+    /// the solves earlier callers stored. A process leaks one table per
+    /// distinct cost model it bounds under.
+    pub fn shared(cost: AreaCost, cb: f64) -> &'static IncrementTable {
+        type Registry = Mutex<HashMap<(u64, u64), &'static IncrementTable>>;
+        static TABLES: OnceLock<Registry> = OnceLock::new();
+        // Every write inserts one finished table, so a map behind a
+        // poisoned lock is still whole.
+        TABLES
+            .get_or_init(Registry::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry((cost.cr.to_bits(), cb.to_bits()))
+            .or_insert_with(|| Box::leak(Box::new(IncrementTable::new(cost, cb))))
     }
 
     /// The increment for `n_disagreeing` users under `model` widened
@@ -432,5 +450,27 @@ mod tests {
         table.increment(model, 1, 6);
         table.increment(model, 0, 7);
         assert_eq!(table.entries(), 3);
+    }
+
+    #[test]
+    fn shared_tables_are_one_per_cost_model() {
+        // A cost model no other test bounds under, so nothing else writes
+        // these tables.
+        let (cost, cb) = (AreaCost { cr: 3.25e6 }, 1.75);
+        let table = IncrementTable::shared(cost, cb);
+        assert!(std::ptr::eq(table, IncrementTable::shared(cost, cb)));
+        let model = Uniform::new(3e-4);
+        let first = table.increment(model, 0, 5);
+        let again = IncrementTable::shared(cost, cb).increment(model, 0, 5);
+        assert_eq!(again.to_bits(), first.to_bits());
+        assert_eq!(table.entries(), 1, "a later caller reads the stored solve");
+        // Another Cr or another Cb is another table.
+        let other_cr = IncrementTable::shared(AreaCost { cr: 6.5e6 }, cb);
+        let other_cb = IncrementTable::shared(cost, 3.5);
+        assert!(!std::ptr::eq(table, other_cr));
+        assert!(!std::ptr::eq(table, other_cb));
+        assert!(!std::ptr::eq(other_cr, other_cb));
+        assert_eq!(other_cr.entries(), 0);
+        assert_eq!(other_cb.entries(), 0);
     }
 }

@@ -43,16 +43,40 @@ impl Drop for MetricsSink {
     }
 }
 
+/// The one parameter reader of every subcommand that builds a deployment.
+/// A zero population, k or M is a usage error; the default request count
+/// is capped at the population.
 fn build_params(args: &Args) -> Result<Params, ArgError> {
     let users: usize = args.num_or("users", 20_000)?;
     let mut params = Params::scaled(users);
     params.k = args.num_or("k", params.k)?;
     params.max_peers = args.num_or("m", params.max_peers)?;
+    for (flag, value) in [
+        ("users", params.n_users),
+        ("k", params.k),
+        ("m", params.max_peers),
+    ] {
+        if value == 0 {
+            return Err(ArgError(format!("--{flag} 0: must be at least 1")));
+        }
+    }
     params.seed = args.num_or("seed", 1u64)?;
-    params.requests = args.num_or("requests", params.requests)?;
+    params.requests = args.num_or("requests", params.requests.min(users))?;
     params.threads = args.num_or("threads", 1usize)?.max(1);
     params.shards = args.num_or("shards", 0usize)?; // 0 = auto (≈4 per worker)
     Ok(params)
+}
+
+/// `simulate` and `attack` issue one request per distinct host, so
+/// `--requests` may not exceed `--users`.
+fn check_distinct_hosts(params: &Params) -> Result<(), ArgError> {
+    if params.requests > params.n_users {
+        return Err(ArgError(format!(
+            "--requests {}: more than the {} users (one request per distinct host)",
+            params.requests, params.n_users
+        )));
+    }
+    Ok(())
 }
 
 fn clustering_algo(args: &Args) -> Result<ClusteringAlgo, ArgError> {
@@ -90,7 +114,7 @@ fn choose_host(system: &System, args: &Args) -> Result<UserId, ArgError> {
         return Ok(h);
     }
     system
-        .host_sequence(500, 7)
+        .host_sequence(system.points.len().min(500), 7)
         .into_iter()
         .find(|&h| {
             nela::cluster::distributed_k_clustering(&system.wpg, h, system.params.k, &|_| false)
@@ -206,6 +230,7 @@ pub fn simulate(raw: Vec<String>) -> Result<(), ArgError> {
     let args = Args::parse(raw, COMMON)?;
     let _metrics = MetricsSink::from(&args);
     let params = build_params(&args)?;
+    check_distinct_hosts(&params)?;
     let system = System::build(&params);
     let hosts = system.host_sequence(params.requests, 1);
     let stats = run_workload_threads(
@@ -323,6 +348,7 @@ pub fn attack(raw: Vec<String>) -> Result<(), ArgError> {
     let args = Args::parse(raw, COMMON)?;
     let _metrics = MetricsSink::from(&args);
     let params = build_params(&args)?;
+    check_distinct_hosts(&params)?;
     let system = System::build(&params);
     let mut engine = CloakingEngine::new(&system, clustering_algo(&args)?, bounding_algo(&args)?);
     let hosts = system.host_sequence(params.requests, 1);
@@ -399,24 +425,7 @@ pub fn mobility(raw: Vec<String>) -> Result<(), ArgError> {
         "rebuild",
     ];
     let args = Args::parse(raw, FLAGS)?;
-    let mut params = {
-        let users: usize = args.num_or("users", 20_000)?;
-        let mut p = Params::scaled(users);
-        p.k = args.num_or("k", p.k)?;
-        p.max_peers = args.num_or("m", p.max_peers)?;
-        p.seed = args.num_or("seed", 1u64)?;
-        p.threads = args.num_or("threads", 1usize)?.max(1);
-        p
-    };
-    for (flag, value) in [
-        ("users", params.n_users),
-        ("k", params.k),
-        ("m", params.max_peers),
-    ] {
-        if value == 0 {
-            return Err(ArgError(format!("--{flag} 0: must be at least 1")));
-        }
-    }
+    let mut params = build_params(&args)?;
     params.requests = 0; // requests arrive as a Poisson stream, not a batch
     let stationary: f64 = args.num_or("stationary", 0.9)?;
     if !(0.0..=1.0).contains(&stationary) {
@@ -765,6 +774,44 @@ mod tests {
                 "--{flag} {value}: {}",
                 err.0
             );
+        }
+    }
+
+    #[test]
+    fn every_deployment_subcommand_rejects_a_zero_population_k_or_m() {
+        type Subcommand = fn(Vec<String>) -> Result<(), ArgError>;
+        let subcommands: [(&str, Subcommand); 7] = [
+            ("inspect", inspect),
+            ("cloak", cloak),
+            ("simulate", simulate),
+            ("query", query),
+            ("attack", attack),
+            ("mobility", mobility),
+            ("serve", serve),
+        ];
+        for (name, run) in subcommands {
+            for flag in ["users", "k", "m"] {
+                let err = run(vec![format!("--{flag}"), "0".into()])
+                    .expect_err("a zero value must be rejected");
+                assert_eq!(err.0, format!("--{flag} 0: must be at least 1"), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn cloak_and_query_serve_a_population_below_the_host_sample() {
+        for run in [cloak, query] {
+            run(vec!["--users".into(), "400".into(), "--json".into()])
+                .expect("a 400-user population is served");
+        }
+    }
+
+    #[test]
+    fn batch_subcommands_reject_more_requests_than_users() {
+        for run in [simulate, attack] {
+            let raw = ["--users", "3000", "--requests", "5000"].map(String::from);
+            let err = run(raw.to_vec()).expect_err("5000 distinct hosts of 3000 users");
+            assert!(err.0.starts_with("--requests 5000: "), "{}", err.0);
         }
     }
 

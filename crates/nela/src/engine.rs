@@ -237,7 +237,8 @@ pub struct CloakingResult {
     pub reused: bool,
     /// The serving process's phase-2 CPU time for this request: the
     /// protocol logic plus the increments, read from (or solved into) the
-    /// engine's shared increment table. One device solving its own
+    /// process's increment table for the deployment's cost model, which
+    /// every engine over that model shares. One device solving its own
     /// increments pays more; that per-device cost is the paper's
     /// Fig. 13(d) metric, which `exp_fig13` times separately.
     pub bounding_cpu: Duration,
@@ -296,9 +297,11 @@ pub struct CloakingEngine<'a> {
     /// Personalized per-user anonymity levels (`k_of[u]` is user u's
     /// `k_i`); `None` serves everyone at the uniform `Params::k`.
     k_of: Option<Vec<usize>>,
-    /// Secure-bounding increments for this deployment's cost model, shared
-    /// by every directional run, request and session worker.
-    increments: IncrementTable,
+    /// The process's secure-bounding increment table for this deployment's
+    /// cost model, shared by every directional run, request, session worker
+    /// and engine over that model (so a mobility tick's engine starts from
+    /// the solves earlier ticks stored).
+    increments: &'static IncrementTable,
 }
 
 /// Per-thread scratch reused across requests: the lookup fills `members`
@@ -613,7 +616,7 @@ impl<'a> CloakingEngine<'a> {
             partition: OnceLock::new(),
             knn_taken: Mutex::new(vec![false; points.len()]),
             k_of: None,
-            increments: params.increment_table(),
+            increments: params.shared_increment_table(),
         }
     }
 
@@ -951,7 +954,7 @@ impl<'a> CloakingEngine<'a> {
                 (rect, members.len() as u64, 1)
             }
             BoundingAlgo::Secure => {
-                let policy = SecurePolicy::new(&self.increments, Uniform::new(span));
+                let policy = SecurePolicy::new(self.increments, Uniform::new(span));
                 totals(transport.bound_box(host, host_point, members, points, &policy)?)
             }
             BoundingAlgo::Linear => {
@@ -1951,5 +1954,73 @@ mod tests {
         );
         assert_eq!(carry.carried, 0);
         assert!(carry.dropped > 0);
+    }
+
+    #[test]
+    fn engines_over_one_cost_model_share_one_increment_table() {
+        // Cb = 1.375 is a cost model no other test bounds under, so only
+        // this test writes its table.
+        let params = Params {
+            k: 5,
+            cb: 1.375,
+            ..Params::scaled(2_000)
+        };
+        let s = System::build(&params);
+        let mut first = CloakingEngine::with_registry(
+            &s,
+            ClusteringAlgo::TConnDistributed,
+            BoundingAlgo::Secure,
+            ClusterRegistry::new(s.points.len()),
+        );
+        let served: Vec<CloakingResult> = s
+            .host_sequence(200, 9)
+            .into_iter()
+            .filter_map(|h| first.request(h).ok())
+            .collect();
+        assert!(served.iter().filter(|r| r.bounding_rounds > 0).count() > 20);
+        let table = first.increments;
+        let stored = table.entries();
+        assert!(stored > 0);
+
+        // An engine over the maintained rows of the same deployment reads
+        // the same table, and replaying the served hosts solves nothing new.
+        let maintained = nela_wpg::IncrementalWpg::new(
+            nela_wpg::WpgBuilder::new(params.delta, params.max_peers, nela_wpg::InverseDistanceRss),
+            &s.points,
+        );
+        let mut second = CloakingEngine::over_rows(
+            &params,
+            &s.points,
+            maintained.rows(),
+            ClusteringAlgo::TConnDistributed,
+            BoundingAlgo::Secure,
+            ClusterRegistry::new(s.points.len()),
+        );
+        assert!(std::ptr::eq(second.increments, table));
+        for want in &served {
+            let got = second.request(want.host).unwrap();
+            assert_eq!(got.region, want.region, "host {}", want.host);
+            assert_eq!(got.bounding_messages, want.bounding_messages);
+        }
+        assert_eq!(table.entries(), stored, "a replay solves nothing new");
+
+        // Another Cb is another cost model, and another table.
+        let other = Params {
+            cb: 2.75,
+            ..params.clone()
+        };
+        let third = CloakingEngine::over_rows(
+            &other,
+            &s.points,
+            maintained.rows(),
+            ClusteringAlgo::TConnDistributed,
+            BoundingAlgo::Secure,
+            ClusterRegistry::new(s.points.len()),
+        );
+        assert!(!std::ptr::eq(third.increments, table));
+        assert!(std::ptr::eq(
+            third.increments,
+            other.shared_increment_table()
+        ));
     }
 }

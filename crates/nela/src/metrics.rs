@@ -12,7 +12,7 @@ use serde::Serialize;
 /// communication cost is (approximately) proportional to \[the\] area of the
 /// bound").
 pub fn service_request_cost(area: f64, params: &Params) -> f64 {
-    params.cr * params.n_users as f64 * area
+    params.area_cost().cr * area
 }
 
 /// Aggregated metrics over a workload of cloaking requests — the quantities

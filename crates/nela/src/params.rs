@@ -84,16 +84,27 @@ impl Params {
         cluster_size as f64 / self.n_users as f64
     }
 
-    /// An empty secure-bounding increment table for this deployment's cost
-    /// model. The request cost is per dimension: a bound of extent x on
+    /// This deployment's request cost, per dimension: a bound of extent x on
     /// each axis transfers ≈ Cr · n · x² message units.
+    pub fn area_cost(&self) -> AreaCost {
+        AreaCost {
+            cr: self.cr * self.n_users as f64,
+        }
+    }
+
+    /// An empty secure-bounding increment table for this deployment's cost
+    /// model: what one device solving its own increments starts from
+    /// (Fig. 13(d)), and what a test of a cold table needs. Engines read
+    /// [`Params::shared_increment_table`] instead.
     pub fn increment_table(&self) -> IncrementTable {
-        IncrementTable::new(
-            AreaCost {
-                cr: self.cr * self.n_users as f64,
-            },
-            self.cb,
-        )
+        IncrementTable::new(self.area_cost(), self.cb)
+    }
+
+    /// The process's secure-bounding increment table for this deployment's
+    /// cost model ([`IncrementTable::shared`]): every engine over a
+    /// deployment with bit-equal Cr · n and Cb reads the same table.
+    pub fn shared_increment_table(&self) -> &'static IncrementTable {
+        IncrementTable::shared(self.area_cost(), self.cb)
     }
 }
 

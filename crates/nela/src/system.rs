@@ -62,6 +62,9 @@ impl System {
 
     /// A reproducible sequence of `s` distinct host users (the paper's
     /// workload: S users out of the population request cloaking).
+    ///
+    /// # Panics
+    /// Panics if `s` exceeds the population ("more hosts than users").
     pub fn host_sequence(&self, s: usize, seed: u64) -> Vec<UserId> {
         assert!(s <= self.points.len(), "more hosts than users");
         let mut ids: Vec<UserId> = (0..self.points.len() as UserId).collect();

@@ -1,12 +1,13 @@
-//! Phase-2 equivalence: the engine's shared increment table against the
-//! per-run memoized secure policy it replaced.
+//! Phase-2 equivalence: the process's shared increment tables against the
+//! per-run memoized secure policy they replaced.
 //!
 //! [`oracle::SecurePolicy`] is that policy verbatim: a `HashMap` memo that
 //! starts empty for every directional run, generic over the excess and cost
 //! models. Increments, boxes, round counts and message counts of the
 //! table-backed policy must match it bit for bit — from a cold table, from
 //! a table warmed by other cluster sizes, from a table two threads share,
-//! and through every serving path of the engine.
+//! from two deployments' shared tables used in turn, and through every
+//! serving path of the engine.
 
 use nela::bounding::bbox::bounding_box;
 use nela::bounding::cost::AreaCost;
@@ -199,6 +200,29 @@ fn table_policy_matches_oracle_when_two_threads_share_the_table() {
             });
         }
     });
+}
+
+#[test]
+fn shared_tables_of_two_deployments_each_match_their_own_oracle() {
+    // Twice the users doubles Cr·n, and Cb triples: scaling both by one
+    // factor would leave every optimum where it was. A cluster of 2s users
+    // in `b` has the span of one of s users in `a`, so the two deployments
+    // look up the same (span, N) keys: a registry that handed both the same
+    // table would serve one the other's solves.
+    let a = params();
+    let b = Params {
+        cb: 3.0 * a.cb,
+        ..Params::scaled(2 * a.n_users)
+    };
+    let (table_a, table_b) = (a.shared_increment_table(), b.shared_increment_table());
+    assert!(!std::ptr::eq(table_a, table_b));
+    assert!(std::ptr::eq(table_a, a.clone().shared_increment_table()));
+    for ((size_a, seq_a), (size_b, seq_b)) in cases(6).iter().zip(cases(7).iter().rev()) {
+        assert_case_matches(&a, table_a, *size_a, seq_a);
+        assert_case_matches(&b, table_b, *size_b, seq_b);
+        assert_case_matches(&b, table_b, 2 * size_a, seq_a);
+        assert_case_matches(&a, table_a, *size_b, seq_b);
+    }
 }
 
 /// The oracle's box for `host`'s cluster: the four directional runs over
