@@ -7,11 +7,12 @@
 //! - **Fig. 13(b)**: average service-request cost, as a ratio to optimal
 //!   bounding (the paper plots this ratio),
 //! - **Fig. 13(c)**: average total communication cost,
-//! - **Fig. 13(d)**: average bounding CPU time (ms) one host pays. The
-//!   serving engine shares one increment table across all of its runs, so
-//!   its own `bounding_cpu` mostly times table lookups. A device solves its
-//!   own increments, so the Secure column re-times every freshly bounded
-//!   cluster's four runs, each from an empty table.
+//! - **Fig. 13(d)**: average bounding CPU time (ms) one host pays. A
+//!   serving process shares one increment table per cost model across all
+//!   of its engines and runs, so an engine's own `bounding_cpu` mostly
+//!   times table lookups. A device solves its own increments, so the
+//!   Secure column re-times every freshly bounded cluster's four runs, each
+//!   from an empty table.
 
 use nela::bounding::bbox::bounding_box;
 use nela::bounding::distribution::Uniform;
